@@ -28,9 +28,20 @@ _EPS = np.finfo(np.float64).eps
 _RHS_NAMES = ("one", "x", "exp", "sin")
 
 
-def _fmt(v):
-    # 17 significant digits: enough for exact float round-trips
-    return format(v, ".17g")
+def _format_rows(M, cell, sep):
+    """Format each row of the 2-d array M as its cells joined by sep.
+
+    cell is a printf directive applied to every float: "%.17g" (17
+    significant digits, enough for exact round-trips) or "%r" (the
+    shortest repr, as json writes it).  When M is centrosymmetric, as
+    every Green matrix is, only the top half of the rows is formatted and
+    row N-i is written as row i's cells reversed.
+    """
+    n_rows, n_cols = M.shape
+    half = (n_rows + 1) // 2 if np.array_equal(M, M[::-1, ::-1]) else n_rows
+    template = sep.join([cell] * n_cols)
+    rows = [template % tuple(row) for row in M[:half].tolist()]
+    return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows - half])]
 
 
 def _write_text(text, path):
@@ -59,11 +70,18 @@ def _cmd_green(args, parser):
     if args.ascending:
         G = G[::-1, ::-1]
         ordering = "ascending"
+    if not np.isfinite(G).all():
+        print(f"error: the degree-{args.n} Green matrix has non-finite entries",
+              file=sys.stderr)
+        return 1
     if args.fmt == "csv":
-        text = "\n".join(",".join(_fmt(v) for v in row) for row in G) + "\n"
+        text = "\n".join(_format_rows(G, "%.17g", ",")) + "\n"
     else:
-        payload = {"degree": args.n, "ordering": ordering, "entries": G.tolist()}
-        text = json.dumps(payload, indent=2) + "\n"
+        # the bytes json.dumps(payload, indent=2) writes, laid out directly
+        head = json.dumps({"degree": args.n, "ordering": ordering}, indent=2)[:-2]
+        rows = _format_rows(G, "%r", ",\n      ")
+        text = (head + ',\n  "entries": [\n    [\n      '
+                + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}\n")
     return _write_text(text, args.out)
 
 
@@ -89,9 +107,12 @@ def _load_rhs(rhs_name, n, parser):
         if len(lines) != n + 1:
             parser.error(f"{path} holds {len(lines)} values, expected {n + 1}")
         try:
-            return np.array([float(ln) for ln in lines])
+            values = np.array([float(ln) for ln in lines])
         except ValueError:
             parser.error(f"{path} contains a non-numeric line")
+        if not np.isfinite(values).all():
+            parser.error(f"{path} contains a non-finite value")
+        return values
     parser.error(f"unknown --rhs {rhs_name!r}: choose from "
                  f"{', '.join(_RHS_NAMES)} or file:<path>")
 
@@ -107,7 +128,7 @@ def _cmd_solve(args, parser):
         print(f"error: cannot read {exc.filename}: {exc}", file=sys.stderr)
         return 1
     y = solve_bvp(NodeVector(f, grid_degree=args.n), args.method)
-    text = "\n".join(_fmt(v) for v in y.values) + "\n"
+    text = _format_rows(y.values[np.newaxis], "%.17g", "\n")[0] + "\n"
     return _write_text(text, args.out)
 
 

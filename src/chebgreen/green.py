@@ -148,6 +148,8 @@ def solve_bvp(f, method):
     "matrix-free" (transform pipeline), or "linear-system" (solve the
     boundary-stripped collocation system).
     """
+    if not isinstance(f, NodeVector):
+        raise TypeError(f"solve_bvp expects a NodeVector, got {type(f).__name__}")
     if method == "dense-green":
         y = green_matrix(f.grid_degree).entries @ f.values
         return NodeVector(y, f.grid_degree)

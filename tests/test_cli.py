@@ -1,18 +1,30 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chebgreen import green_matrix
-from chebgreen.cli import main
+from chebgreen import METHODS, NodeVector, cheb_grid, green_matrix, solve_bvp
+from chebgreen.cli import _format_rows, main
 
 
 def _parse_csv_matrix(text):
     return np.array(
         [[float(tok) for tok in line.split(",")] for line in text.strip().splitlines()]
     )
+
+
+# Reference serializers: the per-float formulas the CLI output must match byte for byte.
+
+def _reference_csv(M):
+    return "\n".join(",".join(format(v, ".17g") for v in row) for row in M) + "\n"
+
+
+def _reference_json(n, ordering, M):
+    payload = {"degree": n, "ordering": ordering, "entries": M.tolist()}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +65,49 @@ def test_green_ascending_flag_reverses_both_axes(capsys):
     assert doc["ordering"] == "ascending"
     G = green_matrix(4).entries
     np.testing.assert_array_equal(np.array(doc["entries"]), G[::-1, ::-1])
+
+
+@pytest.mark.parametrize("ascending", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", list(range(1, 13)) + [63, 64])
+def test_green_output_is_byte_identical_to_reference(n, fmt, ascending, tmp_path, capsys):
+    G = green_matrix(n).entries
+    if ascending:
+        G = G[::-1, ::-1]
+    if fmt == "csv":
+        expected = _reference_csv(G)
+    else:
+        expected = _reference_json(n, "ascending" if ascending else "descending", G)
+    argv = ["green", "--n", str(n), "--format", fmt] + (["--ascending"] if ascending else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    target = tmp_path / f"g.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (7, 5), (8, 8)])
+def test_format_rows_matches_reference_on_random_matrices(shape):
+    rng = np.random.default_rng(sum(shape))
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    M[0, 0] = -0.0
+    C = M + M[::-1, ::-1]  # centrosymmetric: formatted through the mirrored half
+    assert np.array_equal(C, C[::-1, ::-1]) and not np.array_equal(M, M[::-1, ::-1])
+    for A in (M, C):
+        assert "\n".join(_format_rows(A, "%.17g", ",")) + "\n" == _reference_csv(A)
+        rows = [json.dumps(row, indent=2) for row in A.tolist()]
+        assert _format_rows(A, "%r", ",\n  ") == [r[4:-2] for r in rows]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_green_non_finite_matrix_fails_cleanly(fmt, monkeypatch, capsys):
+    G = green_matrix(4).entries.copy()
+    G[1, 2] = np.nan
+    monkeypatch.setattr("chebgreen.cli.green_matrix", lambda n: SimpleNamespace(entries=G))
+    assert main(["green", "--n", "4", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "non-finite" in err
 
 
 def test_green_rejects_degree_zero():
@@ -110,6 +165,24 @@ def test_solve_file_with_junk_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--n", "3", "--rhs", f"file:{rhs}"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+def test_solve_file_with_non_finite_value_is_usage_error(token, tmp_path):
+    rhs = tmp_path / "f.txt"
+    rhs.write_text(f"1.0\n{token}\n3.0\n4.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "3", "--rhs", f"file:{rhs}"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n", [2, 3, 16, 33])
+def test_solve_output_is_byte_identical_to_reference(n, method, capsys):
+    x = cheb_grid(n).points
+    y = solve_bvp(NodeVector(np.sin(x), grid_degree=n), method).values
+    assert main(["solve", "--n", str(n), "--rhs", "sin", "--method", method]) == 0
+    assert capsys.readouterr().out == "\n".join(format(v, ".17g") for v in y) + "\n"
 
 
 def test_solve_missing_file_is_runtime_error(capsys):

@@ -130,3 +130,9 @@ def test_solve_boundary_values_are_zero():
 def test_solve_rejects_unknown_method():
     with pytest.raises(ValueError, match="dense-green"):
         solve_bvp(NodeVector(np.ones(3)), "cholesky")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_rejects_bare_array(method):
+    with pytest.raises(TypeError, match="NodeVector"):
+        solve_bvp(np.ones(9), method)
