@@ -73,14 +73,20 @@ def integrate_coeffs(uhat):
 
 
 def _antiderivative_raw(c):
-    # unchecked core of integrate_coeffs; callers guarantee enough padding
-    n = c.size
-    out = np.empty(n)
-    out[0] = c[1] / 4.0
-    out[1] = c[0] - c[2] / 2.0
-    shifted_up = np.zeros(n - 2)
-    shifted_up[: n - 3] = c[3:]  # c[j+1] for j = 2..n-1, zero past the end
-    out[2:] = (c[1 : n - 1] - shifted_up) / (2.0 * np.arange(2, n))
+    # unchecked core of integrate_coeffs, along the last axis; callers
+    # guarantee enough padding
+    n = c.shape[-1]
+    out = np.empty(c.shape)
+    # single entries go through .T, which puts the last axis first: a 1-d
+    # input then takes fast scalar indexing
+    ct, ot = c.T, out.T
+    ot[0] = ct[1] / 4.0
+    ot[1] = ct[0] - ct[2] / 2.0
+    # (c[j-1] - c[j+1]) / (2j) for j = 2..n-1, with c[n] read as zero
+    body = out[..., 2:]
+    np.subtract(c[..., 1 : n - 2], c[..., 3:], out=body[..., :-1])
+    ot[n - 1] = ct[n - 2]
+    body /= 2.0 * np.arange(2, n)
     return out
 
 
@@ -98,16 +104,20 @@ def reduce_fine_to_coarse(v):
 
 def _lagrange_primitive_values(i, N):
     """Node values (coarse grid) of the primitive of the i-th Lagrange basis
-    polynomial, before any integration constant is fixed."""
-    e = np.zeros(N + 1)
-    e[i] = 1.0
+    polynomial, before any integration constant is fixed.
+
+    For an array of k basis indices the result is a (k, N+1) block, row r
+    for index i[r], with the same bits as the per-index calls.
+    """
+    e = np.equal.outer(i, np.arange(N + 1)).astype(np.float64)
     lhat = _node_to_coeff_values(e)
     # N zeros of headroom; at N == 1 one extra is needed to keep two trailing
     # zeros for the antiderivative rule, and the dropped top coefficient of
     # the result is exactly zero (the primitive has degree N+1 <= 2N)
     pad = N if N >= 2 else 2
-    prim = _antiderivative_raw(np.concatenate([lhat, np.zeros(pad)]))[: 2 * N + 1]
-    return _coeff_to_node_values(prim)[::2]
+    ext = np.concatenate([lhat, np.zeros(lhat.shape[:-1] + (pad,))], axis=-1)
+    prim = _antiderivative_raw(ext)[..., : 2 * N + 1]
+    return _coeff_to_node_values(prim)[..., ::2]
 
 
 def lagrange_integrals(i, N):
@@ -141,6 +151,26 @@ def lagrange_integrals(i, N):
     )
 
 
+def _node_poly_factors(i, N):
+    """Factors of the anchor-free node-polynomial primitive, N >= 3.
+
+    Returns ``(scale, q)``: q holds the coarse-node values of
+    T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2), one fine-grid evaluation
+    shared by every index, and scale = +-1/(4N), halved at the endpoints,
+    is the cancelled weight of index i (an array of indices gives an array
+    of scales).  The primitive for index i is scale * q.
+    """
+    base = np.zeros(2 * N + 1)
+    base[N - 2] = 1.0 / (N - 2)
+    base[N] = -2.0 / N
+    base[N + 2] = 1.0 / (N + 2)
+    q = _coeff_to_node_values(base)[::2]
+    i = np.asarray(i)
+    sign = np.where(i % 2 == 0, 1.0, -1.0)
+    halving = np.where((i == 0) | (i == N), 0.5, 1.0)
+    return sign * halving / (4.0 * N), q
+
+
 def node_poly_primitive(i, N):
     """Anchored primitives of the weighted node polynomial at the grid nodes.
 
@@ -162,14 +192,8 @@ def node_poly_primitive(i, N):
         raise ValueError("node polynomial primitive needs degree >= 3 (divides by N - 2)")
     if not 0 <= i <= N:
         raise ValueError(f"node index {i} out of range for degree {N}")
-    base = np.zeros(2 * N + 1)
-    base[N - 2] = 1.0 / (N - 2)
-    base[N] = -2.0 / N
-    base[N + 2] = 1.0 / (N + 2)
-    q = _coeff_to_node_values(base)[::2]
-    sign = 1.0 if i % 2 == 0 else -1.0
-    halving = 0.5 if i in (0, N) else 1.0
-    p = (sign * halving / (4.0 * N)) * q
+    scale, q = _node_poly_factors(i, N)
+    p = scale * q
     return PrimitivePair(
         up=NodeVector(p - p[-1], N),
         down=NodeVector(p[0] - p, N),

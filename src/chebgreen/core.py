@@ -142,32 +142,34 @@ def dct1(v):
 
     Parameters
     ----------
-    v : sequence of n >= 2 reals
+    v : sequence of n >= 2 reals, or a 2-d array of rows of n >= 4 reals
 
     Returns
     -------
-    ndarray of n reals
+    ndarray of the same shape
         out[s] = sqrt(2/(n-1)) * (v[0]/2 + sum_{r=1}^{n-2} v[r] cos(pi r s/(n-1))
-        + (-1)^s v[n-1]/2).
+        + (-1)^s v[n-1]/2), applied to each row of a 2-d input.
 
     Notes
     -----
     For n >= 4 this runs as a real FFT of the even extension of v (length
     2(n-1)); below that the direct cosine sum is used.  Both paths compute
     the same map; the direct sum also serves as the cross-check oracle
-    (see ``oracle.dct1_naive``).
+    (see ``oracle.dct1_naive``).  Rows of a 2-d input go through the FFT
+    path only, which is why they need n >= 4; each row transforms to the
+    same bits as that row passed alone.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("dct1 needs a 1-d vector with at least two entries")
-    if v.size < 4:
+    if v.ndim not in (1, 2) or v.shape[-1] < (2 if v.ndim == 1 else 4):
+        raise ValueError("dct1 needs a 1-d vector with at least two entries "
+                         "or a 2-d array of rows with at least four")
+    n = v.shape[-1]
+    if n < 4:
         return _dct1_direct(v)
     # even extension [v_0 .. v_{n-1}, v_{n-2} .. v_1]: the rfft of it is a
     # pure cosine sum whose first n real parts are the (unnormalized) DCT-I
-    ext = np.concatenate([v, v[-2:0:-1]])
-    out = np.ascontiguousarray(np.fft.rfft(ext).real)
-    out /= np.sqrt(2.0 * (v.size - 1))
-    return out
+    ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
+    return np.fft.rfft(ext, axis=-1).real / np.sqrt(2.0 * (n - 1))
 
 
 def _dct1_direct(v):
@@ -180,21 +182,30 @@ def _dct1_direct(v):
     return np.sqrt(2.0 / (n - 1)) * (np.cos(np.pi * jk / (n - 1)) @ w)
 
 
+def _scale_ends(a, s):
+    # scale the first and last entry of a vector, or of every row of a 2-d
+    # array, in place; a.T puts the last axis first, so a 1-d input takes
+    # scalar indexing (a[..., 0] would cost several microseconds a call)
+    t = a.T
+    t[0] *= s
+    t[-1] *= s
+
+
 def _node_to_coeff_values(u):
-    """Raw transform: node values (length N+1) -> Chebyshev coefficients."""
-    N = u.size - 1
+    """Raw transform along the last axis: node values (length N+1) ->
+    Chebyshev coefficients."""
+    N = u.shape[-1] - 1
     a = dct1(u) * np.sqrt(2.0 / N)
-    a[0] *= 0.5
-    a[-1] *= 0.5
+    _scale_ends(a, 0.5)
     return a
 
 
 def _coeff_to_node_values(c):
-    """Raw transform: Chebyshev coefficients (length M+1) -> node values."""
-    M = c.size - 1
+    """Raw transform along the last axis: Chebyshev coefficients (length
+    M+1) -> node values."""
+    M = c.shape[-1] - 1
     w = np.array(c, dtype=np.float64)
-    w[0] *= 2.0
-    w[-1] *= 2.0
+    _scale_ends(w, 2.0)
     w *= np.sqrt(M / 2.0)
     return dct1(w)
 

@@ -151,17 +151,17 @@ def extension_matrix(N):
 
     Interior rows pass values through; the two boundary rows evaluate the
     degree-(N-2) interpolant through the interior nodes at x = 1 and
-    x = -1.  The interior CGL points are not themselves a CGL family, so
-    their barycentric weights come from the generic product formula.
+    x = -1.  The interior CGL points are the zeros of U_{N-1}, whose
+    barycentric weights have the closed form (-1)^j sin^2(j pi/N) (Wang,
+    Huybrechs & Vandewalle, Math. Comp. 2014); unlike the product formula
+    they neither underflow nor overflow at any degree.
     """
     if N < 2:
         raise ValueError("extension needs grid degree >= 2")
     x = cgl_points(N)
     t = x[1:-1]
-    d = t[:, None] - t[None, :]
-    np.fill_diagonal(d, 1.0)
-    lam = 1.0 / d.prod(axis=1)
-    lam /= np.abs(lam).max()  # the scale cancels; normalized to dodge overflow
+    j = np.arange(1, N)
+    lam = np.where(j % 2 == 1, 1.0, -1.0) * np.sin(np.pi * j / N) ** 2
     E = np.zeros((N + 1, N - 1))
     E[1:-1] = np.eye(N - 1)
     for row, z in ((0, x[0]), (N, x[-1])):

@@ -15,7 +15,12 @@ from chebgreen import (
     node_poly_primitive,
     reduce_fine_to_coarse,
 )
-from chebgreen.core import barycentric_weights_cgl
+from chebgreen.calculus import _antiderivative_raw, _lagrange_primitive_values
+from chebgreen.core import _coeff_to_node_values, barycentric_weights_cgl
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_extend_pads_with_zeros():
@@ -63,6 +68,22 @@ def test_integrate_matches_reference_antiderivative():
     ref = npcheb.chebint(c)[: c.size]
     # anchoring constants differ; compare everything above T_0
     np.testing.assert_allclose(got[1:], ref[1:], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 65, 2049])
+def test_antiderivative_rows_match_one_dimensional_calls_bitwise(n):
+    rng = np.random.default_rng(n)
+    C = rng.standard_normal((6, n))
+    C[:, -2:] = 0.0
+    C[2] = -0.0
+    assert _same_bits(_antiderivative_raw(C), np.stack([_antiderivative_raw(c) for c in C]))
+
+
+@pytest.mark.parametrize("N", [3, 4, 7, 64, 257])
+def test_lagrange_primitive_block_matches_per_index_calls_bitwise(N):
+    for idx in (np.arange(N // 2 + 1), np.array([N]), np.array([N, 0, 1])):
+        block = _lagrange_primitive_values(idx, N)
+        assert _same_bits(block, np.stack([_lagrange_primitive_values(i, N) for i in idx]))
 
 
 def test_reduce_fine_to_coarse():
@@ -143,6 +164,24 @@ def test_node_poly_primitive_against_monomial_reference(N):
         np.testing.assert_allclose(pair.down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13)
         assert pair.up.values[-1] == 0.0
         assert pair.down.values[0] == 0.0
+
+
+@pytest.mark.parametrize("N", [3, 4, 11, 64])
+def test_node_poly_primitive_matches_closed_form_bitwise(N):
+    # (lambda_i / 2^(N+1)) (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)) with the
+    # weight scale cancelled to +-1/(4N), halved at the endpoints
+    base = np.zeros(2 * N + 1)
+    base[N - 2] = 1.0 / (N - 2)
+    base[N] = -2.0 / N
+    base[N + 2] = 1.0 / (N + 2)
+    q = _coeff_to_node_values(base)[::2]
+    for i in range(N + 1):
+        sign = 1.0 if i % 2 == 0 else -1.0
+        halving = 0.5 if i in (0, N) else 1.0
+        p = (sign * halving / (4.0 * N)) * q
+        pair = node_poly_primitive(i, N)
+        assert _same_bits(pair.up.values, p - p[-1])
+        assert _same_bits(pair.down.values, p[0] - p)
 
 
 def test_node_poly_primitive_needs_degree_three():

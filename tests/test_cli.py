@@ -230,6 +230,21 @@ def test_verify_skips_reference_check_on_large_grids(capsys):
     assert "oracle" not in {r["check"] for r in rows}
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_bc_inverse_at_large_degree(capsys):
+    # the extension matrix used to underflow past n ~ 800, giving a NaN here
+    assert main(["verify", "--n", "1100", "--check", "bc-inverse"]) == 0
+    (row,) = _strict_json(capsys.readouterr().out)
+    assert row["check"] == "bc-inverse" and row["n"] == 1100
+    assert row["deviation"] <= row["tolerance"]
+
+
 def test_verify_below_minimum_degree_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "2", "--check", "right-inverse"])

@@ -16,7 +16,12 @@ from chebgreen import (
     eval_chebyshev_at_cgl,
     node_to_coeffs,
 )
+from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values
 from chebgreen.oracle import dct1_naive
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,34 @@ def test_dct1_rejects_short_and_multidim():
         dct1(np.array([1.0]))
     with pytest.raises(ValueError):
         dct1(np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the kernel on rows of a 2-d array
+
+
+ROW_LENGTHS = [4, 5, 8, 9, 33, 64, 129, 2049]
+
+
+@pytest.mark.parametrize("n", ROW_LENGTHS)
+@pytest.mark.parametrize(
+    "kernel", [dct1, _node_to_coeff_values, _coeff_to_node_values],
+    ids=["dct1", "node_to_coeff", "coeff_to_node"],
+)
+def test_kernel_rows_match_one_dimensional_calls_bitwise(kernel, n):
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((7, n))
+    V[3] = 0.0
+    V[4, n // 2] = 1.0  # a unit row, as the Green assembly feeds in
+    assert _same_bits(kernel(V), np.stack([kernel(v) for v in V]))
+
+
+def test_dct1_rows_need_the_fft_length():
+    # 2-d rows always take the FFT path, which needs n >= 4
+    with pytest.raises(ValueError):
+        dct1(np.ones((5, 3)))
+    with pytest.raises(ValueError):
+        dct1(np.ones((2, 2, 4)))
 
 
 # ---------------------------------------------------------------------------

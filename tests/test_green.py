@@ -11,8 +11,12 @@ from chebgreen import (
     cheb_grid,
     green_function_eval,
     green_matrix,
+    lagrange_integrals,
+    node_poly_primitive,
     solve_bvp,
 )
+from chebgreen.calculus import _lagrange_primitive_values
+from chebgreen.core import _coeff_to_node_values, cgl_points
 from chebgreen.oracle import green_matrix_dense_oracle
 
 
@@ -71,6 +75,58 @@ def test_green_matrix_interior_diagonal_negative(N):
     # G(x, x) = (x^2 - 1)/2 < 0 away from the ends
     d = np.diag(green_matrix(N).entries)
     assert np.all(d[1:-1] < 0.0)
+
+
+def _green_matrix_per_column(N):
+    """Column-by-column assembly from the 1-d Lagrange primitive, N >= 3."""
+    x = cgl_points(N)
+    xplus = 0.5 * (x + 1.0)
+    xminus = 0.5 * (x - 1.0)
+    base = np.zeros(2 * N + 1)
+    base[N - 2] = 1.0 / (N - 2)
+    base[N] = -2.0 / N
+    base[N + 2] = 1.0 / (N + 2)
+    q = _coeff_to_node_values(base)[::2]
+    q_up = q - q[-1]
+    q_down = q[0] - q
+    G = np.empty((N + 1, N + 1))
+    half = N // 2
+    for i in range(half + 1):
+        pref = (1.0 if i % 2 == 0 else -1.0) * (0.5 if i == 0 else 1.0) / (4.0 * N)
+        lag = _lagrange_primitive_values(i, N)
+        l_up = lag - lag[-1]
+        l_down = lag[0] - lag
+        col = xplus * (pref * q_down + (x[i] - 1.0) * l_down)
+        col += xminus * (pref * q_up + (x[i] + 1.0) * l_up)
+        col[0] = 0.0
+        col[-1] = 0.0
+        G[:, i] = col
+    if N % 2 == 0:
+        G[:, half] = 0.5 * (G[:, half] + G[::-1, half])
+    for i in range(half + 1, N + 1):
+        G[:, i] = G[::-1, N - i]
+    return G
+
+
+# N = 63 and 64 put N/2 + 1 half-columns at and one past the assembly block
+@pytest.mark.parametrize("N", list(range(3, 13)) + [63, 64, 257, 1024])
+def test_green_matrix_equals_per_column_assembly_bitwise(N):
+    G = green_matrix(N).entries
+    ref = _green_matrix_per_column(N)
+    assert G.shape == ref.shape and G.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("N", [3, 8, 33, 64, 65])
+def test_green_matrix_columns_match_public_primitives(N):
+    G = green_matrix(N).entries
+    x = cgl_points(N)
+    tol = 1e-14 * np.max(np.abs(G))
+    for i in range(N + 1):
+        lag = lagrange_integrals(i, N)
+        node = node_poly_primitive(i, N)
+        col = 0.5 * (x + 1.0) * (node.down.values + (x[i] - 1.0) * lag.down.values)
+        col += 0.5 * (x - 1.0) * (node.up.values + (x[i] + 1.0) * lag.up.values)
+        assert np.max(np.abs(G[:, i] - col)) <= tol, i
 
 
 def test_green_matrix_rejects_degree_zero():

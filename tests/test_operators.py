@@ -162,6 +162,38 @@ def test_extension_extrapolates_low_degree_polynomials(N):
     np.testing.assert_allclose(got, vals, rtol=0, atol=1e-11)
 
 
+def _extension_product_formula(N):
+    # boundary rows from the generic barycentric product formula
+    x = cgl_points(N)
+    t = x[1:-1]
+    d = t[:, None] - t[None, :]
+    np.fill_diagonal(d, 1.0)
+    lam = 1.0 / d.prod(axis=1)
+    E = np.zeros((N + 1, N - 1))
+    E[1:-1] = np.eye(N - 1)
+    for row, z in ((0, x[0]), (N, x[-1])):
+        w = lam / (z - t)
+        E[row] = w / w.sum()
+    return E
+
+
+@pytest.mark.parametrize("N", range(2, 31))
+def test_extension_matches_product_formula(N):
+    E = extension_matrix(N).entries
+    assert np.max(np.abs(E - _extension_product_formula(N))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [864, 1100, 2048])
+def test_extension_stays_finite_at_large_degree(N):
+    # the product-formula weights underflowed here
+    E = extension_matrix(N).entries
+    assert np.isfinite(E).all()
+    np.testing.assert_allclose(E[[0, N]].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    x = cgl_points(N)
+    vals = 1.0 + x - 2.0 * x**3
+    np.testing.assert_allclose(E @ vals[1:-1], vals, rtol=0, atol=1e-9)
+
+
 def test_projection_extension_degree_bounds():
     with pytest.raises(ValueError):
         projection_matrix(1)
