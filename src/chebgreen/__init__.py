@@ -6,109 +6,22 @@ matrix, a matrix-free transform pipeline, and a stripped collocation
 system.  Grids are stored in the conventional descending order.
 """
 
-from .calculus import (
-    PrimitivePair,
-    extend,
-    integrate_coeffs,
-    lagrange_integrals,
-    node_poly_primitive,
-    reduce_fine_to_coarse,
-)
-from .core import (
-    ChebGrid,
-    CoeffVector,
-    NodeVector,
-    barycentric_weights_cgl,
-    cheb_grid,
-    cgl_points,
-    coeffs_to_nodes,
-    dct1,
-    eval_chebyshev_at_cgl,
-    node_to_coeffs,
-)
-from .green import (
-    METHODS,
-    GreenMatrix,
-    apply_green_matrix_free,
-    green_function_eval,
-    green_matrix,
-    solve_bvp,
-)
-from .operators import (
-    OperatorMatrix,
-    diff2_bc_matrix,
-    diff2_matrix,
-    diff_matrix,
-    extension_matrix,
-    green_bc_matrix,
-    projection_matrix,
-    reinterp_matrix,
-    solve_stripped,
-    strip,
-    verify_left_inverse,
-    verify_right_inverse,
-)
-from .oracle import (
-    barycentric_weights_general,
-    dct1_naive,
-    green_matrix_dense_oracle,
-    lagrange_monomial_coeffs,
-)
-from .quadrature import (
-    GramMatrix,
-    QuadratureWeights,
-    cc_weights,
-    consistent_gram_matrix,
-    consistent_inner_product,
-    verify_d2_symmetry,
-)
+from . import calculus, core, green, operators, oracle, quadrature
+from .calculus import *
+from .core import *
+from .green import *
+from .operators import *
+from .oracle import *
+from .quadrature import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ChebGrid",
-    "CoeffVector",
-    "NodeVector",
-    "GreenMatrix",
-    "GramMatrix",
-    "OperatorMatrix",
-    "PrimitivePair",
-    "QuadratureWeights",
-    "METHODS",
-    "apply_green_matrix_free",
-    "barycentric_weights_cgl",
-    "barycentric_weights_general",
-    "cc_weights",
-    "cheb_grid",
-    "cgl_points",
-    "coeffs_to_nodes",
-    "consistent_gram_matrix",
-    "consistent_inner_product",
-    "dct1",
-    "dct1_naive",
-    "diff2_bc_matrix",
-    "diff2_matrix",
-    "diff_matrix",
-    "eval_chebyshev_at_cgl",
-    "extend",
-    "extension_matrix",
-    "green_bc_matrix",
-    "green_function_eval",
-    "green_matrix",
-    "green_matrix_dense_oracle",
-    "integrate_coeffs",
-    "lagrange_integrals",
-    "lagrange_monomial_coeffs",
-    "node_poly_primitive",
-    "node_to_coeffs",
-    "projection_matrix",
-    "reduce_fine_to_coarse",
-    "reinterp_matrix",
-    "solve_bvp",
-    "solve_stripped",
-    "strip",
-    "verify_d2_symmetry",
-    "verify_left_inverse",
-    "verify_right_inverse",
+    *core.__all__,
+    *calculus.__all__,
+    *green.__all__,
+    *operators.__all__,
+    *oracle.__all__,
+    *quadrature.__all__,
 ]

@@ -90,6 +90,12 @@ def _antiderivative_raw(c):
     return out
 
 
+def _anchor(p):
+    """Anchor a primitive along the last axis: ``(up, down) = (p - p[-1],
+    p[0] - p)``, the integrals from -1 and up to +1 at each node."""
+    return p - p[..., -1:], p[..., :1] - p
+
+
 def reduce_fine_to_coarse(v):
     """Keep the even-index entries of an odd-length vector.
 
@@ -144,11 +150,8 @@ def lagrange_integrals(i, N):
         raise ValueError("grid degree must be >= 1")
     if not 0 <= i <= N:
         raise ValueError(f"basis index {i} out of range for degree {N}")
-    prim = _lagrange_primitive_values(i, N)
-    return PrimitivePair(
-        up=NodeVector(prim - prim[-1], N),
-        down=NodeVector(prim[0] - prim, N),
-    )
+    up, down = _anchor(_lagrange_primitive_values(i, N))
+    return PrimitivePair(NodeVector(up, N), NodeVector(down, N))
 
 
 def _node_poly_factors(i, N):
@@ -181,7 +184,7 @@ def node_poly_primitive(i, N):
         (lambda_i / 2^(N+1)) * (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)).
 
     The weight magnitude 2^(N-1)/N is cancelled against 2^(N+1) before any
-    floating-point work (the raw factors overflow near N ~ 1075), leaving
+    floating-point work (2^(N+1) overflows doubles from N = 1023 on), leaving
     coefficients of size O(1/N^2).  Requires N >= 3: the T_{N-2}/(N-2) term
     divides by N-2.
 
@@ -193,8 +196,5 @@ def node_poly_primitive(i, N):
     if not 0 <= i <= N:
         raise ValueError(f"node index {i} out of range for degree {N}")
     scale, q = _node_poly_factors(i, N)
-    p = scale * q
-    return PrimitivePair(
-        up=NodeVector(p - p[-1], N),
-        down=NodeVector(p[0] - p, N),
-    )
+    up, down = _anchor(scale * q)
+    return PrimitivePair(NodeVector(up, N), NodeVector(down, N))

@@ -1,7 +1,8 @@
 """Command-line front end: export, solve, verify, benchmark.
 
-Exit codes: 0 on success, 1 when a verification exceeds its recorded
-tolerance or an output path cannot be written, 2 for usage errors.
+Exit codes: 0 on success, 1 when a verification deviation is non-finite
+or exceeds its recorded tolerance or an output path cannot be written, 2
+for usage errors.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import time
 
 import numpy as np
 
-from .core import NodeVector, cheb_grid
+from .core import NodeVector, cgl_points
 from .green import METHODS, apply_green_matrix_free, green_matrix, solve_bvp
 from .operators import (
     diff2_bc_matrix,
@@ -90,11 +91,11 @@ def _cmd_green(args, parser):
 
 
 def _load_rhs(rhs_name, n, parser):
-    x = cheb_grid(n).points
+    x = cgl_points(n)
     if rhs_name == "one":
         return np.ones(n + 1)
     if rhs_name == "x":
-        return x.copy()
+        return x
     if rhs_name == "exp":
         return np.exp(x)
     if rhs_name == "sin":
@@ -201,9 +202,12 @@ def _cmd_verify(args, parser):
         _, _, dev_fn, tol_fn = _CHECKS[name]
         dev = float(dev_fn(args.n))
         tol = float(tol_fn(args.n))
-        ok = ok and dev <= tol
-        rows.append({"check": name, "n": args.n, "deviation": dev, "tolerance": tol})
-    sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        finite = np.isfinite(dev)
+        ok = ok and finite and dev <= tol
+        # strict JSON has no NaN or Infinity: a non-finite deviation is null
+        rows.append({"check": name, "n": args.n,
+                     "deviation": dev if finite else None, "tolerance": tol})
+    sys.stdout.write(json.dumps(rows, indent=2, allow_nan=False) + "\n")
     return 0 if ok else 1
 
 
@@ -232,7 +236,7 @@ def _cmd_bench(args, parser):
     rows = []
     for n in n_list:
         G = green_matrix(n)
-        f = NodeVector(np.exp(cheb_grid(n).points), grid_degree=n)
+        f = NodeVector(np.exp(cgl_points(n)), grid_degree=n)
         times = {
             "build": _median_ms(lambda: green_matrix(n), args.repeat),
             "dense-apply": _median_ms(lambda: G.entries @ f.values, args.repeat),

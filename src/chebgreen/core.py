@@ -26,11 +26,21 @@ __all__ = [
 ]
 
 
-def _freeze(a):
-    """Return `a` as a read-only contiguous float64 array."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
+def _freeze(obj, *names, ndim, degree=None):
+    """Store the named fields of the frozen dataclass obj as read-only
+    contiguous float64 arrays (at least 1-d).
+
+    Every field is converted before any is checked.  Raises ValueError
+    unless each array has ndim axes and, when a grid degree is given,
+    degree + 1 entries along every axis.
+    """
+    arrays = [np.ascontiguousarray(getattr(obj, name), dtype=np.float64) for name in names]
+    for name, a in zip(names, arrays):
+        if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
+            want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
+            raise ValueError(f"{type(obj).__name__}.{name} needs {want}, got shape {a.shape}")
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -45,14 +55,14 @@ class NodeVector:
     grid_degree: int | None = None
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        deg = self.grid_degree if self.grid_degree is not None else vals.size - 1
-        if vals.ndim != 1 or deg < 1 or vals.size != deg + 1:
+        _freeze(self, "values", ndim=1)
+        n = self.values.size
+        deg = self.grid_degree if self.grid_degree is not None else n - 1
+        if deg < 1 or n != deg + 1:
             raise ValueError(
                 "node vector needs grid_degree + 1 values on a grid of degree >= 1, "
-                f"got {vals.size} values for degree {deg}"
+                f"got {n} values for degree {deg}"
             )
-        object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "grid_degree", int(deg))
 
 
@@ -67,10 +77,9 @@ class CoeffVector:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=np.float64))
-        if vals.ndim != 1 or vals.size < 1:
+        _freeze(self, "values", ndim=1)
+        if self.values.size < 1:
             raise ValueError("coefficient vector must be 1-d with at least one entry")
-        object.__setattr__(self, "values", _freeze(vals))
 
     def __len__(self):
         return self.values.size
@@ -87,12 +96,9 @@ class ChebGrid:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("grid degree must be >= 1")
-        pts = _freeze(self.points)
-        w = _freeze(self.bary_weights)
-        if pts.shape != (self.degree + 1,) or w.shape != (self.degree + 1,):
-            raise ValueError("points and weights must both have degree + 1 entries")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "bary_weights", w)
+        _freeze(self, "points", "bary_weights", ndim=1, degree=self.degree)
+        if not (np.isfinite(self.points).all() and np.isfinite(self.bary_weights).all()):
+            raise ValueError("grid points and weights must be finite")
 
 
 def cheb_grid(N):
@@ -120,21 +126,30 @@ def cgl_points(N):
     return x
 
 
+def _cgl_weight_signs(N):
+    # CGL barycentric weights without their common scale 2^(N-1)/N, which
+    # cancels wherever weights enter as ratios: (-1)^j, endpoints halved
+    w = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def barycentric_weights_cgl(N):
     """Closed-form barycentric weights of the CGL grid.
 
     w[j] = (-1)^j * 2^(N-1)/N with the two endpoint entries halved.  The
-    common magnitude overflows doubles past N ~ 1075; every consumer in this
-    package uses weight ratios only, where the scale cancels.
+    common magnitude overflows doubles from N = 1025 on, so larger degrees
+    raise ValueError (and so does :func:`cheb_grid`).  The solvers in this
+    package use weight ratios only, where the scale cancels, and take the
+    unscaled signs instead.
     """
     if N < 1:
         raise ValueError("grid degree must be >= 1")
-    w = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    with np.errstate(over="ignore"):
-        scale = np.float64(2.0) ** (N - 1) / N
-    return w * scale
+    if N > 1024:
+        raise ValueError(f"the CGL weight scale 2^(N-1)/N overflows at degree {N} "
+                         "(the largest is 1024); use cgl_points for the points alone")
+    return _cgl_weight_signs(N) * (2.0 ** (N - 1) / N)
 
 
 def dct1(v):
@@ -152,11 +167,9 @@ def dct1(v):
 
     Notes
     -----
-    For n >= 4 this runs as a real FFT of the even extension of v (length
-    2(n-1)); below that the direct cosine sum is used.  Both paths compute
-    the same map; the direct sum also serves as the cross-check oracle
-    (see ``oracle.dct1_naive``).  Rows of a 2-d input go through the FFT
-    path only, which is why they need n >= 4; each row transforms to the
+    Runs as a real FFT of the even extension of v (length 2(n-1)) at every
+    size; ``oracle.dct1_naive`` is the direct cosine sum it is checked
+    against.  Rows of a 2-d input need n >= 4; each row transforms to the
     same bits as that row passed alone.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -164,22 +177,10 @@ def dct1(v):
         raise ValueError("dct1 needs a 1-d vector with at least two entries "
                          "or a 2-d array of rows with at least four")
     n = v.shape[-1]
-    if n < 4:
-        return _dct1_direct(v)
     # even extension [v_0 .. v_{n-1}, v_{n-2} .. v_1]: the rfft of it is a
     # pure cosine sum whose first n real parts are the (unnormalized) DCT-I
     ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
     return np.fft.rfft(ext, axis=-1).real / np.sqrt(2.0 * (n - 1))
-
-
-def _dct1_direct(v):
-    # O(n^2) cosine-sum evaluation; endpoint samples carry weight 1/2
-    n = v.size
-    w = v.copy()
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.sqrt(2.0 / (n - 1)) * (np.cos(np.pi * jk / (n - 1)) @ w)
 
 
 def _scale_ends(a, s):

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NodeVector, cgl_points, _coeff_to_node_values, _node_to_coeff_values, _freeze
-from .calculus import _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors
+from .calculus import _anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors
 
 __all__ = [
+    "METHODS",
     "GreenMatrix",
     "green_function_eval",
     "green_matrix",
@@ -45,10 +46,7 @@ class GreenMatrix:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("grid degree must be >= 1")
-        ent = _freeze(self.entries)
-        if ent.shape != (self.degree + 1, self.degree + 1):
-            raise ValueError("entries must be square of size degree + 1")
-        object.__setattr__(self, "entries", ent)
+        _freeze(self, "entries", ndim=2, degree=self.degree)
 
 
 def green_function_eval(x, xi):
@@ -92,8 +90,7 @@ def green_matrix(N):
     half = N // 2
     idx = np.arange(half + 1)
     pref, q = _node_poly_factors(idx, N)
-    q_up = q - q[-1]
-    q_down = q[0] - q
+    q_up, q_down = _anchor(q)
 
     # the transforms run on blocks of half-columns at once: each block is a
     # (columns x N+1) array, small enough that its (columns x 4N) fine-grid
@@ -107,9 +104,7 @@ def green_matrix(N):
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
-        lag = _lagrange_primitive_values(idx[cols], N)
-        l_up = lag - lag[:, -1:]
-        l_down = lag[:, :1] - lag
+        l_up, l_down = _anchor(_lagrange_primitive_values(idx[cols], N))
         p = pref[cols, None]
         xi = x[cols, None]
         block = xplus * (p * q_down + (xi - 1.0) * l_down)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeVector, cgl_points, _freeze
+from .core import NodeVector, cgl_points, _cgl_weight_signs, _freeze
 from .green import green_matrix
 
 __all__ = [
@@ -39,10 +39,7 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = _freeze(self.entries)
-        if ent.ndim != 2:
-            raise ValueError("operator entries must be a 2-d matrix")
-        object.__setattr__(self, "entries", ent)
+        _freeze(self, "entries", ndim=2)
 
     @property
     def rows(self):
@@ -51,15 +48,6 @@ class OperatorMatrix:
     @property
     def cols(self):
         return self.entries.shape[1]
-
-
-def _alternating_cgl_weights(N):
-    # CGL barycentric weights up to their common positive scale, which every
-    # use below cancels in ratios: (-1)^j, endpoints halved
-    w = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def diff_matrix(N):
@@ -72,7 +60,7 @@ def diff_matrix(N):
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     x = cgl_points(N)
-    lam = _alternating_cgl_weights(N)
+    lam = _cgl_weight_signs(N)
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     D = (lam[None, :] / lam[:, None]) / dx
@@ -125,7 +113,7 @@ def reinterp_matrix(N_from, N_to):
         raise ValueError("grid degrees must be >= 1")
     x = cgl_points(N_from)
     y = cgl_points(N_to)
-    lam = _alternating_cgl_weights(N_from)
+    lam = _cgl_weight_signs(N_from)
     diff = y[:, None] - x[None, :]
     hit = diff == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

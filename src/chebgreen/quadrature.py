@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeVector, cgl_points, _node_to_coeff_values, _freeze
+from .core import cgl_points, _node_to_coeff_values, _freeze
 from .operators import diff2_matrix, reinterp_matrix
 
 __all__ = [
@@ -36,10 +36,9 @@ class QuadratureWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _freeze(self.weights)
-        if self.degree < 1 or w.shape != (self.degree + 1,):
-            raise ValueError("weights must have degree + 1 entries, degree >= 1")
-        object.__setattr__(self, "weights", w)
+        _freeze(self, "weights", ndim=1, degree=self.degree)
+        if self.degree < 1:
+            raise ValueError("weights need a grid of degree >= 1")
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,10 @@ class GramMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = _freeze(self.entries)
-        if self.degree < 1 or ent.shape != (self.degree + 1, self.degree + 1):
-            raise ValueError("entries must be square of size degree + 1")
-        object.__setattr__(self, "entries", ent)
-        np.linalg.cholesky(ent)  # positive definiteness check; raises if not
+        _freeze(self, "entries", ndim=2, degree=self.degree)
+        if self.degree < 1:
+            raise ValueError("a Gram matrix needs a grid of degree >= 1")
+        np.linalg.cholesky(self.entries)  # positive definiteness check; raises if not
 
 
 def cc_weights(M):

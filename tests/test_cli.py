@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chebgreen import METHODS, NodeVector, cheb_grid, green_matrix, solve_bvp
+from chebgreen import METHODS, NodeVector, cgl_points, cheb_grid, green_matrix, solve_bvp
+from chebgreen import cli
 from chebgreen.cli import _format_rows, main
 
 
@@ -185,6 +186,16 @@ def test_solve_output_is_byte_identical_to_reference(n, method, capsys):
     assert capsys.readouterr().out == "\n".join(format(v, ".17g") for v in y) + "\n"
 
 
+def test_solve_above_the_weight_overflow_degree(capsys):
+    # cheb_grid raises from n = 1025 on; the solve only needs the points
+    assert main(["solve", "--n", "1100", "--rhs", "exp"]) == 0
+    y = np.array([float(v) for v in capsys.readouterr().out.split()])
+    x = cgl_points(1100)
+    assert y[0] == 0.0 and y[-1] == 0.0
+    exact = np.exp(x) - 0.5 * (np.e + 1 / np.e) - 0.5 * (np.e - 1 / np.e) * x
+    assert np.max(np.abs(y - exact)) < 1e-10
+
+
 def test_solve_missing_file_is_runtime_error(capsys):
     rc = main(["solve", "--n", "3", "--rhs", "file:/nonexistent-dir/f.txt"])
     assert rc == 1
@@ -243,6 +254,29 @@ def test_verify_bc_inverse_at_large_degree(capsys):
     (row,) = _strict_json(capsys.readouterr().out)
     assert row["check"] == "bc-inverse" and row["n"] == 1100
     assert row["deviation"] <= row["tolerance"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_writes_non_finite_deviation_as_null_and_fails(bad, monkeypatch, capsys):
+    lo, hi, _, tol = cli._CHECKS["left-inverse"]
+    monkeypatch.setitem(cli._CHECKS, "left-inverse", (lo, hi, lambda n: bad, tol))
+    assert main(["verify", "--n", "8", "--check", "all"]) == 1
+    rows = {r["check"]: r for r in _strict_json(capsys.readouterr().out)}
+    assert rows["left-inverse"]["deviation"] is None
+    assert all(r["deviation"] <= r["tolerance"]
+               for name, r in rows.items() if name != "left-inverse")
+
+
+VERIFY_SWEEP = list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+@pytest.mark.parametrize("n", VERIFY_SWEEP)
+def test_verify_all_checks_hold_across_degrees(n, capsys):
+    assert main(["verify", "--n", str(n)]) == 0
+    rows = _strict_json(capsys.readouterr().out)
+    assert rows and all(r["n"] == n for r in rows)
+    for r in rows:
+        assert np.isfinite(r["deviation"]) and r["deviation"] <= r["tolerance"], r
 
 
 def test_verify_below_minimum_degree_is_usage_error():

@@ -79,6 +79,29 @@ def test_barycentric_weights_pattern(N):
     np.testing.assert_array_equal(w, expect)
 
 
+def test_weights_and_grid_are_finite_up_to_degree_1024():
+    g = cheb_grid(1024)
+    assert np.isfinite(g.bary_weights).all() and np.isfinite(g.points).all()
+    assert g.bary_weights[1] == -(2.0**1023) / 1024
+
+
+@pytest.mark.parametrize("N", [1025, 1100, 4096])
+def test_weights_and_grid_raise_where_the_scale_overflows(N):
+    with pytest.raises(ValueError, match="overflows"):
+        barycentric_weights_cgl(N)
+    with pytest.raises(ValueError, match="overflows"):
+        cheb_grid(N)
+
+
+@pytest.mark.parametrize("field", ["points", "bary_weights"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_cheb_grid_rejects_non_finite_fields(field, bad):
+    fields = {"points": cgl_points(3), "bary_weights": barycentric_weights_cgl(3)}
+    fields[field][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ChebGrid(3, **fields)
+
+
 def test_cheb_grid_bundles_consistent_fields():
     g = cheb_grid(5)
     assert g.degree == 5
@@ -109,7 +132,7 @@ def test_dct1_fast_matches_naive():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_dct1_tiny_sizes_roundtrip(n):
-    # these sizes bypass the FFT path
+    # the smallest sizes the FFT path serves: extensions of length 2 and 4
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
     np.testing.assert_allclose(dct1(dct1(v)), v, rtol=0, atol=1e-15)
