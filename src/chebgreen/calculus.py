@@ -117,10 +117,8 @@ def _lagrange_primitive_values(i, N):
     """
     e = np.equal.outer(i, np.arange(N + 1)).astype(np.float64)
     lhat = _node_to_coeff_values(e)
-    # N zeros of headroom; at N == 1 one extra is needed to keep two trailing
-    # zeros for the antiderivative rule, and the dropped top coefficient of
-    # the result is exactly zero (the primitive has degree N+1 <= 2N)
-    pad = N if N >= 2 else 2
+    # 2N + 2 coefficients, one past the 2N + 1 kept: room for the degree raise at any N
+    pad = N + 1
     ext = np.concatenate([lhat, np.zeros(lhat.shape[:-1] + (pad,))], axis=-1)
     prim = _antiderivative_raw(ext)[..., : 2 * N + 1]
     return _coeff_to_node_values(prim)[..., ::2]

@@ -1,4 +1,4 @@
-"""Command-line front end: export, solve, verify, benchmark.
+"""Command-line front end: export, solve, verify.
 
 Exit codes: 0 on success, 1 when a verification deviation is non-finite
 or exceeds its recorded tolerance or an output path cannot be written, 2
@@ -8,25 +8,19 @@ for usage errors.
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
 from .core import NodeVector, cgl_points
-from .green import METHODS, apply_green_matrix_free, green_matrix, solve_bvp
-from .operators import (
-    diff2_bc_matrix,
-    green_bc_matrix,
-    solve_stripped,
-    verify_left_inverse,
-    verify_right_inverse,
-)
+from .green import METHODS, green_matrix, solve_bvp
+from .operators import diff2_bc_matrix, green_bc_matrix, verify_left_inverse, verify_right_inverse
 from .oracle import green_matrix_dense_oracle
 from .quadrature import cc_weights, verify_d2_symmetry
 
 _EPS = np.finfo(np.float64).eps
 
-_RHS_NAMES = ("one", "x", "exp", "sin")
+# the built-in --rhs forcings, as functions of the grid points
+_RHS = {"one": np.ones_like, "x": lambda x: x, "exp": np.exp, "sin": np.sin}
 
 
 def _format_rows(M, cell, sep):
@@ -91,15 +85,8 @@ def _cmd_green(args, parser):
 
 
 def _load_rhs(rhs_name, n, parser):
-    x = cgl_points(n)
-    if rhs_name == "one":
-        return np.ones(n + 1)
-    if rhs_name == "x":
-        return x
-    if rhs_name == "exp":
-        return np.exp(x)
-    if rhs_name == "sin":
-        return np.sin(x)
+    if rhs_name in _RHS:
+        return _RHS[rhs_name](cgl_points(n))
     if rhs_name.startswith("file:"):
         path = rhs_name[5:]
         with open(path) as fh:
@@ -115,7 +102,7 @@ def _load_rhs(rhs_name, n, parser):
             parser.error(f"{path} contains a non-finite value")
         return values
     parser.error(f"unknown --rhs {rhs_name!r}: choose from "
-                 f"{', '.join(_RHS_NAMES)} or file:<path>")
+                 f"{', '.join(_RHS)} or file:<path>")
 
 
 def _cmd_solve(args, parser):
@@ -212,43 +199,6 @@ def _cmd_verify(args, parser):
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def _median_ms(fn, repeat):
-    samples = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(samples))
-
-
-def _cmd_bench(args, parser):
-    try:
-        n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    except ValueError:
-        parser.error(f"--n-list must be comma-separated integers, got {args.n_list!r}")
-    if not n_list or any(n < 3 for n in n_list):
-        parser.error("--n-list entries must each be >= 3")
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
-    rows = []
-    for n in n_list:
-        G = green_matrix(n)
-        f = NodeVector(np.exp(cgl_points(n)), grid_degree=n)
-        times = {
-            "build": _median_ms(lambda: green_matrix(n), args.repeat),
-            "dense-apply": _median_ms(lambda: G.entries @ f.values, args.repeat),
-            "matrix-free-apply": _median_ms(
-                lambda: apply_green_matrix_free(f), args.repeat),
-            "stripped-solve": _median_ms(lambda: solve_stripped(f), args.repeat),
-        }
-        rows.append({"n": n, "times_ms": times})
-    return _write_text(json.dumps(rows, indent=2) + "\n", args.out)
-
-
-# ---------------------------------------------------------------------------
 
 
 def _build_parser():
@@ -270,7 +220,7 @@ def _build_parser():
     p = sub.add_parser("solve", help="solve the boundary-value problem")
     p.add_argument("--n", type=int, required=True, help="grid degree")
     p.add_argument("--rhs", required=True,
-                   help="one of one, x, exp, sin, or file:<path>")
+                   help=f"one of {', '.join(_RHS)}, or file:<path>")
     p.add_argument("--method", choices=METHODS, default="dense-green")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_solve)
@@ -280,14 +230,6 @@ def _build_parser():
     p.add_argument("--check", default="all",
                    choices=tuple(_CHECKS) + ("all",))
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="time the main code paths")
-    p.add_argument("--n-list", required=True,
-                   help="comma-separated grid degrees, each >= 3")
-    p.add_argument("--repeat", type=int, default=5,
-                   help="samples per timing (median is reported)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "ChebGrid",
+    "GreenMatrix",
     "NodeVector",
     "CoeffVector",
     "cheb_grid",
@@ -99,6 +100,24 @@ class ChebGrid:
         _freeze(self, "points", "bary_weights", ndim=1, degree=self.degree)
         if not (np.isfinite(self.points).all() and np.isfinite(self.bary_weights).all()):
             raise ValueError("grid points and weights must be finite")
+
+
+@dataclass(frozen=True)
+class GreenMatrix:
+    """Dense (N+1) x (N+1) discrete solution operator.
+
+    entries[k][i] is the response at node k to the i-th Lagrange basis
+    function on the right-hand side.  Rows 0 and N are identically zero and
+    entries[k][i] == entries[N-k][N-i].
+    """
+
+    degree: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError("grid degree must be >= 1")
+        _freeze(self, "entries", ndim=2, degree=self.degree)
 
 
 def cheb_grid(N):

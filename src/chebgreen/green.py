@@ -8,16 +8,14 @@ centrosymmetric.  ``apply_green_matrix_free`` produces the same vector in
 O(N log N) without forming the matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import NodeVector, cgl_points, _coeff_to_node_values, _node_to_coeff_values, _freeze
+from .core import GreenMatrix, NodeVector, cgl_points, _coeff_to_node_values, _node_to_coeff_values
 from .calculus import _anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors
+from .oracle import green_matrix_dense_oracle
 
 __all__ = [
     "METHODS",
-    "GreenMatrix",
     "green_function_eval",
     "green_matrix",
     "apply_green_matrix_free",
@@ -29,24 +27,6 @@ METHODS = ("dense-green", "matrix-free", "linear-system")
 # half-columns per block in green_matrix; 24-32 measured fastest among
 # 8..64 at N = 64, 256 and 1024 (fewer calls against larger temporaries)
 _BLOCK = 32
-
-
-@dataclass(frozen=True)
-class GreenMatrix:
-    """Dense (N+1) x (N+1) discrete solution operator.
-
-    entries[k][i] is the response at node k to the i-th Lagrange basis
-    function on the right-hand side.  Rows 0 and N are identically zero and
-    entries[k][i] == entries[N-k][N-i].
-    """
-
-    degree: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("grid degree must be >= 1")
-        _freeze(self, "entries", ndim=2, degree=self.degree)
 
 
 def green_function_eval(x, xi):
@@ -77,8 +57,6 @@ def green_matrix(N):
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     if N < 3:
-        from .oracle import green_matrix_dense_oracle
-
         return green_matrix_dense_oracle(N)
 
     x = cgl_points(N)
@@ -133,10 +111,8 @@ def apply_green_matrix_free(f):
     if N < 2:
         raise ValueError("matrix-free application needs grid degree >= 2")
     c = _node_to_coeff_values(f.values)
-    # headroom for two degree raises; at N == 2 one extra zero keeps the
-    # second antidifferentiation un-truncated (its top coefficient is then
-    # exactly zero and falls to the slice)
-    pad = N if N >= 3 else N + 1
+    # 2N + 2 coefficients, one past the 2N + 1 kept: room for both degree raises at any N
+    pad = N + 1
     ext = np.concatenate([c, np.zeros(pad)])
     prim2 = _antiderivative_raw(_antiderivative_raw(ext))[: 2 * N + 1]
     h = _coeff_to_node_values(prim2)[::2]
@@ -156,12 +132,16 @@ def solve_bvp(f, method):
     """
     if not isinstance(f, NodeVector):
         raise TypeError(f"solve_bvp expects a NodeVector, got {type(f).__name__}")
+    if not np.isfinite(f.values).all():
+        raise ValueError("solve_bvp needs a finite forcing; got NaN or infinite values")
     if method == "dense-green":
         y = green_matrix(f.grid_degree).entries @ f.values
         return NodeVector(y, f.grid_degree)
     if method == "matrix-free":
         return apply_green_matrix_free(f)
     if method == "linear-system":
+        # imported here because operators imports green, and looked up per call
+        # because the benchmark tracer (perfbench/tracer.py) patches this attribute
         from .operators import solve_stripped
 
         return solve_stripped(f)

@@ -11,8 +11,7 @@ being trustworthy.
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .core import cheb_grid
-from .green import GreenMatrix
+from .core import GreenMatrix, cheb_grid
 
 __all__ = [
     "barycentric_weights_general",

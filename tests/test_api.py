@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names and the layering of its modules."""
+
+import ast
+import graphlib
+from pathlib import Path
 
 import chebgreen
 
@@ -31,3 +35,47 @@ def test_each_public_name_comes_from_one_module():
     for name in PUBLIC - {"__version__"}:
         (home,) = [m for m in modules if name in m.__all__]
         assert getattr(chebgreen, name) is getattr(home, name)
+
+
+MODULES = sorted(Path(chebgreen.__file__).parent.glob("*.py"))
+
+
+def _imports(path):
+    """(enclosing function or None, line, imported package modules) per import."""
+    tree = ast.parse(path.read_text())
+    enclosing = {}
+    for fn in ast.walk(tree):  # breadth first, so an outer function wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                enclosing.setdefault(id(node), fn.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            mods = [a.name for a in node.names] if node.module is None else [node.module]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = []
+        else:
+            continue
+        yield enclosing.get(id(node)), node.lineno, {m.split(".")[0] for m in mods}
+
+
+def test_module_level_imports_form_a_dag():
+    graph = {}
+    for path in MODULES:
+        graph[path.stem] = set()
+        for func, _, mods in _imports(path):
+            if func is None:
+                graph[path.stem] |= mods
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+
+
+def test_only_solve_bvp_imports_inside_a_function():
+    found, why = [], []
+    for path in MODULES:
+        lines = path.read_text().splitlines()
+        for func, line, mods in _imports(path):
+            if func is not None:
+                found.append((path.stem, func, mods))
+                why.append(" ".join(lines[line - 3 : line - 1]))
+    assert found == [("green", "solve_bvp", {"operators"})]
+    # the comment above it says why the import cannot move to the top
+    assert "tracer" in why[0]

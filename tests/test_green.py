@@ -192,3 +192,12 @@ def test_solve_rejects_unknown_method():
 def test_solve_rejects_bare_array(method):
     with pytest.raises(TypeError, match="NodeVector"):
         solve_bvp(np.ones(9), method)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_rejects_non_finite_forcing(method, bad):
+    f = np.exp(cgl_points(16))
+    f[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_bvp(NodeVector(f), method)
