@@ -1,11 +1,12 @@
 """Coefficient-space calculus and anchored primitives of nodal bases.
 
-The three vector operations (pad with zeros, antidifferentiate, drop the
-odd-index fine samples) combine with the transforms in :mod:`.core` into an
-exact pipeline for integrals of grid polynomials: a degree-N integrand has a
+Three vector steps (pad with zeros, antidifferentiate, drop the odd-index
+fine samples) combine with the transforms in :mod:`.core` into an exact
+pipeline for integrals of grid polynomials: a degree-N integrand has a
 degree-(N+1) primitive, which the degree-2N fine grid represents without
 loss, and the fine grid interlaces the coarse one so restriction is a pure
-slice.
+slice.  Of the three steps only the antidifferentiation is public
+(:func:`integrate_coeffs`); the pipelines pad and restrict inline.
 """
 
 from dataclasses import dataclass
@@ -16,9 +17,7 @@ from .core import NodeVector, CoeffVector, _coeff_to_node_values, _node_to_coeff
 
 __all__ = [
     "PrimitivePair",
-    "extend",
     "integrate_coeffs",
-    "reduce_fine_to_coarse",
     "lagrange_integrals",
     "node_poly_primitive",
 ]
@@ -42,13 +41,6 @@ class PrimitivePair:
             raise ValueError("up/down primitives must live on the same grid")
 
 
-def extend(uhat, m):
-    """Append m zero coefficients; the represented polynomial is unchanged."""
-    if m < 0:
-        raise ValueError("cannot extend by a negative count")
-    return CoeffVector(np.concatenate([uhat.values, np.zeros(m)]))
-
-
 def integrate_coeffs(uhat):
     """Antidifferentiate in coefficient space.
 
@@ -57,7 +49,7 @@ def integrate_coeffs(uhat):
     same length as the input and represents a primitive of it up to an
     additive constant.
 
-    The input must end in at least two zeros (the extended shape): with a
+    The input must end in at least two zeros (the padded shape): with a
     nonzero top coefficient the degree-raised primitive would be silently
     truncated.
     """
@@ -67,7 +59,7 @@ def integrate_coeffs(uhat):
     if vals[-1] != 0.0 or vals[-2] != 0.0:
         raise ValueError(
             "integration needs two trailing zero coefficients; "
-            "extend the vector first or the primitive would be truncated"
+            "pad the vector with zeros first or the primitive would be truncated"
         )
     return CoeffVector(_antiderivative_raw(vals))
 
@@ -94,18 +86,6 @@ def _anchor(p):
     """Anchor a primitive along the last axis: ``(up, down) = (p - p[-1],
     p[0] - p)``, the integrals from -1 and up to +1 at each node."""
     return p - p[..., -1:], p[..., :1] - p
-
-
-def reduce_fine_to_coarse(v):
-    """Keep the even-index entries of an odd-length vector.
-
-    On node values this restricts a degree-2N fine grid to the degree-N
-    coarse grid it interlaces.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 3 or v.size % 2 == 0:
-        raise ValueError("reduction expects a 1-d vector of odd length >= 3")
-    return v[::2].copy()
 
 
 def _lagrange_primitive_values(i, N):

@@ -23,7 +23,6 @@ __all__ = [
     "dct1",
     "node_to_coeffs",
     "coeffs_to_nodes",
-    "eval_chebyshev_at_cgl",
 ]
 
 
@@ -248,16 +247,3 @@ def coeffs_to_nodes(uhat):
         raise ValueError("need at least two coefficients (target grid degree >= 1)")
     return NodeVector(_coeff_to_node_values(vals))
 
-
-def eval_chebyshev_at_cgl(k, M):
-    """Values of T_k at the degree-M grid, i.e. cos(k*j*pi/M) for j = 0..M.
-
-    Computed by transforming the k-th unit coefficient vector.
-    """
-    if M < 1:
-        raise ValueError("grid degree must be >= 1")
-    if not 0 <= k <= M:
-        raise ValueError(f"Chebyshev index {k} out of range for a degree-{M} grid")
-    e = np.zeros(M + 1)
-    e[k] = 1.0
-    return _coeff_to_node_values(e)

@@ -15,14 +15,10 @@ from .calculus import _anchor, _antiderivative_raw, _lagrange_primitive_values, 
 from .oracle import green_matrix_dense_oracle
 
 __all__ = [
-    "METHODS",
     "green_function_eval",
     "green_matrix",
     "apply_green_matrix_free",
-    "solve_bvp",
 ]
-
-METHODS = ("dense-green", "matrix-free", "linear-system")
 
 # half-columns per block in green_matrix; 24-32 measured fastest among
 # 8..64 at N = 64, 256 and 1024 (fewer calls against larger temporaries)
@@ -121,28 +117,3 @@ def apply_green_matrix_free(f):
     y[0] = 0.0
     y[-1] = 0.0
     return NodeVector(y, N)
-
-
-def solve_bvp(f, method):
-    """Solve y'' = f, y(-1) = y(1) = 0 on the grid of f.
-
-    method is one of "dense-green" (multiply by the assembled matrix),
-    "matrix-free" (transform pipeline), or "linear-system" (solve the
-    boundary-stripped collocation system).
-    """
-    if not isinstance(f, NodeVector):
-        raise TypeError(f"solve_bvp expects a NodeVector, got {type(f).__name__}")
-    if not np.isfinite(f.values).all():
-        raise ValueError("solve_bvp needs a finite forcing; got NaN or infinite values")
-    if method == "dense-green":
-        y = green_matrix(f.grid_degree).entries @ f.values
-        return NodeVector(y, f.grid_degree)
-    if method == "matrix-free":
-        return apply_green_matrix_free(f)
-    if method == "linear-system":
-        # imported here because operators imports green, and looked up per call
-        # because the benchmark tracer (perfbench/tracer.py) patches this attribute
-        from .operators import solve_stripped
-
-        return solve_stripped(f)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -1,4 +1,5 @@
-"""Differentiation, reinterpolation, and boundary-embedded operator matrices.
+"""Differentiation, reinterpolation, boundary-embedded operator matrices,
+and ``solve_bvp``, the one entry point to the three solution methods.
 
 The differentiation matrix follows the barycentric form (Berrut & Trefethen,
 SIAM Review 2004) with the negative-row-sum diagonal; the second derivative
@@ -12,23 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import green
 from .core import NodeVector, cgl_points, _cgl_weight_signs, _freeze
 from .green import green_matrix
 
 __all__ = [
+    "METHODS",
     "OperatorMatrix",
     "diff_matrix",
     "diff2_matrix",
     "strip",
     "solve_stripped",
     "reinterp_matrix",
-    "projection_matrix",
     "extension_matrix",
     "diff2_bc_matrix",
     "green_bc_matrix",
     "verify_left_inverse",
     "verify_right_inverse",
+    "solve_bvp",
 ]
+
+METHODS = ("dense-green", "matrix-free", "linear-system")
 
 
 @dataclass(frozen=True)
@@ -40,14 +45,6 @@ class OperatorMatrix:
 
     def __post_init__(self):
         _freeze(self, "entries", ndim=2)
-
-    @property
-    def rows(self):
-        return self.entries.shape[0]
-
-    @property
-    def cols(self):
-        return self.entries.shape[1]
 
 
 def diff_matrix(N):
@@ -123,15 +120,6 @@ def reinterp_matrix(N_from, N_to):
     R[coincident] = 0.0
     R[hit] = 1.0
     return OperatorMatrix("R", R)
-
-
-def projection_matrix(N):
-    """(N-1) x (N+1) crop to interior values: [0 | I | 0]."""
-    if N < 2:
-        raise ValueError("projection needs grid degree >= 2")
-    P = np.zeros((N - 1, N + 1))
-    P[:, 1:-1] = np.eye(N - 1)
-    return OperatorMatrix("P", P)
 
 
 def extension_matrix(N):
@@ -218,3 +206,25 @@ def verify_right_inverse(N):
     G = green_matrix(N).entries
     M = R_down @ D2 @ G @ R_up
     return float(np.abs(M - np.eye(N - 1)).max())
+
+
+def solve_bvp(f, method):
+    """Solve y'' = f, y(-1) = y(1) = 0 on the grid of f.
+
+    method is one of "dense-green" (multiply by the assembled matrix),
+    "matrix-free" (transform pipeline), or "linear-system" (solve the
+    boundary-stripped collocation system).
+    """
+    if not isinstance(f, NodeVector):
+        raise TypeError(f"solve_bvp expects a NodeVector, got {type(f).__name__}")
+    if not np.isfinite(f.values).all():
+        raise ValueError("solve_bvp needs a finite forcing; got NaN or infinite values")
+    if method == "dense-green":
+        y = green_matrix(f.grid_degree).entries @ f.values
+        return NodeVector(y, f.grid_degree)
+    if method == "matrix-free":
+        # looked up on green per call: the benchmark tracer (perfbench/tracer.py) patches it there
+        return green.apply_green_matrix_free(f)
+    if method == "linear-system":
+        return solve_stripped(f)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -4,6 +4,9 @@ import ast
 import graphlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import chebgreen
 
 PUBLIC = {
@@ -12,11 +15,10 @@ PUBLIC = {
     "apply_green_matrix_free", "barycentric_weights_cgl", "barycentric_weights_general",
     "cc_weights", "cgl_points", "cheb_grid", "coeffs_to_nodes", "consistent_gram_matrix",
     "consistent_inner_product", "dct1", "dct1_naive", "diff2_bc_matrix", "diff2_matrix",
-    "diff_matrix", "eval_chebyshev_at_cgl", "extend", "extension_matrix",
-    "green_bc_matrix", "green_function_eval", "green_matrix", "green_matrix_dense_oracle",
-    "integrate_coeffs", "lagrange_integrals", "lagrange_monomial_coeffs",
-    "node_poly_primitive", "node_to_coeffs", "projection_matrix", "reduce_fine_to_coarse",
-    "reinterp_matrix", "solve_bvp", "solve_stripped", "strip", "verify_d2_symmetry",
+    "diff_matrix", "extension_matrix", "green_bc_matrix", "green_function_eval",
+    "green_matrix", "green_matrix_dense_oracle", "integrate_coeffs", "lagrange_integrals",
+    "lagrange_monomial_coeffs", "node_poly_primitive", "node_to_coeffs", "reinterp_matrix",
+    "solve_bvp", "solve_stripped", "strip", "verify_d2_symmetry",
     "verify_left_inverse", "verify_right_inverse",
 }
 
@@ -41,7 +43,7 @@ MODULES = sorted(Path(chebgreen.__file__).parent.glob("*.py"))
 
 
 def _imports(path):
-    """(enclosing function or None, line, imported package modules) per import."""
+    """(enclosing function or None, imported package modules) per import."""
     tree = ast.parse(path.read_text())
     enclosing = {}
     for fn in ast.walk(tree):  # breadth first, so an outer function wins
@@ -55,27 +57,48 @@ def _imports(path):
             mods = []
         else:
             continue
-        yield enclosing.get(id(node)), node.lineno, {m.split(".")[0] for m in mods}
+        yield enclosing.get(id(node)), {m.split(".")[0] for m in mods}
 
 
 def test_module_level_imports_form_a_dag():
     graph = {}
     for path in MODULES:
         graph[path.stem] = set()
-        for func, _, mods in _imports(path):
+        for func, mods in _imports(path):
             if func is None:
                 graph[path.stem] |= mods
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
 
 
-def test_only_solve_bvp_imports_inside_a_function():
-    found, why = [], []
-    for path in MODULES:
-        lines = path.read_text().splitlines()
-        for func, line, mods in _imports(path):
-            if func is not None:
-                found.append((path.stem, func, mods))
-                why.append(" ".join(lines[line - 3 : line - 1]))
-    assert found == [("green", "solve_bvp", {"operators"})]
-    # the comment above it says why the import cannot move to the top
-    assert "tracer" in why[0]
+def test_no_imports_inside_functions():
+    found = [(path.stem, func, mods) for path in MODULES
+             for func, mods in _imports(path) if func is not None]
+    assert found == []
+
+
+def test_solve_bvp_lives_in_operators():
+    assert chebgreen.solve_bvp is chebgreen.operators.solve_bvp
+    assert not hasattr(chebgreen.green, "solve_bvp")
+
+
+SEAMS = {
+    "matrix-free": (chebgreen.green, "apply_green_matrix_free"),
+    "dense-green": (chebgreen.operators, "green_matrix"),
+    "linear-system": (chebgreen.operators, "solve_stripped"),
+}
+
+
+@pytest.mark.parametrize("method", chebgreen.METHODS)
+def test_solve_bvp_calls_each_method_through_its_patchable_attribute(method, monkeypatch):
+    # the benchmark tracer wraps these module attributes; a call that bypasses
+    # them would leave the traced solve workload blind to that stage
+    calls = dict.fromkeys(SEAMS, 0)
+    for name, (module, attr) in SEAMS.items():
+        def counted(*args, _fn=getattr(module, attr), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    f = chebgreen.NodeVector(np.exp(chebgreen.cgl_points(16)))
+    chebgreen.solve_bvp(f, method)
+    assert calls == {name: int(name == method) for name in SEAMS}

@@ -9,11 +9,9 @@ from chebgreen import (
     CoeffVector,
     NodeVector,
     cgl_points,
-    extend,
     integrate_coeffs,
     lagrange_integrals,
     node_poly_primitive,
-    reduce_fine_to_coarse,
 )
 from chebgreen.calculus import _antiderivative_raw, _lagrange_primitive_values
 from chebgreen.core import _coeff_to_node_values, barycentric_weights_cgl
@@ -21,15 +19,6 @@ from chebgreen.core import _coeff_to_node_values, barycentric_weights_cgl
 
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_extend_pads_with_zeros():
-    out = extend(CoeffVector([1.0, 2.0]), 3)
-    np.testing.assert_array_equal(out.values, [1.0, 2.0, 0.0, 0.0, 0.0])
-    same = extend(CoeffVector([1.0, 2.0]), 0)
-    np.testing.assert_array_equal(same.values, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        extend(CoeffVector([1.0]), -1)
 
 
 def test_integrate_known_triples():
@@ -84,13 +73,6 @@ def test_lagrange_primitive_block_matches_per_index_calls_bitwise(N):
     for idx in (np.arange(N // 2 + 1), np.array([N]), np.array([N, 0, 1])):
         block = _lagrange_primitive_values(idx, N)
         assert _same_bits(block, np.stack([_lagrange_primitive_values(i, N) for i in idx]))
-
-
-def test_reduce_fine_to_coarse():
-    v = np.arange(9.0)
-    np.testing.assert_array_equal(reduce_fine_to_coarse(v), [0.0, 2.0, 4.0, 6.0, 8.0])
-    with pytest.raises(ValueError):
-        reduce_fine_to_coarse(np.arange(4.0))  # even length has no coarse twin
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,23 @@ def test_solve_reads_rhs_from_file(tmp_path, capsys):
     assert from_file == capsys.readouterr().out
 
 
+def test_solve_reads_whitespace_separated_values_on_one_line(tmp_path, capsys):
+    rhs = tmp_path / "f.txt"
+    rhs.write_text("1 1\t1  1\n")
+    assert main(["solve", "--n", "3", "--rhs", f"file:{rhs}"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["solve", "--n", "3", "--rhs", "one"]) == 0
+    assert from_file == capsys.readouterr().out
+
+
+def test_solve_file_that_is_not_text_is_usage_error(tmp_path):
+    rhs = tmp_path / "f.txt"
+    rhs.write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "3", "--rhs", f"file:{rhs}"])
+    assert exc.value.code == 2
+
+
 def test_solve_file_length_mismatch_is_usage_error(tmp_path):
     rhs = tmp_path / "f.txt"
     rhs.write_text("1.0\n2.0\n")
@@ -286,6 +303,17 @@ def test_verify_below_minimum_degree_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_verify_oracle_check_starts_at_degree_three(capsys):
+    # below n = 3 green_matrix returns the oracle itself, so the check compared it with itself
+    for n in ("1", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", n, "--check", "oracle"])
+        assert exc.value.code == 2
+        assert main(["verify", "--n", n]) == 0
+        assert "oracle" not in {r["check"] for r in json.loads(capsys.readouterr().out)}
+    assert main(["verify", "--n", "3", "--check", "oracle"]) == 0
+
+
 def test_verify_unknown_check_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "8", "--check", "unitarity"])
@@ -304,3 +332,24 @@ def test_commands_are_green_solve_verify(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--n-list", "4"])
     assert exc.value.code == 2
+
+
+
+def _out_of_memory(n):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--n", "64"],
+    ["verify", "--n", "64"],
+    ["solve", "--n", "64", "--rhs", "one", "--method", "dense-green"],
+])
+def test_out_of_memory_exits_cleanly(argv, monkeypatch, capsys):
+    # the build fails as it would at a degree too large for memory; dense-green
+    # solves build their matrix through operators, export and the checks through cli
+    monkeypatch.setattr("chebgreen.cli.green_matrix", _out_of_memory)
+    monkeypatch.setattr("chebgreen.operators.green_matrix", _out_of_memory)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory at degree {argv[2]}\n"

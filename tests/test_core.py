@@ -13,7 +13,6 @@ from chebgreen import (
     cgl_points,
     coeffs_to_nodes,
     dct1,
-    eval_chebyshev_at_cgl,
     node_to_coeffs,
 )
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values
@@ -213,10 +212,12 @@ def test_node_to_coeffs_matches_chebyshev_fit(N):
 
 @pytest.mark.parametrize("k,M", [(0, 4), (3, 4), (4, 4), (2, 9)])
 def test_eval_chebyshev_at_cgl(k, M):
-    unit = np.zeros(k + 1)
-    unit[k] = 1.0
-    expect = npcheb.chebval(cgl_points(M), unit)
-    np.testing.assert_allclose(eval_chebyshev_at_cgl(k, M), expect, rtol=0, atol=1e-14)
+    # T_k at the degree-M grid is the image of the k-th unit coefficient vector
+    e_k = np.zeros(M + 1)
+    e_k[k] = 1.0
+    expect = npcheb.chebval(cgl_points(M), e_k)
+    got = coeffs_to_nodes(CoeffVector(e_k)).values
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from chebgreen import (
     extension_matrix,
     green_bc_matrix,
     green_matrix,
-    projection_matrix,
     reinterp_matrix,
     solve_stripped,
     strip,
@@ -130,13 +129,6 @@ def test_reinterp_rejects_degree_zero():
 # projection and extension
 
 
-def test_projection_picks_interior():
-    np.testing.assert_array_equal(projection_matrix(2).entries, [[0.0, 1.0, 0.0]])
-    P = projection_matrix(6).entries
-    assert P.shape == (5, 7)
-    np.testing.assert_array_equal(P, np.eye(7)[1:-1])
-
-
 def test_extension_small_cases():
     np.testing.assert_array_equal(extension_matrix(2).entries, [[1.0], [1.0], [1.0]])
     # degree 3: interior nodes are +-1/2, and u = x extends to u = x
@@ -146,9 +138,9 @@ def test_extension_small_cases():
 
 @pytest.mark.parametrize("N", [2, 3, 5, 12])
 def test_projection_of_extension_is_identity(N):
-    P = projection_matrix(N).entries
+    # projecting onto the interior values is the slice [1:-1]
     E = extension_matrix(N).entries
-    assert np.max(np.abs(P @ E - np.eye(N - 1))) < 1e-12
+    np.testing.assert_array_equal(E[1:-1], np.eye(N - 1))
 
 
 @pytest.mark.parametrize("N", [3, 6, 11])
@@ -195,8 +187,6 @@ def test_extension_stays_finite_at_large_degree(N):
 
 
 def test_projection_extension_degree_bounds():
-    with pytest.raises(ValueError):
-        projection_matrix(1)
     with pytest.raises(ValueError):
         extension_matrix(1)
 
@@ -268,4 +258,4 @@ def test_operator_matrix_requires_2d():
     with pytest.raises(ValueError):
         OperatorMatrix("D", np.zeros(3))
     M = OperatorMatrix("R", np.zeros((2, 5)))
-    assert M.rows == 2 and M.cols == 5
+    assert M.entries.shape == (2, 5)
