@@ -9,36 +9,17 @@ slice.  Of the three steps only the antidifferentiation is public
 (:func:`integrate_coeffs`); the pipelines pad and restrict inline.
 """
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
 from .core import NodeVector, CoeffVector, _coeff_to_node_values, _node_to_coeff_values
 
 __all__ = [
-    "PrimitivePair",
     "integrate_coeffs",
     "lagrange_integrals",
     "node_poly_primitive",
 ]
-
-
-@dataclass(frozen=True)
-class PrimitivePair:
-    """Anchored primitives of one integrand, sampled at the grid nodes.
-
-    ``up.values[k]`` integrates from -1 up to node k, so it vanishes at the
-    last node; ``down.values[k]`` integrates from node k up to +1 and
-    vanishes at the first.  Their sum is the full-interval integral at
-    every node.
-    """
-
-    up: NodeVector
-    down: NodeVector
-
-    def __post_init__(self):
-        if self.up.grid_degree != self.down.grid_degree:
-            raise ValueError("up/down primitives must live on the same grid")
 
 
 def integrate_coeffs(uhat):
@@ -107,8 +88,9 @@ def _lagrange_primitive_values(i, N):
 def lagrange_integrals(i, N):
     """Integrals of the i-th degree-N Lagrange basis polynomial up to each node.
 
-    Returns a :class:`PrimitivePair`: ``up.values[k]`` is the integral of
-    l_i over [-1, x_k] and ``down.values[k]`` over [x_k, 1].  Exact up to
+    Returns ``(up, down)``, two NodeVectors: ``up.values[k]`` is the
+    integral of l_i over [-1, x_k], so it vanishes at the last node, and
+    ``down.values[k]`` over [x_k, 1], vanishing at the first.  Exact up to
     round-off: the whole pipeline (transform, antidifferentiation on an
     extended vector, fine-grid evaluation, restriction) manipulates
     polynomials that every stage represents without truncation.
@@ -122,14 +104,15 @@ def lagrange_integrals(i, N):
 
     Returns
     -------
-    PrimitivePair
+    tuple of NodeVector
     """
     if N < 1:
         raise ValueError("grid degree must be >= 1")
+    i = operator.index(i)  # TypeError for a fractional index, which names no basis function
     if not 0 <= i <= N:
         raise ValueError(f"basis index {i} out of range for degree {N}")
     up, down = _anchor(_lagrange_primitive_values(i, N))
-    return PrimitivePair(NodeVector(up, N), NodeVector(down, N))
+    return NodeVector(up, N), NodeVector(down, N)
 
 
 def _node_poly_factors(i, N):
@@ -166,13 +149,14 @@ def node_poly_primitive(i, N):
     coefficients of size O(1/N^2).  Requires N >= 3: the T_{N-2}/(N-2) term
     divides by N-2.
 
-    Returns a :class:`PrimitivePair` with the same anchoring conventions as
-    :func:`lagrange_integrals`.
+    Returns ``(up, down)``, two NodeVectors with the same anchoring
+    conventions as :func:`lagrange_integrals`.
     """
     if N < 3:
         raise ValueError("node polynomial primitive needs degree >= 3 (divides by N - 2)")
+    i = operator.index(i)
     if not 0 <= i <= N:
         raise ValueError(f"node index {i} out of range for degree {N}")
     scale, q = _node_poly_factors(i, N)
     up, down = _anchor(scale * q)
-    return PrimitivePair(NodeVector(up, N), NodeVector(down, N))
+    return NodeVector(up, N), NodeVector(down, N)

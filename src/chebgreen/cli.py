@@ -134,8 +134,8 @@ def _dev_centrosymmetry(n):
 
 
 def _dev_bc_inverse(n):
-    A = diff2_bc_matrix(n).entries
-    B = green_bc_matrix(n).entries
+    A = diff2_bc_matrix(n)
+    B = green_bc_matrix(n)
     eye = np.eye(n + 1)
     return max(
         float(np.max(np.abs(A @ B - eye))),
@@ -144,7 +144,7 @@ def _dev_bc_inverse(n):
 
 
 def _dev_cc_weights(n):
-    w = cc_weights(n).weights
+    w = cc_weights(n)
     return max(abs(float(w.sum()) - 2.0), max(0.0, -float(w.min())))
 
 

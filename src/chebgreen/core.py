@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ChebGrid",
     "GreenMatrix",
     "NodeVector",
     "CoeffVector",
-    "cheb_grid",
     "cgl_points",
     "barycentric_weights_cgl",
     "dct1",
@@ -26,21 +24,23 @@ __all__ = [
 ]
 
 
-def _freeze(obj, *names, ndim, degree=None):
-    """Store the named fields of the frozen dataclass obj as read-only
-    contiguous float64 arrays (at least 1-d).
+def _freeze(obj, name, ndim, degree=None, finite=False):
+    """Store the named field of the frozen dataclass obj as a read-only
+    contiguous float64 array.
 
-    Every field is converted before any is checked.  Raises ValueError
-    unless each array has ndim axes and, when a grid degree is given,
-    degree + 1 entries along every axis.
+    Raises ValueError unless the array has ndim axes and, when a grid
+    degree is given, degree + 1 entries along every axis; with finite set,
+    also when it holds NaN or infinite values.
     """
-    arrays = [np.ascontiguousarray(getattr(obj, name), dtype=np.float64) for name in names]
-    for name, a in zip(names, arrays):
-        if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
-            want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
-            raise ValueError(f"{type(obj).__name__}.{name} needs {want}, got shape {a.shape}")
-        a.flags.writeable = False
-        object.__setattr__(obj, name, a)
+    a = np.ascontiguousarray(getattr(obj, name), dtype=np.float64)
+    where = f"{type(obj).__name__}.{name}"
+    if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
+        want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
+        raise ValueError(f"{where} needs {want}, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise ValueError(f"{where} must be finite; got NaN or infinite values")
+    a.flags.writeable = False
+    object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class NodeVector:
     grid_degree: int | None = None
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=1)
+        _freeze(self, "values", ndim=1, finite=True)
         n = self.values.size
         deg = self.grid_degree if self.grid_degree is not None else n - 1
         if deg < 1 or n != deg + 1:
@@ -77,28 +77,12 @@ class CoeffVector:
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=1)
+        _freeze(self, "values", ndim=1, finite=True)
         if self.values.size < 1:
             raise ValueError("coefficient vector must be 1-d with at least one entry")
 
     def __len__(self):
         return self.values.size
-
-
-@dataclass(frozen=True)
-class ChebGrid:
-    """Degree-N CGL grid with its closed-form barycentric weights."""
-
-    degree: int
-    points: np.ndarray
-    bary_weights: np.ndarray
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("grid degree must be >= 1")
-        _freeze(self, "points", "bary_weights", ndim=1, degree=self.degree)
-        if not (np.isfinite(self.points).all() and np.isfinite(self.bary_weights).all()):
-            raise ValueError("grid points and weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -117,11 +101,6 @@ class GreenMatrix:
         if self.degree < 1:
             raise ValueError("grid degree must be >= 1")
         _freeze(self, "entries", ndim=2, degree=self.degree)
-
-
-def cheb_grid(N):
-    """Construct the degree-N ChebGrid."""
-    return ChebGrid(N, cgl_points(N), barycentric_weights_cgl(N))
 
 
 def cgl_points(N):
@@ -158,9 +137,8 @@ def barycentric_weights_cgl(N):
 
     w[j] = (-1)^j * 2^(N-1)/N with the two endpoint entries halved.  The
     common magnitude overflows doubles from N = 1025 on, so larger degrees
-    raise ValueError (and so does :func:`cheb_grid`).  The solvers in this
-    package use weight ratios only, where the scale cancels, and take the
-    unscaled signs instead.
+    raise ValueError.  The solvers in this package use weight ratios only,
+    where the scale cancels, and take the unscaled signs instead.
     """
     if N < 1:
         raise ValueError("grid degree must be >= 1")

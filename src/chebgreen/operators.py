@@ -9,17 +9,14 @@ matrix with boundary rows/columns so that the two square matrices are
 mutual inverses.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import green
-from .core import NodeVector, cgl_points, _cgl_weight_signs, _freeze
+from .core import NodeVector, cgl_points, _cgl_weight_signs
 from .green import green_matrix
 
 __all__ = [
     "METHODS",
-    "OperatorMatrix",
     "diff_matrix",
     "diff2_matrix",
     "strip",
@@ -34,17 +31,6 @@ __all__ = [
 ]
 
 METHODS = ("dense-green", "matrix-free", "linear-system")
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix with a role tag naming what it does."""
-
-    role: str
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "entries", ndim=2)
 
 
 def diff_matrix(N):
@@ -63,23 +49,22 @@ def diff_matrix(N):
     D = (lam[None, :] / lam[:, None]) / dx
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
-    return OperatorMatrix("D", D)
+    return D
 
 
 def diff2_matrix(N):
     """Second-derivative matrix: the square of :func:`diff_matrix`."""
     if N < 2:
         raise ValueError("second derivative needs grid degree >= 2")
-    D = diff_matrix(N).entries
-    return OperatorMatrix("D2", D @ D)
+    D = diff_matrix(N)
+    return D @ D
 
 
 def strip(D2):
-    """Interior block: first/last rows and columns removed."""
-    ent = D2.entries
-    if ent.shape[0] != ent.shape[1] or ent.shape[0] < 3:
+    """Interior block of a square matrix: first/last rows and columns removed."""
+    if D2.ndim != 2 or D2.shape[0] != D2.shape[1] or D2.shape[0] < 3:
         raise ValueError("stripping needs a square matrix of size >= 3")
-    return OperatorMatrix("D2-stripped", ent[1:-1, 1:-1].copy())
+    return D2[1:-1, 1:-1].copy()
 
 
 def solve_stripped(f):
@@ -92,7 +77,7 @@ def solve_stripped(f):
     N = f.grid_degree
     if N < 2:
         raise ValueError("stripped solve needs grid degree >= 2")
-    A = strip(diff2_matrix(N)).entries
+    A = strip(diff2_matrix(N))
     y = np.zeros(N + 1)
     y[1:-1] = np.linalg.solve(A, f.values[1:-1])
     return NodeVector(y, N)
@@ -119,7 +104,7 @@ def reinterp_matrix(N_from, N_to):
     coincident = hit.any(axis=1)
     R[coincident] = 0.0
     R[hit] = 1.0
-    return OperatorMatrix("R", R)
+    return R
 
 
 def extension_matrix(N):
@@ -143,7 +128,7 @@ def extension_matrix(N):
     for row, z in ((0, x[0]), (N, x[-1])):
         w = lam / (z - t)
         E[row] = w / w.sum()
-    return OperatorMatrix("E", E)
+    return E
 
 
 def diff2_bc_matrix(N):
@@ -155,10 +140,10 @@ def diff2_bc_matrix(N):
     if N < 2:
         raise ValueError("needs grid degree >= 2")
     A = np.zeros((N + 1, N + 1))
-    A[1:-1] = diff2_matrix(N).entries[1:-1]
+    A[1:-1] = diff2_matrix(N)[1:-1]
     A[0, 0] = 1.0
     A[-1, -1] = 1.0
-    return OperatorMatrix("D2-BC", A)
+    return A
 
 
 def green_bc_matrix(N):
@@ -173,12 +158,12 @@ def green_bc_matrix(N):
         raise ValueError("needs grid degree >= 2")
     x = cgl_points(N)
     G = green_matrix(N).entries
-    E = extension_matrix(N).entries
+    E = extension_matrix(N)
     B = np.empty((N + 1, N + 1))
     B[:, 0] = 0.5 * (x[0] + x)
     B[:, -1] = -0.5 * (x[-1] + x)
     B[:, 1:-1] = G @ E
-    return OperatorMatrix("G-BC", B)
+    return B
 
 
 def verify_left_inverse(N):
@@ -186,7 +171,7 @@ def verify_left_inverse(N):
     if N < 3:
         raise ValueError("left-inverse check needs grid degree >= 3")
     G = green_matrix(N).entries
-    D2 = diff2_matrix(N).entries
+    D2 = diff2_matrix(N)
     M = (G @ D2)[1:-1, 1:-1]
     return float(np.abs(M - np.eye(N - 1)).max())
 
@@ -200,9 +185,9 @@ def verify_right_inverse(N):
     """
     if N < 4:
         raise ValueError("right-inverse check needs grid degree >= 4")
-    R_down = reinterp_matrix(N, N - 2).entries
-    R_up = reinterp_matrix(N - 2, N).entries
-    D2 = diff2_matrix(N).entries
+    R_down = reinterp_matrix(N, N - 2)
+    R_up = reinterp_matrix(N - 2, N)
+    D2 = diff2_matrix(N)
     G = green_matrix(N).entries
     M = R_down @ D2 @ G @ R_up
     return float(np.abs(M - np.eye(N - 1)).max())
@@ -217,8 +202,6 @@ def solve_bvp(f, method):
     """
     if not isinstance(f, NodeVector):
         raise TypeError(f"solve_bvp expects a NodeVector, got {type(f).__name__}")
-    if not np.isfinite(f.values).all():
-        raise ValueError("solve_bvp needs a finite forcing; got NaN or infinite values")
     if method == "dense-green":
         y = green_matrix(f.grid_degree).entries @ f.values
         return NodeVector(y, f.grid_degree)

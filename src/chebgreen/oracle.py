@@ -11,7 +11,7 @@ being trustworthy.
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .core import GreenMatrix, cheb_grid
+from .core import GreenMatrix, cgl_points
 
 __all__ = [
     "barycentric_weights_general",
@@ -39,16 +39,17 @@ def barycentric_weights_general(points):
     return 1.0 / d.prod(axis=1)
 
 
-def lagrange_monomial_coeffs(i, grid):
-    """Monomial coefficients (ascending) of the i-th Lagrange basis polynomial."""
-    N = grid.degree
+def lagrange_monomial_coeffs(i, N):
+    """Monomial coefficients (ascending) of the i-th Lagrange basis polynomial
+    of the degree-N grid."""
     if N > _MAX_MONOMIAL_DEGREE:
         raise ValueError(f"monomial expansion limited to degree {_MAX_MONOMIAL_DEGREE}")
     if not 0 <= i <= N:
         raise ValueError(f"basis index {i} out of range for degree {N}")
-    roots = np.delete(grid.points, i)
+    x = cgl_points(N)
+    roots = np.delete(x, i)
     numer = P.polyfromroots(roots)
-    denom = np.prod(grid.points[i] - roots)
+    denom = np.prod(x[i] - roots)
     return numer / denom
 
 
@@ -69,11 +70,10 @@ def green_matrix_dense_oracle(N):
         raise ValueError("grid degree must be >= 1")
     if N > _MAX_GREEN_DEGREE:
         raise ValueError(f"dense oracle limited to degree {_MAX_GREEN_DEGREE}")
-    grid = cheb_grid(N)
-    x = grid.points
+    x = cgl_points(N)
     G = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
-        li = lagrange_monomial_coeffs(i, grid)
+        li = lagrange_monomial_coeffs(i, N)
         below = P.polymul([1.0, 1.0], li)  # (xi + 1) l_i, for xi <= x_k
         above = P.polymul([-1.0, 1.0], li)  # (xi - 1) l_i, for xi >= x_k
         for k in range(1, N):

@@ -11,48 +11,17 @@ of two degree-N grid polynomials exactly: the product has degree <= 2N and
 the 2N-point Clenshaw-Curtis rule is exact there.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import cgl_points, _node_to_coeff_values, _freeze
+from .core import cgl_points, _node_to_coeff_values
 from .operators import diff2_matrix, reinterp_matrix
 
 __all__ = [
-    "QuadratureWeights",
-    "GramMatrix",
     "cc_weights",
     "consistent_gram_matrix",
     "consistent_inner_product",
     "verify_d2_symmetry",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Positive quadrature weights on the degree-M CGL grid; they sum to 2."""
-
-    degree: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "weights", ndim=1, degree=self.degree)
-        if self.degree < 1:
-            raise ValueError("weights need a grid of degree >= 1")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric positive-definite matrix of the consistent inner product."""
-
-    degree: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "entries", ndim=2, degree=self.degree)
-        if self.degree < 1:
-            raise ValueError("a Gram matrix needs a grid of degree >= 1")
-        np.linalg.cholesky(self.entries)  # positive definiteness check; raises if not
 
 
 def cc_weights(M):
@@ -68,8 +37,7 @@ def cc_weights(M):
     t = np.zeros(M + 1)
     t[::2] = 2.0 / (1.0 - j[::2].astype(np.float64) ** 2)  # integral of T_j; odd j vanish
     w = _node_to_coeff_values(t)
-    w = 0.5 * (w + w[::-1])
-    return QuadratureWeights(M, w)
+    return 0.5 * (w + w[::-1])
 
 
 def consistent_gram_matrix(N):
@@ -78,23 +46,24 @@ def consistent_gram_matrix(N):
     R reinterpolates to the degree-2N grid and W holds the Clenshaw-Curtis
     weights there; 2N is the smallest refinement that integrates products of
     two degree-N polynomials exactly.  Symmetrized so S == S^T holds
-    entrywise; positive definiteness is checked by factorization at
-    construction.
+    entrywise.  S is also positive definite; it is not factored here, as
+    that would cost O(N^3) per build.
     """
     if N < 1:
         raise ValueError("grid degree must be >= 1")
-    R = reinterp_matrix(N, 2 * N).entries
-    w = cc_weights(2 * N).weights
+    R = reinterp_matrix(N, 2 * N)
+    w = cc_weights(2 * N)
     S = R.T @ (w[:, None] * R)
-    S = 0.5 * (S + S.T)
-    return GramMatrix(N, S)
+    return 0.5 * (S + S.T)
 
 
 def consistent_inner_product(p, q, S):
-    """q^T S p; the exact integral of p*q when both have degree <= S.degree."""
-    if p.grid_degree != q.grid_degree or p.grid_degree != S.degree:
+    """q^T S p; the exact integral of p*q when S is the degree-N Gram matrix
+    and both vectors live on the degree-N grid."""
+    N = p.grid_degree
+    if q.grid_degree != N or S.shape != (N + 1, N + 1):
         raise ValueError("inner product needs matching degrees")
-    return float(q.values @ (S.entries @ p.values))
+    return float(q.values @ (S @ p.values))
 
 
 def verify_d2_symmetry(N):
@@ -110,8 +79,8 @@ def verify_d2_symmetry(N):
     m = np.arange(N - 1)
     theta = np.arange(N + 1) * (np.pi / N)  # T_m at node j is cos(m j pi / N)
     B = (1.0 - x * x)[:, None] * np.cos(np.outer(theta, m))
-    S = consistent_gram_matrix(N).entries
-    D2 = diff2_matrix(N).entries
+    S = consistent_gram_matrix(N)
+    D2 = diff2_matrix(N)
     M = B.T @ (S @ (D2 @ B))
     norms = np.linalg.norm(B, axis=0)
     return float((np.abs(M - M.T) / np.outer(norms, norms)).max())

@@ -1,7 +1,9 @@
 """The package's public names and the layering of its modules."""
 
 import ast
+import dataclasses
 import graphlib
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,9 @@ import pytest
 import chebgreen
 
 PUBLIC = {
-    "ChebGrid", "CoeffVector", "GramMatrix", "GreenMatrix", "METHODS", "NodeVector",
-    "OperatorMatrix", "PrimitivePair", "QuadratureWeights", "__version__",
+    "CoeffVector", "GreenMatrix", "METHODS", "NodeVector", "__version__",
     "apply_green_matrix_free", "barycentric_weights_cgl", "barycentric_weights_general",
-    "cc_weights", "cgl_points", "cheb_grid", "coeffs_to_nodes", "consistent_gram_matrix",
+    "cc_weights", "cgl_points", "coeffs_to_nodes", "consistent_gram_matrix",
     "consistent_inner_product", "dct1", "dct1_naive", "diff2_bc_matrix", "diff2_matrix",
     "diff_matrix", "extension_matrix", "green_bc_matrix", "green_function_eval",
     "green_matrix", "green_matrix_dense_oracle", "integrate_coeffs", "lagrange_integrals",
@@ -68,6 +69,23 @@ def test_module_level_imports_form_a_dag():
             if func is None:
                 graph[path.stem] |= mods
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+
+
+def test_only_core_defines_dataclasses():
+    # NodeVector, CoeffVector and GreenMatrix are the package's only
+    # containers; every other builder returns plain arrays or tuples
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
+                importers.add(path.stem)
+    assert importers == {"core"}
+    modules = [importlib.import_module(f"chebgreen.{path.stem}") for path in MODULES]
+    found = {(obj.__module__, name) for m in modules for name, obj in vars(m).items()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert found == {("chebgreen.core", "NodeVector"), ("chebgreen.core", "CoeffVector"),
+                     ("chebgreen.core", "GreenMatrix")}
 
 
 def test_no_imports_inside_functions():

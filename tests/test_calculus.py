@@ -1,4 +1,4 @@
-"""Coefficient-space integration and the anchored primitive pairs."""
+"""Coefficient-space integration and the anchored (up, down) primitives."""
 
 import numpy as np
 import pytest
@@ -80,21 +80,21 @@ def test_lagrange_primitive_block_matches_per_index_calls_bitwise(N):
 
 
 def test_lagrange_integrals_degree_two_values():
-    pair = lagrange_integrals(1, 2)  # l_1 = 1 - x^2
-    np.testing.assert_allclose(pair.up.values, [4.0 / 3.0, 2.0 / 3.0, 0.0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(pair.down.values, [0.0, 2.0 / 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
-    pair = lagrange_integrals(0, 2)  # l_0 = x(x+1)/2
-    np.testing.assert_allclose(pair.up.values, [1.0 / 3.0, -1.0 / 12.0, 0.0], rtol=0, atol=1e-15)
+    up, down = lagrange_integrals(1, 2)  # l_1 = 1 - x^2
+    np.testing.assert_allclose(up.values, [4.0 / 3.0, 2.0 / 3.0, 0.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(down.values, [0.0, 2.0 / 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
+    up, _ = lagrange_integrals(0, 2)  # l_0 = x(x+1)/2
+    np.testing.assert_allclose(up.values, [1.0 / 3.0, -1.0 / 12.0, 0.0], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
 def test_lagrange_integrals_anchoring(N):
     for i in range(N + 1):
-        pair = lagrange_integrals(i, N)
-        assert pair.up.values[-1] == 0.0
-        assert pair.down.values[0] == 0.0
+        up, down = lagrange_integrals(i, N)
+        assert up.values[-1] == 0.0
+        assert down.values[0] == 0.0
         # up + down is the full integral, constant across nodes
-        total = pair.up.values + pair.down.values
+        total = up.values + down.values
         np.testing.assert_allclose(total, total[0], rtol=0, atol=1e-14)
 
 
@@ -107,11 +107,9 @@ def test_lagrange_integrals_against_monomial_reference(N):
         li = nppoly.polyfromroots(roots) / np.prod(x[i] - roots)
         prim = nppoly.polyint(li)
         up_ref = nppoly.polyval(x, prim) - nppoly.polyval(-1.0, prim)
-        pair = lagrange_integrals(i, N)
-        np.testing.assert_allclose(pair.up.values, up_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(
-            pair.down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13
-        )
+        up, down = lagrange_integrals(i, N)
+        np.testing.assert_allclose(up.values, up_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13)
 
 
 def test_lagrange_integrals_rejects_bad_indices():
@@ -128,8 +126,8 @@ def test_lagrange_integrals_rejects_bad_indices():
 
 
 def test_node_poly_primitive_endpoint_value():
-    pair = node_poly_primitive(0, 3)
-    assert abs(pair.up.values[0] - 2.0 / 45.0) < 1e-16
+    up, _ = node_poly_primitive(0, 3)
+    assert abs(up.values[0] - 2.0 / 45.0) < 1e-16
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -141,11 +139,11 @@ def test_node_poly_primitive_against_monomial_reference(N):
     prim = nppoly.polyint(omega)
     for i in range(N + 1):
         up_ref = lam[i] * (nppoly.polyval(x, prim) - nppoly.polyval(-1.0, prim))
-        pair = node_poly_primitive(i, N)
-        np.testing.assert_allclose(pair.up.values, up_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(pair.down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13)
-        assert pair.up.values[-1] == 0.0
-        assert pair.down.values[0] == 0.0
+        up, down = node_poly_primitive(i, N)
+        np.testing.assert_allclose(up.values, up_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13)
+        assert up.values[-1] == 0.0
+        assert down.values[0] == 0.0
 
 
 @pytest.mark.parametrize("N", [3, 4, 11, 64])
@@ -161,9 +159,21 @@ def test_node_poly_primitive_matches_closed_form_bitwise(N):
         sign = 1.0 if i % 2 == 0 else -1.0
         halving = 0.5 if i in (0, N) else 1.0
         p = (sign * halving / (4.0 * N)) * q
-        pair = node_poly_primitive(i, N)
-        assert _same_bits(pair.up.values, p - p[-1])
-        assert _same_bits(pair.down.values, p[0] - p)
+        up, down = node_poly_primitive(i, N)
+        assert _same_bits(up.values, p - p[-1])
+        assert _same_bits(down.values, p[0] - p)
+
+
+@pytest.mark.parametrize("primitive", [lagrange_integrals, node_poly_primitive])
+def test_primitives_reject_non_integer_indices(primitive):
+    # a fractional index names no basis function; an integral float is
+    # refused too rather than silently truncated
+    for i in (1.5, 2.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            primitive(i, 4)
+    up, down = primitive(np.int64(2), 4)
+    ref_up, ref_down = primitive(2, 4)
+    assert _same_bits(up.values, ref_up.values) and _same_bits(down.values, ref_down.values)
 
 
 def test_node_poly_primitive_needs_degree_three():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chebgreen import METHODS, NodeVector, cgl_points, cheb_grid, green_matrix, solve_bvp
+from chebgreen import METHODS, NodeVector, cgl_points, green_matrix, solve_bvp
 from chebgreen import cli
 from chebgreen.cli import _format_rows, main
 
@@ -197,14 +197,14 @@ def test_solve_file_with_non_finite_value_is_usage_error(token, tmp_path):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
 def test_solve_output_is_byte_identical_to_reference(n, method, capsys):
-    x = cheb_grid(n).points
+    x = cgl_points(n)
     y = solve_bvp(NodeVector(np.sin(x), grid_degree=n), method).values
     assert main(["solve", "--n", str(n), "--rhs", "sin", "--method", method]) == 0
     assert capsys.readouterr().out == "\n".join(format(v, ".17g") for v in y) + "\n"
 
 
 def test_solve_above_the_weight_overflow_degree(capsys):
-    # cheb_grid raises from n = 1025 on; the solve only needs the points
+    # barycentric_weights_cgl raises from n = 1025 on; the solve only needs the points
     assert main(["solve", "--n", "1100", "--rhs", "exp"]) == 0
     y = np.array([float(v) for v in capsys.readouterr().out.split()])
     x = cgl_points(1100)

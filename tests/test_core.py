@@ -5,11 +5,9 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from chebgreen import (
-    ChebGrid,
     CoeffVector,
     NodeVector,
     barycentric_weights_cgl,
-    cheb_grid,
     cgl_points,
     coeffs_to_nodes,
     dct1,
@@ -79,34 +77,15 @@ def test_barycentric_weights_pattern(N):
 
 
 def test_weights_and_grid_are_finite_up_to_degree_1024():
-    g = cheb_grid(1024)
-    assert np.isfinite(g.bary_weights).all() and np.isfinite(g.points).all()
-    assert g.bary_weights[1] == -(2.0**1023) / 1024
+    w = barycentric_weights_cgl(1024)
+    assert np.isfinite(w).all() and np.isfinite(cgl_points(1024)).all()
+    assert w[1] == -(2.0**1023) / 1024
 
 
 @pytest.mark.parametrize("N", [1025, 1100, 4096])
 def test_weights_and_grid_raise_where_the_scale_overflows(N):
     with pytest.raises(ValueError, match="overflows"):
         barycentric_weights_cgl(N)
-    with pytest.raises(ValueError, match="overflows"):
-        cheb_grid(N)
-
-
-@pytest.mark.parametrize("field", ["points", "bary_weights"])
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_cheb_grid_rejects_non_finite_fields(field, bad):
-    fields = {"points": cgl_points(3), "bary_weights": barycentric_weights_cgl(3)}
-    fields[field][1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        ChebGrid(3, **fields)
-
-
-def test_cheb_grid_bundles_consistent_fields():
-    g = cheb_grid(5)
-    assert g.degree == 5
-    np.testing.assert_array_equal(g.points, cgl_points(5))
-    np.testing.assert_array_equal(g.bary_weights, barycentric_weights_cgl(5))
-    assert not g.points.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +225,15 @@ def test_vectors_are_read_only():
     v = NodeVector([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         v.values[0] = 9.0
-    g = cheb_grid(3)
+    c = CoeffVector([1.0, 2.0])
     with pytest.raises(ValueError):
-        g.points[0] = 2.0
+        c.values[0] = 9.0
 
 
-def test_cheb_grid_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        ChebGrid(2, np.array([1.0, -1.0]), np.array([0.5, -0.5]))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("vector", [NodeVector, CoeffVector])
+def test_vectors_reject_non_finite_values(vector, bad):
+    values = np.ones(5)
+    values[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        vector(values)

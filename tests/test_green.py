@@ -8,7 +8,6 @@ from chebgreen import (
     GreenMatrix,
     NodeVector,
     apply_green_matrix_free,
-    cheb_grid,
     green_function_eval,
     green_matrix,
     lagrange_integrals,
@@ -122,10 +121,10 @@ def test_green_matrix_columns_match_public_primitives(N):
     x = cgl_points(N)
     tol = 1e-14 * np.max(np.abs(G))
     for i in range(N + 1):
-        lag = lagrange_integrals(i, N)
-        node = node_poly_primitive(i, N)
-        col = 0.5 * (x + 1.0) * (node.down.values + (x[i] - 1.0) * lag.down.values)
-        col += 0.5 * (x - 1.0) * (node.up.values + (x[i] + 1.0) * lag.up.values)
+        l_up, l_down = lagrange_integrals(i, N)
+        p_up, p_down = node_poly_primitive(i, N)
+        col = 0.5 * (x + 1.0) * (p_down.values + (x[i] - 1.0) * l_down.values)
+        col += 0.5 * (x - 1.0) * (p_up.values + (x[i] + 1.0) * l_up.values)
         assert np.max(np.abs(G[:, i] - col)) <= tol, i
 
 
@@ -170,7 +169,7 @@ def test_apply_needs_degree_two():
 @pytest.mark.parametrize("method", METHODS)
 def test_solve_methods_agree_on_smooth_rhs(method):
     N = 12
-    x = cheb_grid(N).points
+    x = cgl_points(N)
     f = NodeVector(np.exp(x))
     y = solve_bvp(f, method).values
     ref = green_matrix(N).entries @ np.exp(x)

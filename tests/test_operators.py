@@ -6,8 +6,6 @@ from numpy.polynomial import chebyshev as npcheb
 
 from chebgreen import (
     NodeVector,
-    OperatorMatrix,
-    cheb_grid,
     cgl_points,
     diff2_bc_matrix,
     diff2_matrix,
@@ -24,13 +22,13 @@ from chebgreen import (
 
 
 def test_diff_matrix_degree_one():
-    np.testing.assert_array_equal(diff_matrix(1).entries, [[0.5, -0.5], [0.5, -0.5]])
+    np.testing.assert_array_equal(diff_matrix(1), [[0.5, -0.5], [0.5, -0.5]])
 
 
 @pytest.mark.parametrize("N", [2, 5, 16, 64])
 def test_diff_matrix_kills_constants(N):
     # diagonal is the negated row sum, so row sums vanish up to rounding
-    D = diff_matrix(N).entries
+    D = diff_matrix(N)
     assert np.max(np.abs(D @ np.ones(N + 1))) < 1e-12
 
 
@@ -40,13 +38,13 @@ def test_diff_matrix_exact_on_polynomials(deg):
     x = cgl_points(N)
     c = np.zeros(deg + 1)
     c[deg] = 1.0
-    D = diff_matrix(N).entries
+    D = diff_matrix(N)
     np.testing.assert_allclose(D @ npcheb.chebval(x, c),
                                npcheb.chebval(x, npcheb.chebder(c)), rtol=0, atol=1e-11)
 
 
 def test_diff2_matrix_small_case():
-    D2 = diff2_matrix(2).entries
+    D2 = diff2_matrix(2)
     np.testing.assert_allclose(D2[1], [1.0, -2.0, 1.0], rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         diff2_matrix(1)
@@ -54,11 +52,11 @@ def test_diff2_matrix_small_case():
 
 def test_strip_removes_boundary_rows_and_columns():
     S = strip(diff2_matrix(2))
-    np.testing.assert_allclose(S.entries, [[-2.0]], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(S, [[-2.0]], rtol=0, atol=1e-14)
     D2 = diff2_matrix(5)
-    np.testing.assert_array_equal(strip(D2).entries, D2.entries[1:-1, 1:-1])
+    np.testing.assert_array_equal(strip(D2), D2[1:-1, 1:-1])
     with pytest.raises(ValueError):
-        strip(OperatorMatrix("D2", np.zeros((2, 2))))
+        strip(np.zeros((2, 2)))
 
 
 def test_solve_stripped_constant_rhs():
@@ -90,7 +88,7 @@ def test_solve_stripped_collocation_residual(N):
     rng = np.random.default_rng(N + 70)
     f = rng.standard_normal(N + 1)
     y = solve_stripped(NodeVector(f)).values
-    res = diff2_matrix(N).entries @ y - f
+    res = diff2_matrix(N) @ y - f
     assert np.max(np.abs(res[1:-1])) < 1e-9
 
 
@@ -99,11 +97,11 @@ def test_solve_stripped_collocation_residual(N):
 
 
 def test_reinterp_same_grid_is_identity():
-    np.testing.assert_array_equal(reinterp_matrix(4, 4).entries, np.eye(5))
+    np.testing.assert_array_equal(reinterp_matrix(4, 4), np.eye(5))
 
 
 def test_reinterp_doubling_hits_shared_nodes_exactly():
-    R = reinterp_matrix(5, 10).entries
+    R = reinterp_matrix(5, 10)
     eye = np.eye(6)
     for m in range(6):
         np.testing.assert_array_equal(R[2 * m], eye[m])
@@ -116,7 +114,7 @@ def test_reinterp_reproduces_polynomial_values(N_from, N_to):
     c = rng.standard_normal(min(N_from, N_to) + 1)
     xs = cgl_points(N_from)
     xt = cgl_points(N_to)
-    got = reinterp_matrix(N_from, N_to).entries @ npcheb.chebval(xs, c)
+    got = reinterp_matrix(N_from, N_to) @ npcheb.chebval(xs, c)
     np.testing.assert_allclose(got, npcheb.chebval(xt, c), rtol=0, atol=1e-12)
 
 
@@ -130,16 +128,16 @@ def test_reinterp_rejects_degree_zero():
 
 
 def test_extension_small_cases():
-    np.testing.assert_array_equal(extension_matrix(2).entries, [[1.0], [1.0], [1.0]])
+    np.testing.assert_array_equal(extension_matrix(2), [[1.0], [1.0], [1.0]])
     # degree 3: interior nodes are +-1/2, and u = x extends to u = x
-    got = extension_matrix(3).entries @ np.array([0.5, -0.5])
+    got = extension_matrix(3) @ np.array([0.5, -0.5])
     np.testing.assert_allclose(got, [1.0, 0.5, -0.5, -1.0], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 12])
 def test_projection_of_extension_is_identity(N):
     # projecting onto the interior values is the slice [1:-1]
-    E = extension_matrix(N).entries
+    E = extension_matrix(N)
     np.testing.assert_array_equal(E[1:-1], np.eye(N - 1))
 
 
@@ -150,7 +148,7 @@ def test_extension_extrapolates_low_degree_polynomials(N):
     c = rng.standard_normal(N - 1)
     x = cgl_points(N)
     vals = npcheb.chebval(x, c)
-    got = extension_matrix(N).entries @ vals[1:-1]
+    got = extension_matrix(N) @ vals[1:-1]
     np.testing.assert_allclose(got, vals, rtol=0, atol=1e-11)
 
 
@@ -171,14 +169,14 @@ def _extension_product_formula(N):
 
 @pytest.mark.parametrize("N", range(2, 31))
 def test_extension_matches_product_formula(N):
-    E = extension_matrix(N).entries
+    E = extension_matrix(N)
     assert np.max(np.abs(E - _extension_product_formula(N))) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [864, 1100, 2048])
 def test_extension_stays_finite_at_large_degree(N):
     # the product-formula weights underflowed here
-    E = extension_matrix(N).entries
+    E = extension_matrix(N)
     assert np.isfinite(E).all()
     np.testing.assert_allclose(E[[0, N]].sum(axis=1), 1.0, rtol=0, atol=1e-12)
     x = cgl_points(N)
@@ -197,8 +195,8 @@ def test_projection_extension_degree_bounds():
 
 @pytest.mark.parametrize("N", [2, 3, 8, 21])
 def test_bc_matrices_shapes_and_boundary_rows(N):
-    A = diff2_bc_matrix(N).entries
-    B = green_bc_matrix(N).entries
+    A = diff2_bc_matrix(N)
+    B = green_bc_matrix(N)
     assert A.shape == B.shape == (N + 1, N + 1)
     eye = np.eye(N + 1)
     np.testing.assert_array_equal(A[0], eye[0])
@@ -211,8 +209,8 @@ def test_bc_matrices_shapes_and_boundary_rows(N):
 
 @pytest.mark.parametrize("N", [2, 4, 9, 24])
 def test_bc_pair_inverts_both_ways(N):
-    A = diff2_bc_matrix(N).entries
-    B = green_bc_matrix(N).entries
+    A = diff2_bc_matrix(N)
+    B = green_bc_matrix(N)
     eye = np.eye(N + 1)
     assert np.max(np.abs(A @ B - eye)) < 1e-8
     assert np.max(np.abs(B @ A - eye)) < 1e-8
@@ -227,7 +225,7 @@ def test_bc_solver_honors_inhomogeneous_boundary_data():
     rhs[0] = alpha
     rhs[1:-1] = np.exp(x[1:-1])
     rhs[N] = beta
-    got = green_bc_matrix(N).entries @ rhs
+    got = green_bc_matrix(N) @ rhs
     lin = (alpha - beta) / 2.0 * x + (alpha + beta) / 2.0
     exact = np.exp(x) - np.sinh(1.0) * x - np.cosh(1.0) + lin
     np.testing.assert_allclose(got, exact, rtol=0, atol=1e-10)
@@ -253,9 +251,3 @@ def test_inverse_checks_reject_tiny_grids():
     with pytest.raises(ValueError):
         verify_right_inverse(3)
 
-
-def test_operator_matrix_requires_2d():
-    with pytest.raises(ValueError):
-        OperatorMatrix("D", np.zeros(3))
-    M = OperatorMatrix("R", np.zeros((2, 5)))
-    assert M.entries.shape == (2, 5)

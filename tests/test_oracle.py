@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chebgreen import cheb_grid, cgl_points
+from chebgreen import cgl_points
 from chebgreen.core import barycentric_weights_cgl, dct1
 from chebgreen.oracle import (
     barycentric_weights_general,
@@ -42,26 +42,23 @@ def test_general_weights_guards():
 
 
 def test_lagrange_monomial_small_grid():
-    g = cheb_grid(2)
-    np.testing.assert_allclose(lagrange_monomial_coeffs(1, g), [1.0, 0.0, -1.0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(lagrange_monomial_coeffs(0, g), [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lagrange_monomial_coeffs(1, 2), [1.0, 0.0, -1.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lagrange_monomial_coeffs(0, 2), [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("N", [1, 4, 8])
 def test_lagrange_monomial_kronecker_property(N):
-    g = cheb_grid(N)
-    x = g.points
-    V = np.vander(x, N + 1, increasing=True)
+    V = np.vander(cgl_points(N), N + 1, increasing=True)
     for i in range(N + 1):
-        vals = V @ lagrange_monomial_coeffs(i, g)
+        vals = V @ lagrange_monomial_coeffs(i, N)
         np.testing.assert_allclose(vals, np.eye(N + 1)[i], rtol=0, atol=1e-12)
 
 
 def test_lagrange_monomial_guards():
     with pytest.raises(ValueError):
-        lagrange_monomial_coeffs(0, cheb_grid(13))
+        lagrange_monomial_coeffs(0, 13)
     with pytest.raises(ValueError):
-        lagrange_monomial_coeffs(3, cheb_grid(2))
+        lagrange_monomial_coeffs(3, 2)
 
 
 # ---------------------------------------------------------------------------
