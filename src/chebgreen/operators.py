@@ -2,8 +2,11 @@
 and ``solve_bvp``, the one entry point to the three solution methods.
 
 The differentiation matrix follows the barycentric form (Berrut & Trefethen,
-SIAM Review 2004) with the negative-row-sum diagonal; the second derivative
-is its literal square.  The boundary-embedded pair ``diff2_bc_matrix`` /
+SIAM Review 2004) with the negative-row-sum diagonal.  The second-derivative
+matrix is its square in exact arithmetic, built directly in O(N^2) from the
+same entries (Welfert, SIAM J. Numer. Anal. 1997; Weideman & Reddy, ACM
+TOMS 2000); the stripped solve splits it by parity (Solomonoff, J. Comput.
+Phys. 1992).  The boundary-embedded pair ``diff2_bc_matrix`` /
 ``green_bc_matrix`` extends the stripped second derivative and the Green
 matrix with boundary rows/columns so that the two square matrices are
 mutual inverses.
@@ -33,6 +36,29 @@ __all__ = [
 METHODS = ("dense-green", "matrix-free", "linear-system")
 
 
+def _diagonal(A):
+    # writable view of the main diagonal of a C-contiguous array that has at
+    # least as many columns as rows
+    return A.reshape(-1)[::A.shape[1] + 1]
+
+
+def _diff_rows(N, stop):
+    # rows 0..stop-1 of the first-derivative matrix with a zero diagonal, its
+    # diagonal (the negated row sums), and the reciprocal node differences
+    # 1/(x_i - x_j) with ones on the diagonal.  The weight ratios are
+    # +-1, +-2 or +-1/2, so scaling the reciprocal by them is exact and equals
+    # dividing the ratio by the difference bit-for-bit.
+    x = cgl_points(N)
+    lam = _cgl_weight_signs(N)
+    inv = np.subtract.outer(x[:stop], x)
+    _diagonal(inv)[:] = 1.0
+    np.reciprocal(inv, out=inv)
+    D = inv * lam
+    D /= lam[:stop, None]
+    _diagonal(D)[:] = 0.0
+    return D, -D.sum(axis=1), inv
+
+
 def diff_matrix(N):
     """First-derivative collocation matrix on the degree-N grid.
 
@@ -42,22 +68,34 @@ def diff_matrix(N):
     """
     if N < 1:
         raise ValueError("grid degree must be >= 1")
-    x = cgl_points(N)
-    lam = _cgl_weight_signs(N)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    D = (lam[None, :] / lam[:, None]) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
+    D, d, _ = _diff_rows(N, N + 1)
+    _diagonal(D)[:] = d
     return D
 
 
+def _diff2_rows(N, stop):
+    # rows 0..stop-1 of the second-derivative matrix, in place on the two
+    # arrays of _diff_rows: 2 D_ij (D_ii - 1/(x_i - x_j)) off the diagonal,
+    # the negated row sum on it
+    D, d, D2 = _diff_rows(N, stop)
+    np.subtract(d[:, None], D2, out=D2)
+    D2 *= D
+    D2 *= 2.0  # zero on the diagonal, where D is zero
+    np.negative(D2.sum(axis=1), out=_diagonal(D2))
+    return D2
+
+
 def diff2_matrix(N):
-    """Second-derivative matrix: the square of :func:`diff_matrix`."""
+    """Second-derivative collocation matrix on the degree-N grid.
+
+    Equal in exact arithmetic to the square of :func:`diff_matrix`, but
+    built directly in O(N^2) (Welfert, SIAM J. Numer. Anal. 1997; Weideman
+    & Reddy, ACM TOMS 2000): off the diagonal
+    D2_ij = 2 D_ij (D_ii - 1/(x_i - x_j)), on it the negated row sum.
+    """
     if N < 2:
         raise ValueError("second derivative needs grid degree >= 2")
-    D = diff_matrix(N)
-    return D @ D
+    return _diff2_rows(N, N + 1)
 
 
 def strip(D2):
@@ -70,16 +108,35 @@ def strip(D2):
 def solve_stripped(f):
     """Collocation solve of y'' = f with zero Dirichlet data.
 
-    Solves the boundary-stripped system on the interior values and pads
-    zeros at the two boundary nodes.  A singular factorization propagates
-    as ``numpy.linalg.LinAlgError`` (not expected for this operator).
+    Solves the boundary-stripped second-derivative system on the interior
+    values and pads zeros at the two boundary nodes.  The stripped matrix
+    is centrosymmetric (node k mirrors node N-k), so only its top rows are
+    built and it splits by parity (Solomonoff, J. Comput. Phys. 1992): with
+    B the top rows on the top columns and C the top rows on the mirrored
+    columns, (B + C) u_e = f_e and (B - C) u_o = f_o give the even and odd
+    parts of the solution, about N/2 unknowns each, and y = u_e + u_o on
+    the top half, u_e - u_o on the bottom half.  The middle node of an even
+    N belongs to the even system.  A singular factorization propagates as
+    ``numpy.linalg.LinAlgError`` (not expected for this operator).
     """
     N = f.grid_degree
     if N < 2:
         raise ValueError("stripped solve needs grid degree >= 2")
-    A = strip(diff2_matrix(N))
+    h = (N - 1) // 2
+    # nodes 1..h, their mirrors N-1..N-h, and the middle node N/2 if N is even
+    up, down, mid = slice(1, h + 1), slice(N - 1, N - h - 1, -1), slice(h + 1, N - h)
+    A = _diff2_rows(N, N // 2 + 1)[1:]
+    even = np.empty((len(A), len(A)))
+    np.add(A[:, up], A[:, down], out=even[:, :h])
+    even[:, h:] = A[:, mid]
+    odd = A[:h, up] - A[:h, down]
+    v = f.values
+    u_e = np.linalg.solve(even, np.concatenate((0.5 * (v[up] + v[down]), v[mid])))
+    u_o = np.linalg.solve(odd, 0.5 * (v[up] - v[down]))
     y = np.zeros(N + 1)
-    y[1:-1] = np.linalg.solve(A, f.values[1:-1])
+    y[up] = u_e[:h] + u_o
+    y[mid] = u_e[h:]
+    y[down] = u_e[:h] - u_o
     return NodeVector(y, N)
 
 

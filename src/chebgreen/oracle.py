@@ -8,6 +8,8 @@ as the degree grows, so the oracles refuse degrees where they would stop
 being trustworthy.
 """
 
+import operator
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 
@@ -44,6 +46,7 @@ def lagrange_monomial_coeffs(i, N):
     of the degree-N grid."""
     if N > _MAX_MONOMIAL_DEGREE:
         raise ValueError(f"monomial expansion limited to degree {_MAX_MONOMIAL_DEGREE}")
+    i = operator.index(i)  # TypeError for a fractional index, which names no basis function
     if not 0 <= i <= N:
         raise ValueError(f"basis index {i} out of range for degree {N}")
     x = cgl_points(N)

@@ -1,5 +1,7 @@
 """Differentiation, resampling, boundary-embedded matrices, inverse checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
@@ -90,6 +92,52 @@ def test_solve_stripped_collocation_residual(N):
     y = solve_stripped(NodeVector(f)).values
     res = diff2_matrix(N) @ y - f
     assert np.max(np.abs(res[1:-1])) < 1e-9
+
+
+_DIRECT_DEGREES = [*range(2, 13), 63, 64, 65, 256, 1024, 1025]
+
+
+@pytest.mark.parametrize("N", _DIRECT_DEGREES)
+def test_diff2_matrix_matches_square_of_diff_matrix(N):
+    # built directly, equal to D @ D in exact arithmetic
+    D2 = diff2_matrix(N)
+    D = diff_matrix(N)
+    assert np.max(np.abs(D2 - D @ D)) <= 1e-11 * np.max(np.abs(D2))
+
+
+@pytest.mark.parametrize("N", _DIRECT_DEGREES)
+def test_parity_split_solve_matches_full_stripped_solve(N):
+    x = cgl_points(N)
+    f = np.exp(x) * np.sin(5.0 * x) + x + 0.5
+    ref = np.linalg.solve(strip(diff2_matrix(N)), f[1:-1])
+    y = solve_stripped(NodeVector(f)).values
+    assert y[0] == 0.0 and y[-1] == 0.0
+    assert np.max(np.abs(y[1:-1] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [3, 4, 8, 63, 64, 256, 257])
+@pytest.mark.parametrize("shape,sign", [(np.cos, 1.0), (np.sin, -1.0)], ids=["even", "odd"])
+def test_solve_stripped_keeps_parity_bitwise(N, shape, sign):
+    f = shape(3.0 * cgl_points(N))
+    np.testing.assert_array_equal(f[::-1], sign * f)  # the forcing is exactly even / odd
+    y = solve_stripped(NodeVector(f)).values
+    np.testing.assert_array_equal(y[::-1], sign * y)
+
+
+@pytest.mark.parametrize("N", [512, 513])
+def test_solve_stripped_peak_memory_stays_near_one_matrix(N):
+    # the split builds only the top half of the D2 rows; two half-height
+    # arrays during that build are the peak, about one (N+1)^2 matrix
+    f = NodeVector(np.cos(3.0 * cgl_points(N)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solve_stripped(f)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (N + 1) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,12 @@ def test_lagrange_monomial_guards():
         lagrange_monomial_coeffs(3, 2)
 
 
+@pytest.mark.parametrize("i", [1.5, 2.0])
+def test_lagrange_monomial_rejects_non_integer_index(i):
+    with pytest.raises(TypeError):
+        lagrange_monomial_coeffs(i, 4)
+
+
 # ---------------------------------------------------------------------------
 # dense Green reference
 
