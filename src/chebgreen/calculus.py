@@ -1,19 +1,25 @@
 """Coefficient-space calculus and anchored primitives of nodal bases.
 
-Three vector steps (pad with zeros, antidifferentiate, drop the odd-index
-fine samples) combine with the transforms in :mod:`.core` into an exact
-pipeline for integrals of grid polynomials: a degree-N integrand has a
-degree-(N+1) primitive, which the degree-2N fine grid represents without
-loss, and the fine grid interlaces the coarse one so restriction is a pure
-slice.  Of the three steps only the antidifferentiation is public
-(:func:`integrate_coeffs`); the pipelines pad and restrict inline.
+Integrals of grid polynomials come out of an exact pipeline: transform to
+Chebyshev coefficients, antidifferentiate on a vector padded with zeros
+(a degree-N integrand has a degree-(N+1) primitive), fold the coefficients
+above N back onto lower indices, and transform back to the degree-N nodes.
+The fold is Chebyshev aliasing: at the degree-N CGL nodes
+T_{2N-m}(x_j) = T_m(x_j), so T_{N+1} and T_{N-1} take the same node values,
+as do T_{N+2} and T_{N-2} (Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 4).  The Lagrange primitives here and the
+matrix-free apply in :mod:`.green` therefore transform at the grid's own
+length N+1.  Only the node-polynomial primitive, one transform per Green
+matrix, still evaluates on the degree-2N grid and keeps its even-index
+values.  Of the steps only the antidifferentiation is public
+(:func:`integrate_coeffs`); the pipelines pad and fold inline.
 """
 
 import operator
 
 import numpy as np
 
-from .core import NodeVector, CoeffVector, _coeff_to_node_values, _node_to_coeff_values
+from .core import NodeVector, CoeffVector, _coeff_to_node_values, _grid_degree, _scale_ends
 
 __all__ = [
     "integrate_coeffs",
@@ -76,13 +82,25 @@ def _lagrange_primitive_values(i, N):
     For an array of k basis indices the result is a (k, N+1) block, row r
     for index i[r], with the same bits as the per-index calls.
     """
-    e = np.equal.outer(i, np.arange(N + 1)).astype(np.float64)
-    lhat = _node_to_coeff_values(e)
-    # 2N + 2 coefficients, one past the 2N + 1 kept: room for the degree raise at any N
-    pad = N + 1
-    ext = np.concatenate([lhat, np.zeros(lhat.shape[:-1] + (pad,))], axis=-1)
-    prim = _antiderivative_raw(ext)[..., : 2 * N + 1]
-    return _coeff_to_node_values(prim)[..., ::2]
+    # coefficients of l_i in closed form, lhat[i, j] = (2/N) w_i w_j
+    # cos(pi i j / N) with w = 1/2 at both ends, read from a table of
+    # (2/N) cos(pi k / N) with period 2N.  Entries 0..N come from the real
+    # FFT of a unit impulse, the FFT's own roots of unity: they give
+    # cos(pi/3) = 1/2 exactly at N = 3, where np.cos(np.pi / 3) is an ulp
+    # high.  The rest mirror them.  The halvings are exact.
+    roots = np.fft.rfft([0.0, 1.0], 2 * N).real * (2.0 / N)
+    cosines = np.concatenate([roots, roots[-2:0:-1]])
+    k = np.multiply.outer(i, np.arange(N + 1))
+    k -= k // (2 * N) * (2 * N)  # k %= 2N; numpy's integer % is about twice as slow
+    lhat = cosines[k]
+    _scale_ends(lhat, 0.5)  # w_j
+    lhat[(i == 0) | (i == N)] *= 0.5  # w_i; a scalar mask for a single index
+    # one zero past the degree-(N+1) primitive, then fold T_{N+1} onto T_{N-1}
+    ext = np.concatenate([lhat, np.zeros(lhat.shape[:-1] + (1,))], axis=-1)
+    prim = _antiderivative_raw(ext)
+    pt = prim.T
+    pt[N - 1] += pt[N + 1]
+    return _coeff_to_node_values(prim[..., : N + 1])
 
 
 def lagrange_integrals(i, N):
@@ -91,9 +109,11 @@ def lagrange_integrals(i, N):
     Returns ``(up, down)``, two NodeVectors: ``up.values[k]`` is the
     integral of l_i over [-1, x_k], so it vanishes at the last node, and
     ``down.values[k]`` over [x_k, 1], vanishing at the first.  Exact up to
-    round-off: the whole pipeline (transform, antidifferentiation on an
-    extended vector, fine-grid evaluation, restriction) manipulates
-    polynomials that every stage represents without truncation.
+    round-off: the coefficients of l_i have a closed form, the
+    antidifferentiation runs on a vector with room for the degree raise, and
+    the one coefficient above N is folded onto T_{N-1}, which takes the same
+    values at the degree-N nodes, so one length-(N+1) transform evaluates
+    the primitive there without truncation.
 
     Parameters
     ----------
@@ -106,6 +126,7 @@ def lagrange_integrals(i, N):
     -------
     tuple of NodeVector
     """
+    N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     i = operator.index(i)  # TypeError for a fractional index, which names no basis function
@@ -152,6 +173,7 @@ def node_poly_primitive(i, N):
     Returns ``(up, down)``, two NodeVectors with the same anchoring
     conventions as :func:`lagrange_integrals`.
     """
+    N = _grid_degree(N)
     if N < 3:
         raise ValueError("node polynomial primitive needs degree >= 3 (divides by N - 2)")
     i = operator.index(i)

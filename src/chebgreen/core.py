@@ -8,6 +8,7 @@ scale factors.  See Trefethen, "Spectral Methods in MATLAB", for the grid
 and weight background.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,15 @@ class GreenMatrix:
         _freeze(self, "entries", ndim=2, degree=self.degree)
 
 
+def _grid_degree(N):
+    """N as an int; TypeError naming the value when it is not an integer
+    (a float such as 4.0 names no grid, even when it is whole)."""
+    try:
+        return operator.index(N)
+    except TypeError:
+        raise TypeError(f"grid degree must be an integer, got {N!r}") from None
+
+
 def cgl_points(N):
     """Chebyshev-Gauss-Lobatto points cos(j*pi/N), j = 0..N, descending.
 
@@ -110,6 +120,7 @@ def cgl_points(N):
     points[N-j] == -points[j] holds exactly and a degree-2N grid interlaces
     the degree-N grid bit-for-bit at even indices.
     """
+    N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1 (a single point cannot carry a grid)")
     m = N // 2
@@ -140,6 +151,7 @@ def barycentric_weights_cgl(N):
     raise ValueError.  The solvers in this package use weight ratios only,
     where the scale cancels, and take the unscaled signs instead.
     """
+    N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     if N > 1024:

@@ -20,8 +20,11 @@ __all__ = [
     "apply_green_matrix_free",
 ]
 
-# half-columns per block in green_matrix; 24-32 measured fastest among
-# 8..64 at N = 64, 256 and 1024 (fewer calls against larger temporaries)
+# half-columns per block in green_matrix.  Timed among 16..64 at N = 256,
+# 1024 and 2048, 48 and 64 were up to 10-20 % faster than 32, within the
+# run-to-run spread; but any block above 32 also holds the N/2 + 1 = 33
+# half-columns of N = 64 and sends that degree down the one-column-per-call
+# path below (0.3 -> 2-3 ms)
 _BLOCK = 32
 
 
@@ -66,14 +69,14 @@ def green_matrix(N):
     pref, q = _node_poly_factors(idx, N)
     q_up, q_down = _anchor(q)
 
-    # the transforms run on blocks of half-columns at once: each block is a
-    # (columns x N+1) array, small enough that its (columns x 4N) fine-grid
-    # temporaries stay cheap.  A build whose half-columns fit in one block
-    # (N <= 2 * _BLOCK - 2) still goes one column per call, as before the
-    # blocking: the benchmark harness's self-check (perfbench/selfcheck.py)
-    # counts N/2 + 1 primitive calls for an N = 16 build.  No benchmark
-    # workload builds below N = 64.  One block is several times faster here
-    # (N = 16: 0.18 against 0.9 ms, one core of a 2-vCPU Xeon VM).
+    # the transforms run on blocks of half-columns at once, each block a
+    # (columns x N+1) array whose transforms have the grid's own length.  A
+    # build whose half-columns fit in one block (N <= 2 * _BLOCK - 2) goes
+    # one column per call instead: the benchmark harness's self-check
+    # (perfbench/selfcheck.py) counts N/2 + 1 primitive calls for an N = 16
+    # build.  No benchmark workload builds below N = 64.
+    # Blocks are several times faster here (N = 16: 0.18-0.21 ms in two
+    # blocks of 8 against 0.9 ms, one core of a 2-vCPU Xeon VM).
     G = np.empty((N + 1, N + 1))
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     for start in range(0, half + 1, step):
@@ -98,20 +101,23 @@ def apply_green_matrix_free(f):
     """Apply the Green matrix to f without forming it.
 
     Same contract as ``green_matrix(N).entries @ f.values``: interpolate f,
-    antidifferentiate the coefficients twice on an extended vector, read the
-    primitive off the fine grid, and subtract the linear function matching
-    its endpoint values so the result vanishes at both ends exactly.
-    Costs O(N log N).
+    antidifferentiate the coefficients twice on a vector with room for both
+    degree raises, fold the two coefficients above N onto T_{N-1} and
+    T_{N-2} (which take the same values at the degree-N nodes), evaluate at
+    the nodes with one length-(N+1) transform, and subtract the linear
+    function matching the endpoint values so the result vanishes at both
+    ends exactly.  Costs O(N log N).
     """
     N = f.grid_degree
     if N < 2:
         raise ValueError("matrix-free application needs grid degree >= 2")
     c = _node_to_coeff_values(f.values)
-    # 2N + 2 coefficients, one past the 2N + 1 kept: room for both degree raises at any N
-    pad = N + 1
-    ext = np.concatenate([c, np.zeros(pad)])
-    prim2 = _antiderivative_raw(_antiderivative_raw(ext))[: 2 * N + 1]
-    h = _coeff_to_node_values(prim2)[::2]
+    # N + 3 coefficients hold the degree-(N+2) second primitive
+    ext = np.concatenate([c, np.zeros(2)])
+    prim2 = _antiderivative_raw(_antiderivative_raw(ext))
+    prim2[N - 1] += prim2[N + 1]
+    prim2[N - 2] += prim2[N + 2]
+    h = _coeff_to_node_values(prim2[: N + 1])
     x = cgl_points(N)
     y = h - h[0] * (0.5 * (1.0 + x)) - h[-1] * (0.5 * (1.0 - x))
     y[0] = 0.0

@@ -15,7 +15,7 @@ mutual inverses.
 import numpy as np
 
 from . import green
-from .core import NodeVector, cgl_points, _cgl_weight_signs
+from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree
 from .green import green_matrix
 
 __all__ = [
@@ -194,6 +194,7 @@ def diff2_bc_matrix(N):
     Row 0 is e_0 and row N is e_N (they read off the boundary values); the
     interior rows are those of the full second-derivative matrix.
     """
+    N = _grid_degree(N)
     if N < 2:
         raise ValueError("needs grid degree >= 2")
     A = np.zeros((N + 1, N + 1))

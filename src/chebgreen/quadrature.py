@@ -13,7 +13,7 @@ the 2N-point Clenshaw-Curtis rule is exact there.
 
 import numpy as np
 
-from .core import cgl_points, _node_to_coeff_values
+from .core import cgl_points, _grid_degree, _node_to_coeff_values
 from .operators import diff2_matrix, reinterp_matrix
 
 __all__ = [
@@ -31,6 +31,7 @@ def cc_weights(M):
     result is symmetrized (the exact weights satisfy w[i] = w[M-i]) and is
     exact for every polynomial of degree <= M.
     """
+    M = _grid_degree(M)
     if M < 1:
         raise ValueError("grid degree must be >= 1")
     j = np.arange(M + 1)

@@ -120,3 +120,36 @@ def test_solve_bvp_calls_each_method_through_its_patchable_attribute(method, mon
     f = chebgreen.NodeVector(np.exp(chebgreen.cgl_points(16)))
     chebgreen.solve_bvp(f, method)
     assert calls == {name: int(name == method) for name in SEAMS}
+
+
+# every public builder that takes a grid degree, with its other arguments
+DEGREE_BUILDERS = {
+    "cgl_points": chebgreen.cgl_points,
+    "barycentric_weights_cgl": chebgreen.barycentric_weights_cgl,
+    "green_matrix": chebgreen.green_matrix,
+    "green_matrix_dense_oracle": chebgreen.green_matrix_dense_oracle,
+    "lagrange_integrals": lambda N: chebgreen.lagrange_integrals(0, N),
+    "lagrange_monomial_coeffs": lambda N: chebgreen.lagrange_monomial_coeffs(0, N),
+    "node_poly_primitive": lambda N: chebgreen.node_poly_primitive(0, N),
+    "diff_matrix": chebgreen.diff_matrix,
+    "diff2_matrix": chebgreen.diff2_matrix,
+    "reinterp_matrix (from)": lambda N: chebgreen.reinterp_matrix(N, 4),
+    "reinterp_matrix (to)": lambda N: chebgreen.reinterp_matrix(4, N),
+    "extension_matrix": chebgreen.extension_matrix,
+    "diff2_bc_matrix": chebgreen.diff2_bc_matrix,
+    "green_bc_matrix": chebgreen.green_bc_matrix,
+    "verify_left_inverse": chebgreen.verify_left_inverse,
+    "verify_right_inverse": chebgreen.verify_right_inverse,
+    "cc_weights": chebgreen.cc_weights,
+    "consistent_gram_matrix": chebgreen.consistent_gram_matrix,
+    "verify_d2_symmetry": chebgreen.verify_d2_symmetry,
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_BUILDERS)
+def test_non_integer_degree_is_a_type_error_naming_it(name):
+    build = DEGREE_BUILDERS[name]
+    for bad in (4.0, np.float64(4.0), 4.5):
+        with pytest.raises(TypeError, match=f"grid degree must be an integer, got .*{float(bad)!r}"):
+            build(bad)
+    build(np.int64(4))  # numpy integers are integers

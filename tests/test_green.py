@@ -14,8 +14,8 @@ from chebgreen import (
     node_poly_primitive,
     solve_bvp,
 )
-from chebgreen.calculus import _lagrange_primitive_values
-from chebgreen.core import _coeff_to_node_values, cgl_points
+from chebgreen.calculus import _antiderivative_raw, _lagrange_primitive_values
+from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
 from chebgreen.oracle import green_matrix_dense_oracle
 
 
@@ -155,6 +155,51 @@ def test_apply_matches_dense_multiply(N):
     dense = green_matrix(N).entries @ f
     free = apply_green_matrix_free(NodeVector(f)).values
     assert np.max(np.abs(dense - free)) < 1e-12 * np.max(np.abs(f))
+
+
+def _fine_grid_apply(f):
+    """Reference for apply_green_matrix_free without the fold: integrate
+    twice on 2N + 2 coefficients, evaluate on the degree-2N grid and keep its
+    even-index nodes, the degree-N grid."""
+    N = f.size - 1
+    c = np.concatenate([_node_to_coeff_values(f), np.zeros(N + 1)])
+    prim2 = _antiderivative_raw(_antiderivative_raw(c))[: 2 * N + 1]
+    h = _coeff_to_node_values(prim2)[::2]
+    x = cgl_points(N)
+    y = h - h[0] * (0.5 * (1.0 + x)) - h[-1] * (0.5 * (1.0 - x))
+    y[0] = 0.0
+    y[-1] = 0.0
+    return y
+
+
+@pytest.mark.parametrize("N", list(range(2, 13)) + [63, 64, 65, 256, 1024, 2048])
+def test_apply_fold_matches_fine_grid_reference(N):
+    # random forcings cancel in G @ f, so the bound scales with max|f| (the
+    # Green matrix has entries of size at most 1/2); measured worst case
+    # 0.8 ulps of max|f| over five forcings per degree
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(N)
+    for f in (rng.standard_normal(N + 1) for _ in range(5)):
+        got = apply_green_matrix_free(NodeVector(f)).values
+        assert np.abs(got - _fine_grid_apply(f)).max() <= 8 * eps * np.abs(f).max()
+
+
+# 100 003 is prime: the length-2N transforms take pocketfft's slow path
+@pytest.mark.parametrize("N", [100_000, 100_003])
+@pytest.mark.parametrize("kind", ["exp", "sin"])
+def test_apply_large_degree_closed_form(N, kind):
+    x = cgl_points(N)
+    if kind == "exp":
+        a = 2.5
+        f = np.exp(a * x)
+        u = (f - (np.cosh(a) + x * np.sinh(a))) / a**2
+    else:
+        b, c = 7.0, 0.3
+        f = np.sin(b * x + c)
+        line = 0.5 * (np.sin(b + c) * (1.0 + x) + np.sin(c - b) * (1.0 - x))
+        u = (line - f) / b**2
+    y = apply_green_matrix_free(NodeVector(f)).values
+    assert np.abs(y - u).max() <= 1e-13 * np.abs(f).max()
 
 
 def test_apply_needs_degree_two():
