@@ -1,25 +1,27 @@
 """Coefficient-space calculus and anchored primitives of nodal bases.
 
-Integrals of grid polynomials come out of an exact pipeline: transform to
-Chebyshev coefficients, antidifferentiate on a vector padded with zeros
-(a degree-N integrand has a degree-(N+1) primitive), fold the coefficients
-above N back onto lower indices, and transform back to the degree-N nodes.
-The fold is Chebyshev aliasing: at the degree-N CGL nodes
-T_{2N-m}(x_j) = T_m(x_j), so T_{N+1} and T_{N-1} take the same node values,
-as do T_{N+2} and T_{N-2} (Trefethen, *Approximation Theory and
-Approximation Practice*, ch. 4).  The Lagrange primitives here and the
-matrix-free apply in :mod:`.green` therefore transform at the grid's own
-length N+1.  Only the node-polynomial primitive, one transform per Green
-matrix, still evaluates on the degree-2N grid and keeps its even-index
-values.  Of the steps only the antidifferentiation is public
-(:func:`integrate_coeffs`); the pipelines pad and fold inline.
+Integrals of grid polynomials are exact up to round-off.  A degree-N
+integrand has a degree-(N+1) primitive, and the coefficients above N fold
+back onto lower indices: at the degree-N CGL nodes T_{2N-m}(x_j) = T_m(x_j),
+so T_{N+1} and T_{N-1} take the same node values, as do T_{N+2} and T_{N-2}
+(Trefethen, *Approximation Theory and Approximation Practice*, ch. 4).  The
+matrix-free apply in :mod:`.green` pads, antidifferentiates, folds and
+evaluates with one transform at the grid's own length N+1.  The Lagrange
+primitives here need no transform per basis function: their coefficients
+are closed-form sines, and a product-to-sum identity turns their node
+values into Toeplitz and Hankel reads of one table of sine sums plus three
+rank-1 terms (the structure of Townsend, Webb & Olver, "Fast polynomial
+transforms based on Toeplitz and Hankel matrices", *Math. Comp.* 2018).
+Only the node-polynomial primitive, one transform per Green matrix, still
+evaluates on the degree-2N grid and keeps its even-index values.  Of the
+steps only the antidifferentiation is public (:func:`integrate_coeffs`).
 """
 
 import operator
 
 import numpy as np
 
-from .core import NodeVector, CoeffVector, _coeff_to_node_values, _grid_degree, _scale_ends
+from .core import NodeVector, CoeffVector, _coeff_to_node_values, _grid_degree
 
 __all__ = [
     "integrate_coeffs",
@@ -81,26 +83,64 @@ def _lagrange_primitive_values(i, N):
 
     For an array of k basis indices the result is a (k, N+1) block, row r
     for index i[r], with the same bits as the per-index calls.
+
+    No transform runs per index.  With theta = pi/N and w_i = 1/2 at
+    i = 0, N and 1 elsewhere, l_i has the Chebyshev coefficients
+    (2/N) w_i w_m cos(i m theta).  Antidifferentiated, those at
+    1 <= m <= N-2 become (2/N) w_i sin(i theta) sin(i m theta)/m, and a
+    product-to-sum identity gives their cosine sum at node k as
+
+        (w_i sin(i theta)/N) [S(i+k) + S(i-k)],
+        S(m) = sum_{j=1}^{N-2} sin(j m theta)/j,
+
+    one table read along a Toeplitz (i+k) and a Hankel (i-k) diagonal.  S
+    is odd with period 2N, so one real FFT of 1/j gives all of it.  The
+    coefficients at T_0, T_{N-1} (holding the folded T_{N+1}) and T_N add
+    three rank-1 terms.  Rows with i > N/2 come from the mirror identity
+    h(N-i) = -h(i)[::-1] applied to computed rows, so the symmetry holds
+    bit for bit and the table only spans m = -N/2 .. 3N/2.
     """
-    # coefficients of l_i in closed form, lhat[i, j] = (2/N) w_i w_j
-    # cos(pi i j / N) with w = 1/2 at both ends, read from a table of
-    # (2/N) cos(pi k / N) with period 2N.  Entries 0..N come from the real
-    # FFT of a unit impulse, the FFT's own roots of unity: they give
-    # cos(pi/3) = 1/2 exactly at N = 3, where np.cos(np.pi / 3) is an ulp
-    # high.  The rest mirror them.  The halvings are exact.
-    roots = np.fft.rfft([0.0, 1.0], 2 * N).real * (2.0 / N)
-    cosines = np.concatenate([roots, roots[-2:0:-1]])
-    k = np.multiply.outer(i, np.arange(N + 1))
-    k -= k // (2 * N) * (2 * N)  # k %= 2N; numpy's integer % is about twice as slow
-    lhat = cosines[k]
-    _scale_ends(lhat, 0.5)  # w_j
-    lhat[(i == 0) | (i == N)] *= 0.5  # w_i; a scalar mask for a single index
-    # one zero past the degree-(N+1) primitive, then fold T_{N+1} onto T_{N-1}
-    ext = np.concatenate([lhat, np.zeros(lhat.shape[:-1] + (1,))], axis=-1)
-    prim = _antiderivative_raw(ext)
-    pt = prim.T
-    pt[N - 1] += pt[N + 1]
-    return _coeff_to_node_values(prim[..., : N + 1])
+    i = np.asarray(i)
+    rows = np.atleast_1d(i)
+    j = np.minimum(rows, N - rows)
+    half = N // 2
+    # one real FFT of length 2N fills both tables.  Of a unit impulse it
+    # gives the FFT's own roots of unity, cos and sin of k theta for
+    # k = 0..N, with cos(pi/3) = 1/2 exactly at N = 3 (np.cos(np.pi / 3) is
+    # an ulp high); of 1/j, j = 1..N-2, it gives S(0..N).  The window table
+    # runs over m = -half .. N + half by oddness and periodicity, and
+    # S(i+k), S(i-k) = -S(k-i) are its windows.
+    signal = np.zeros((2, 2 * N))
+    signal[0, 1] = 1.0
+    signal[1, 1 : N - 1] = 1.0 / np.arange(1, N - 1)
+    spectra = np.fft.rfft(signal)
+    cosines, sines, s = spectra[0].real, -spectra[0].imag, -spectra[1].imag
+    table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
+    windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
+    h = windows[half + j]  # a copy: the rows are gathered
+    h -= windows[half - j]
+    weight = np.where(j == 0, 1.0 / N, 2.0 / N)  # (2/N) w_i
+    h *= (0.5 * weight * sines[j])[:, None]
+    # the rank-1 terms at T_0, T_{N-1} and T_N, from c_m = (2/N) w_i
+    # cos(i m theta), the coefficient of l_i without its w_m; the
+    # antiderivative takes c_0 at this full value.  At N = 1 the T_{N-1}
+    # term is the fold alone; at N = 1 and 2 the sine sum is empty.
+    parity = np.where(j % 2 == 0, 1.0, -1.0)
+    c_1 = weight * cosines[j]
+    c_n = weight * parity  # c_N before its w_N = 1/2
+    p_0 = c_1 / (8.0 if N == 1 else 4.0)  # w_1 c_1 / 4; T_1 is T_N at N = 1
+    p_n = parity * c_1 / (2.0 * N)  # c_{N-1} / (2N)
+    p_nm1 = 0.5 * c_n / (2.0 * (N + 1))  # the folded T_{N+1}, w_N c_N / (2(N+1))
+    if N >= 2:  # (c_{N-2} - w_N c_N) / (2(N-1))
+        p_nm1 += (parity * weight * cosines[2 * j] - 0.5 * c_n) / (2.0 * (N - 1))
+    node_sign = np.ones(N + 1)  # (-1)^k
+    node_sign[1::2] = -1.0
+    h += p_nm1[:, None] * (node_sign * cosines)
+    h += p_n[:, None] * node_sign
+    h += p_0[:, None]
+    far = rows > N - rows
+    h[far] = -h[far, ::-1]
+    return h.reshape(i.shape + (N + 1,))
 
 
 def lagrange_integrals(i, N):
@@ -109,11 +149,10 @@ def lagrange_integrals(i, N):
     Returns ``(up, down)``, two NodeVectors: ``up.values[k]`` is the
     integral of l_i over [-1, x_k], so it vanishes at the last node, and
     ``down.values[k]`` over [x_k, 1], vanishing at the first.  Exact up to
-    round-off: the coefficients of l_i have a closed form, the
-    antidifferentiation runs on a vector with room for the degree raise, and
-    the one coefficient above N is folded onto T_{N-1}, which takes the same
-    values at the degree-N nodes, so one length-(N+1) transform evaluates
-    the primitive there without truncation.
+    round-off: the primitive's Chebyshev coefficients have a closed form,
+    the one above N is folded onto T_{N-1}, which takes the same values at
+    the degree-N nodes, and the node values come from one table of sine
+    sums, read along Toeplitz and Hankel diagonals, with no transform.
 
     Parameters
     ----------

@@ -58,13 +58,13 @@ class NodeVector:
     def __post_init__(self):
         _freeze(self, "values", ndim=1, finite=True)
         n = self.values.size
-        deg = self.grid_degree if self.grid_degree is not None else n - 1
+        deg = _grid_degree(self.grid_degree) if self.grid_degree is not None else n - 1
         if deg < 1 or n != deg + 1:
             raise ValueError(
                 "node vector needs grid_degree + 1 values on a grid of degree >= 1, "
                 f"got {n} values for degree {deg}"
             )
-        object.__setattr__(self, "grid_degree", int(deg))
+        object.__setattr__(self, "grid_degree", deg)
 
 
 @dataclass(frozen=True)

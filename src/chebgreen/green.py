@@ -10,7 +10,7 @@ O(N log N) without forming the matrix.
 
 import numpy as np
 
-from .core import GreenMatrix, NodeVector, cgl_points, _coeff_to_node_values, _node_to_coeff_values
+from .core import GreenMatrix, NodeVector, cgl_points, _coeff_to_node_values, _grid_degree, _node_to_coeff_values
 from .calculus import _anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors
 from .oracle import green_matrix_dense_oracle
 
@@ -20,11 +20,16 @@ __all__ = [
     "apply_green_matrix_free",
 ]
 
-# half-columns per block in green_matrix.  Timed among 16..64 at N = 256,
-# 1024 and 2048, 48 and 64 were up to 10-20 % faster than 32, within the
-# run-to-run spread; but any block above 32 also holds the N/2 + 1 = 33
-# half-columns of N = 64 and sends that degree down the one-column-per-call
-# path below (0.3 -> 2-3 ms)
+# half-columns per block in green_matrix.  The blocks run no transform, only
+# elementwise passes.  Re-timed over blocks of 32/48/64/128 (median build
+# time over 7 interleaved rounds, two processes, one core of a 2-vCPU Xeon
+# VM): N = 64 0.41-0.44/0.27/0.25-0.29/0.27 ms, N = 256 1.5-1.6/1.2-1.5/
+# 1.9-2.1/1.8-2.0 ms, N = 1024 15.3-17.0/14.0-15.4/13.7-14.8/13.9-15.3 ms,
+# N = 2048 within the spread.  Over the degrees the solve workload builds
+# (64, 256 twice, 1024 per round) a larger block saves about 1 ms of some
+# 35; 32 stays, which keeps the per-layer call counts comparable with
+# earlier traces.  Any block above 32 would also need its own threshold
+# for the one-column-per-call path below.
 _BLOCK = 32
 
 
@@ -53,6 +58,7 @@ def green_matrix(N):
     closed-form primitive of the node polynomial does not exist and the
     exact small-N oracle supplies the matrix instead.
     """
+    N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     if N < 3:
@@ -69,23 +75,32 @@ def green_matrix(N):
     pref, q = _node_poly_factors(idx, N)
     q_up, q_down = _anchor(q)
 
-    # the transforms run on blocks of half-columns at once, each block a
-    # (columns x N+1) array whose transforms have the grid's own length.  A
-    # build whose half-columns fit in one block (N <= 2 * _BLOCK - 2) goes
-    # one column per call instead: the benchmark harness's self-check
+    # the primitives come in blocks of half-columns, each block a (columns
+    # x N+1) array, and the block is assembled in place on the two anchored
+    # primitives in the order of the per-column formula above, so a block
+    # holds the bits of the column-by-column loop.  A build whose
+    # half-columns fit in one block (N <= 2 * _BLOCK - 2) goes one column per
+    # call instead: the benchmark harness's self-check
     # (perfbench/selfcheck.py) counts N/2 + 1 primitive calls for an N = 16
     # build.  No benchmark workload builds below N = 64.
-    # Blocks are several times faster here (N = 16: 0.18-0.21 ms in two
-    # blocks of 8 against 0.9 ms, one core of a 2-vCPU Xeon VM).
+    # Blocks are faster here too (N = 16: 0.42 ms in two blocks of 8 against
+    # 0.95 ms, one core of a 2-vCPU Xeon VM).
     G = np.empty((N + 1, N + 1))
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
-        l_up, l_down = _anchor(_lagrange_primitive_values(idx[cols], N))
+        block = _lagrange_primitive_values(idx[cols], N)
+        l_down = block[:, :1] - block
+        block -= block[:, -1:]  # l_up
         p = pref[cols, None]
         xi = x[cols, None]
-        block = xplus * (p * q_down + (xi - 1.0) * l_down)
-        block += xminus * (p * q_up + (xi + 1.0) * l_up)
+        l_down *= xi - 1.0
+        l_down += p * q_down
+        l_down *= xplus
+        block *= xi + 1.0
+        block += p * q_up
+        block *= xminus
+        block += l_down
         block[:, 0] = 0.0
         block[:, -1] = 0.0
         G[:, cols] = block.T

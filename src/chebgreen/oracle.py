@@ -13,7 +13,7 @@ import operator
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .core import GreenMatrix, cgl_points
+from .core import GreenMatrix, cgl_points, _grid_degree
 
 __all__ = [
     "barycentric_weights_general",
@@ -44,6 +44,7 @@ def barycentric_weights_general(points):
 def lagrange_monomial_coeffs(i, N):
     """Monomial coefficients (ascending) of the i-th Lagrange basis polynomial
     of the degree-N grid."""
+    N = _grid_degree(N)
     if N > _MAX_MONOMIAL_DEGREE:
         raise ValueError(f"monomial expansion limited to degree {_MAX_MONOMIAL_DEGREE}")
     i = operator.index(i)  # TypeError for a fractional index, which names no basis function
@@ -69,6 +70,7 @@ def green_matrix_dense_oracle(N):
     integrates each polynomial piece exactly.  Boundary rows are zero by the
     kernel's boundary values and are written as exact zeros.
     """
+    N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     if N > _MAX_GREEN_DEGREE:

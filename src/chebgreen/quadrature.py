@@ -50,6 +50,7 @@ def consistent_gram_matrix(N):
     entrywise.  S is also positive definite; it is not factored here, as
     that would cost O(N^3) per build.
     """
+    N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
     R = reinterp_matrix(N, 2 * N)
@@ -74,6 +75,7 @@ def verify_d2_symmetry(N):
     polynomials vanishing at the boundary, returns
     max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|).
     """
+    N = _grid_degree(N)
     if N < 3:
         raise ValueError("symmetry check needs grid degree >= 3")
     x = cgl_points(N)

@@ -153,3 +153,21 @@ def test_non_integer_degree_is_a_type_error_naming_it(name):
         with pytest.raises(TypeError, match=f"grid degree must be an integer, got .*{float(bad)!r}"):
             build(bad)
     build(np.int64(4))  # numpy integers are integers
+
+
+@pytest.mark.parametrize("name", DEGREE_BUILDERS)
+def test_fractional_degree_below_range_is_a_type_error(name):
+    # the type is checked before the range, so a fraction below the smallest
+    # degree is refused as a non-integer, not as out of range
+    for bad in (0.5, 1.5, 2.5, 3.5):
+        with pytest.raises(TypeError, match="grid degree must be an integer"):
+            DEGREE_BUILDERS[name](bad)
+
+
+def test_node_vector_refuses_a_float_degree():
+    values = np.zeros(5)
+    for bad in (4.0, np.float64(4.0)):
+        with pytest.raises(TypeError, match="grid degree must be an integer"):
+            chebgreen.NodeVector(values, grid_degree=bad)
+    f = chebgreen.NodeVector(values, grid_degree=np.int64(4))
+    assert f.grid_degree == 4 and type(f.grid_degree) is int

@@ -75,6 +75,46 @@ def test_lagrange_primitive_block_matches_per_index_calls_bitwise(N):
         assert _same_bits(block, np.stack([_lagrange_primitive_values(i, N) for i in idx]))
 
 
+@pytest.mark.parametrize("N", list(range(3, 13)) + [64, 65, 257])
+def test_lagrange_primitive_far_rows_are_mirror_images_bitwise(N):
+    # rows past the middle are taken from h(N - i) = -h(i)[::-1], in a block
+    # and in per-index calls alike
+    block = _lagrange_primitive_values(np.arange(N + 1), N)
+    for i in range(N + 1):
+        if i < N - i:
+            assert _same_bits(block[N - i], -block[i, ::-1]), i
+            assert _same_bits(_lagrange_primitive_values(N - i, N),
+                              -_lagrange_primitive_values(i, N)[::-1]), i
+
+
+def test_lagrange_primitive_matches_extended_precision_direct_sum():
+    # reference in long double: the coefficients (2/N) w_i w_j cos(pi i j/N),
+    # the antiderivative recurrence with T_{N+1} folded onto T_{N-1}, and the
+    # cosine sum at the nodes, all without a transform; measured worst case
+    # 2.1 ulps of the block's maximum
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    N = 1024
+    rows = np.array([0, 1, N // 3, N // 2, N - 1, N])
+    LD = np.longdouble
+    m = np.arange(N + 1)
+    cosines = np.cos(np.arccos(LD(-1)) * np.arange(2 * N, dtype=LD) / N)
+    w = np.ones(N + 1, dtype=LD)
+    w[[0, N]] = LD(0.5)
+    c = np.zeros((rows.size, N + 3), dtype=LD)
+    c[:, : N + 1] = (LD(2) / N) * w[rows, None] * w * cosines[np.multiply.outer(rows, m) % (2 * N)]
+    p = np.zeros((rows.size, N + 2), dtype=LD)
+    p[:, 0] = c[:, 1] / 4
+    p[:, 1] = c[:, 0] - c[:, 2] / 2
+    k = np.arange(2, N + 2)
+    p[:, 2:] = (c[:, 1 : N + 1] - c[:, 3:]) / (2 * k)
+    p[:, N - 1] += p[:, N + 1]
+    ref = p[:, : N + 1] @ cosines[np.multiply.outer(m, m) % (2 * N)]
+    got = _lagrange_primitive_values(rows, N)
+    eps = np.finfo(np.float64).eps
+    assert np.abs(got - ref).max() <= 4 * eps * np.abs(ref).max()
+
+
 def _fine_grid_primitive_values(i, N):
     """Reference for _lagrange_primitive_values without the fold: transform
     the unit vectors, antidifferentiate on 2N + 2 coefficients, evaluate on

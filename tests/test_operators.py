@@ -241,6 +241,15 @@ def test_projection_extension_degree_bounds():
 # boundary-embedded pair
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 16, 257])
+def test_green_bc_matrix_middle_block_matches_dense_product(N):
+    # built as G's interior columns plus two rank-1 terms, since the interior
+    # rows of E are the identity
+    R = green_matrix(N).entries @ extension_matrix(N)
+    B = green_bc_matrix(N)
+    assert np.abs(B[:, 1:-1] - R).max() <= 2 * np.finfo(np.float64).eps * np.abs(R).max()
+
+
 @pytest.mark.parametrize("N", [2, 3, 8, 21])
 def test_bc_matrices_shapes_and_boundary_rows(N):
     A = diff2_bc_matrix(N)
