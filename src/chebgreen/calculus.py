@@ -77,7 +77,7 @@ def _anchor(p):
     return p - p[..., -1:], p[..., :1] - p
 
 
-def _lagrange_primitive_values(i, N):
+def _lagrange_primitive_values(i, N, tables=None):
     """Node values (coarse grid) of the primitive of the i-th Lagrange basis
     polynomial, before any integration constant is fixed.
 
@@ -99,24 +99,15 @@ def _lagrange_primitive_values(i, N):
     three rank-1 terms.  Rows with i > N/2 come from the mirror identity
     h(N-i) = -h(i)[::-1] applied to computed rows, so the symmetry holds
     bit for bit and the table only spans m = -N/2 .. 3N/2.
+
+    ``tables`` is ``_primitive_tables(N)``, built here when not given, so
+    that several calls at one degree can share one.
     """
     i = np.asarray(i)
     rows = np.atleast_1d(i)
     j = np.minimum(rows, N - rows)
     half = N // 2
-    # one real FFT of length 2N fills both tables.  Of a unit impulse it
-    # gives the FFT's own roots of unity, cos and sin of k theta for
-    # k = 0..N, with cos(pi/3) = 1/2 exactly at N = 3 (np.cos(np.pi / 3) is
-    # an ulp high); of 1/j, j = 1..N-2, it gives S(0..N).  The window table
-    # runs over m = -half .. N + half by oddness and periodicity, and
-    # S(i+k), S(i-k) = -S(k-i) are its windows.
-    signal = np.zeros((2, 2 * N))
-    signal[0, 1] = 1.0
-    signal[1, 1 : N - 1] = 1.0 / np.arange(1, N - 1)
-    spectra = np.fft.rfft(signal)
-    cosines, sines, s = spectra[0].real, -spectra[0].imag, -spectra[1].imag
-    table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
-    windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
+    cosines, sines, windows = _primitive_tables(N) if tables is None else tables
     h = windows[half + j]  # a copy: the rows are gathered
     h -= windows[half - j]
     weight = np.where(j == 0, 1.0 / N, 2.0 / N)  # (2/N) w_i
@@ -141,6 +132,27 @@ def _lagrange_primitive_values(i, N):
     far = rows > N - rows
     h[far] = -h[far, ::-1]
     return h.reshape(i.shape + (N + 1,))
+
+
+def _primitive_tables(N):
+    """``(cosines, sines, windows)``, the tables of ``_lagrange_primitive_values``.
+
+    One real FFT of length 2N fills them.  Of a unit impulse it gives the
+    FFT's own roots of unity, cos and sin of k theta for k = 0..N, with
+    cos(pi/3) = 1/2 exactly at N = 3 (np.cos(np.pi / 3) is an ulp high); of
+    1/j, j = 1..N-2, it gives S(0..N).  The window table runs over
+    m = -N/2 .. N + N/2 by oddness and periodicity, and S(i+k),
+    S(i-k) = -S(k-i) are its windows.
+    """
+    half = N // 2
+    signal = np.zeros((2, 2 * N))
+    signal[0, 1] = 1.0
+    signal[1, 1 : N - 1] = 1.0 / np.arange(1, N - 1)
+    spectra = np.fft.rfft(signal)
+    cosines, sines, s = spectra[0].real, -spectra[0].imag, -spectra[1].imag
+    table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
+    windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
+    return cosines, sines, windows
 
 
 def lagrange_integrals(i, N):

@@ -14,7 +14,7 @@ import numpy as np
 from .core import NodeVector, cgl_points
 from .green import green_matrix
 from .operators import (METHODS, diff2_bc_matrix, green_bc_matrix, solve_bvp,
-                        verify_left_inverse, verify_right_inverse)
+                        verify_left_inverse, verify_right_inverse, _identity_deviation)
 from .oracle import green_matrix_dense_oracle
 from .quadrature import cc_weights, verify_d2_symmetry
 
@@ -130,17 +130,19 @@ def _dev_oracle(n):
 
 def _dev_centrosymmetry(n):
     G = green_matrix(n).entries
-    return float(np.max(np.abs(G - G[::-1, ::-1])))
+    D = G - G[::-1, ::-1]
+    return float(np.abs(D, out=D).max())
 
 
 def _dev_bc_inverse(n):
-    A = diff2_bc_matrix(n)
+    # B before A: green_bc_matrix holds G, B and a temporary at its peak, so
+    # building it first keeps at most three (n+1)^2 arrays alive; both
+    # products go through one buffer
     B = green_bc_matrix(n)
-    eye = np.eye(n + 1)
-    return max(
-        float(np.max(np.abs(A @ B - eye))),
-        float(np.max(np.abs(B @ A - eye))),
-    )
+    A = diff2_bc_matrix(n)
+    P = A @ B
+    dev = _identity_deviation(P)
+    return max(dev, _identity_deviation(np.matmul(B, A, out=P)))
 
 
 def _dev_cc_weights(n):

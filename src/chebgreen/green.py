@@ -11,7 +11,8 @@ O(N log N) without forming the matrix.
 import numpy as np
 
 from .core import GreenMatrix, NodeVector, cgl_points, _coeff_to_node_values, _grid_degree, _node_to_coeff_values
-from .calculus import _anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors
+from .calculus import (_anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
+                       _primitive_tables)
 from .oracle import green_matrix_dense_oracle
 
 __all__ = [
@@ -76,9 +77,10 @@ def green_matrix(N):
     q_up, q_down = _anchor(q)
 
     # the primitives come in blocks of half-columns, each block a (columns
-    # x N+1) array, and the block is assembled in place on the two anchored
-    # primitives in the order of the per-column formula above, so a block
-    # holds the bits of the column-by-column loop.  A build whose
+    # x N+1) array read from one set of sine and cosine tables built here,
+    # and the block is assembled in place on the two anchored primitives in
+    # the order of the per-column formula above, so a block holds the bits
+    # of the column-by-column loop.  A build whose
     # half-columns fit in one block (N <= 2 * _BLOCK - 2) goes one column per
     # call instead: the benchmark harness's self-check
     # (perfbench/selfcheck.py) counts N/2 + 1 primitive calls for an N = 16
@@ -86,10 +88,11 @@ def green_matrix(N):
     # Blocks are faster here too (N = 16: 0.42 ms in two blocks of 8 against
     # 0.95 ms, one core of a 2-vCPU Xeon VM).
     G = np.empty((N + 1, N + 1))
+    tables = _primitive_tables(N)
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
-        block = _lagrange_primitive_values(idx[cols], N)
+        block = _lagrange_primitive_values(idx[cols], N, tables=tables)
         l_down = block[:, :1] - block
         block -= block[:, -1:]  # l_up
         p = pref[cols, None]

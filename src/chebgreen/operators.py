@@ -153,17 +153,22 @@ def reinterp_matrix(N_from, N_to):
     N_from, N_to = _grid_degree(N_from), _grid_degree(N_to)
     if N_from < 1 or N_to < 1:
         raise ValueError("grid degrees must be >= 1")
-    x = cgl_points(N_from)
-    y = cgl_points(N_to)
-    lam = _cgl_weight_signs(N_from)
-    diff = y[:, None] - x[None, :]
-    hit = diff == 0.0
+    return _barycentric_rows(N_from, cgl_points(N_to))
+
+
+def _barycentric_rows(N, y):
+    # evaluation matrix of the degree-N interpolant at the points y, built
+    # in one buffer: the differences, then the weights over them, then the
+    # rows normalised; points on a node get exact unit rows
+    x = cgl_points(N)
+    lam = _cgl_weight_signs(N)
+    R = np.subtract.outer(y, x)
+    rows, cols = np.nonzero(R == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        W = lam[None, :] / diff
-        R = W / W.sum(axis=1, keepdims=True)
-    coincident = hit.any(axis=1)
-    R[coincident] = 0.0
-    R[hit] = 1.0
+        np.divide(lam, R, out=R)
+        R /= R.sum(axis=1, keepdims=True)
+    R[rows] = 0.0
+    R[rows, cols] = 1.0
     return R
 
 
@@ -180,16 +185,24 @@ def extension_matrix(N):
     N = _grid_degree(N)
     if N < 2:
         raise ValueError("extension needs grid degree >= 2")
+    E = np.zeros((N + 1, N - 1))
+    E[1:-1] = np.eye(N - 1)
+    E[0], E[-1] = _extension_rows(N)
+    return E
+
+
+def _extension_rows(N):
+    # the two boundary rows of extension_matrix(N): the barycentric
+    # evaluation of the interior interpolant at x = 1 and x = -1
     x = cgl_points(N)
     t = x[1:-1]
     j = np.arange(1, N)
     lam = np.where(j % 2 == 1, 1.0, -1.0) * np.sin(np.pi * j / N) ** 2
-    E = np.zeros((N + 1, N - 1))
-    E[1:-1] = np.eye(N - 1)
-    for row, z in ((0, x[0]), (N, x[-1])):
+    rows = []
+    for z in (x[0], x[-1]):
         w = lam / (z - t)
-        E[row] = w / w.sum()
-    return E
+        rows.append(w / w.sum())
+    return rows
 
 
 def diff2_bc_matrix(N):
@@ -201,8 +214,8 @@ def diff2_bc_matrix(N):
     N = _grid_degree(N)
     if N < 2:
         raise ValueError("needs grid degree >= 2")
-    A = np.zeros((N + 1, N + 1))
-    A[1:-1] = diff2_matrix(N)[1:-1]
+    A = diff2_matrix(N)
+    A[[0, -1]] = 0.0
     A[0, 0] = 1.0
     A[-1, -1] = 1.0
     return A
@@ -216,19 +229,30 @@ def green_bc_matrix(N):
     extension.  Together with :func:`diff2_bc_matrix` this forms a mutually
     inverse pair.  The interior rows of E are the identity, so G.E is
     formed as G's interior columns plus two rank-1 terms, in O(N^2) rather
-    than as a dense O(N^3) product.
+    than as a dense O(N^3) product, and only the two boundary rows of E are
+    built.
     """
     N = _grid_degree(N)
     if N < 2:
         raise ValueError("needs grid degree >= 2")
     x = cgl_points(N)
     G = green_matrix(N).entries
-    E = extension_matrix(N)
+    e_first, e_last = _extension_rows(N)
     B = np.empty((N + 1, N + 1))
     B[:, 0] = 0.5 * (x[0] + x)
     B[:, -1] = -0.5 * (x[-1] + x)
-    B[:, 1:-1] = G[:, 1:-1] + G[:, :1] * E[0] + G[:, -1:] * E[-1]
+    mid = B[:, 1:-1]
+    np.multiply(G[:, :1], e_first, out=mid)
+    mid += G[:, 1:-1]
+    mid += G[:, -1:] * e_last
     return B
+
+
+def _identity_deviation(P):
+    # max |P - I| of a square matrix, computed in place on P
+    k = np.arange(len(P))
+    P[k, k] -= 1.0
+    return float(np.abs(P, out=P).max())
 
 
 def verify_left_inverse(N):
@@ -236,10 +260,8 @@ def verify_left_inverse(N):
     N = _grid_degree(N)
     if N < 3:
         raise ValueError("left-inverse check needs grid degree >= 3")
-    G = green_matrix(N).entries
-    D2 = diff2_matrix(N)
-    M = (G @ D2)[1:-1, 1:-1]
-    return float(np.abs(M - np.eye(N - 1)).max())
+    P = green_matrix(N).entries @ diff2_matrix(N)
+    return _identity_deviation(P[1:-1, 1:-1])
 
 
 def verify_right_inverse(N):
@@ -247,17 +269,17 @@ def verify_right_inverse(N):
 
     The product reinterpolates a degree-(N-2) node vector up to degree N,
     applies D2.G there, and restricts back; it acts as the identity on
-    length-(N-1) vectors.
+    length-(N-1) vectors.  It is formed right to left, R_down.(D2.(G.R_up)),
+    so each factor is dropped once used and at most three (N+1)^2 arrays
+    are alive at a time.
     """
     N = _grid_degree(N)
     if N < 4:
         raise ValueError("right-inverse check needs grid degree >= 4")
-    R_down = reinterp_matrix(N, N - 2)
-    R_up = reinterp_matrix(N - 2, N)
-    D2 = diff2_matrix(N)
-    G = green_matrix(N).entries
-    M = R_down @ D2 @ G @ R_up
-    return float(np.abs(M - np.eye(N - 1)).max())
+    M = green_matrix(N).entries @ reinterp_matrix(N - 2, N)
+    M = diff2_matrix(N) @ M
+    M = reinterp_matrix(N, N - 2) @ M
+    return _identity_deviation(M)
 
 
 def solve_bvp(f, method):

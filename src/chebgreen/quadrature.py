@@ -14,7 +14,9 @@ the 2N-point Clenshaw-Curtis rule is exact there.
 import numpy as np
 
 from .core import cgl_points, _grid_degree, _node_to_coeff_values
-from .operators import diff2_matrix, reinterp_matrix
+# reinterp_matrix is not called here; it stays importable from this module
+# because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
+from .operators import diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal
 
 __all__ = [
     "cc_weights",
@@ -46,17 +48,23 @@ def consistent_gram_matrix(N):
 
     R reinterpolates to the degree-2N grid and W holds the Clenshaw-Curtis
     weights there; 2N is the smallest refinement that integrates products of
-    two degree-N polynomials exactly.  Symmetrized so S == S^T holds
-    entrywise.  S is also positive definite; it is not factored here, as
-    that would cost O(N^3) per build.
+    two degree-N polynomials exactly.  The even nodes of the 2N grid are the
+    degree-N nodes, where R has exact unit rows, so
+    S = diag(W_even) + X^T X with X the odd rows of R scaled by the square
+    roots of their (positive) weights; only those N rows are built.  X^T X
+    runs as a symmetric rank-k update, so S == S^T holds entrywise.  S is
+    also positive definite; it is not factored here, as that would cost
+    O(N^3) per build.
     """
     N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
-    R = reinterp_matrix(N, 2 * N)
     w = cc_weights(2 * N)
-    S = R.T @ (w[:, None] * R)
-    return 0.5 * (S + S.T)
+    X = _barycentric_rows(N, cgl_points(2 * N)[1::2])
+    X *= np.sqrt(w[1::2])[:, None]
+    S = X.T @ X
+    _diagonal(S)[:] += w[::2]
+    return S
 
 
 def consistent_inner_product(p, q, S):
@@ -78,12 +86,19 @@ def verify_d2_symmetry(N):
     N = _grid_degree(N)
     if N < 3:
         raise ValueError("symmetry check needs grid degree >= 3")
+    # M = B^T S D2 B, formed as ((D2^T S) B)^T B (S is symmetric) so that
+    # each factor is dropped once used and at most three (N+1)^2 arrays are
+    # alive at a time
+    M = diff2_matrix(N).T @ consistent_gram_matrix(N)
     x = cgl_points(N)
-    m = np.arange(N - 1)
     theta = np.arange(N + 1) * (np.pi / N)  # T_m at node j is cos(m j pi / N)
-    B = (1.0 - x * x)[:, None] * np.cos(np.outer(theta, m))
-    S = consistent_gram_matrix(N)
-    D2 = diff2_matrix(N)
-    M = B.T @ (S @ (D2 @ B))
+    B = np.outer(theta, np.arange(N - 1))
+    np.cos(B, out=B)
+    B *= (1.0 - x * x)[:, None]
+    M = M @ B
+    M = M.T @ B
+    M = M - M.T
+    np.abs(M, out=M)
     norms = np.linalg.norm(B, axis=0)
-    return float((np.abs(M - M.T) / np.outer(norms, norms)).max())
+    M /= np.outer(norms, norms)
+    return float(M.max())

@@ -1,12 +1,14 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chebgreen import METHODS, NodeVector, cgl_points, green_matrix, solve_bvp
+from chebgreen import (METHODS, NodeVector, cgl_points, diff2_bc_matrix, green_bc_matrix,
+                       green_matrix, solve_bvp)
 from chebgreen import cli
 from chebgreen.cli import _format_rows, main
 
@@ -295,6 +297,36 @@ def test_verify_all_checks_hold_across_degrees(n, capsys):
     assert rows and all(r["n"] == n for r in rows)
     for r in rows:
         assert np.isfinite(r["deviation"]) and r["deviation"] <= r["tolerance"], r
+
+
+# at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does
+@pytest.mark.parametrize("n", [3, 64, 257, 512])
+def test_in_place_deviations_equal_direct_formulas_bitwise(n):
+    G = green_matrix(n).entries
+    assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
+    A = diff2_bc_matrix(n)
+    B = green_bc_matrix(n)
+    eye = np.eye(n + 1)
+    assert cli._dev_bc_inverse(n) == max(float(np.max(np.abs(A @ B - eye))),
+                                         float(np.max(np.abs(B @ A - eye))))
+
+
+# every check that runs at n = 256 (oracle stops at n = 10)
+@pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
+                                  if hi is None or hi >= 256])
+def test_verify_check_working_set_stays_within_four_matrices(name):
+    # each deviation holds at most about three (n+1)^2 arrays at a time
+    n = 256
+    deviation = cli._CHECKS[name][2]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        deviation(n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * (n + 1) ** 2
 
 
 def test_verify_below_minimum_degree_is_usage_error():

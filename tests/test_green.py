@@ -107,8 +107,11 @@ def _green_matrix_per_column(N):
     return G
 
 
-# N = 63 and 64 put N/2 + 1 half-columns at and one past the assembly block
-@pytest.mark.parametrize("N", list(range(3, 13)) + [63, 64, 257, 1024])
+# N = 63 and 64 put N/2 + 1 half-columns at and one past the assembly block.
+# The reference builds the sine tables afresh in every call; green_matrix
+# builds them once and passes them to each block.
+@pytest.mark.parametrize("N", list(range(3, 13)) + [16, 31, 32, 33, 62, 63, 64, 65, 66,
+                                                     256, 257, 1024, 2048])
 def test_green_matrix_equals_per_column_assembly_bitwise(N):
     G = green_matrix(N).entries
     ref = _green_matrix_per_column(N)

@@ -21,6 +21,7 @@ from chebgreen import (
     verify_left_inverse,
     verify_right_inverse,
 )
+from chebgreen.core import _cgl_weight_signs
 
 
 def test_diff_matrix_degree_one():
@@ -155,6 +156,30 @@ def test_reinterp_doubling_hits_shared_nodes_exactly():
         np.testing.assert_array_equal(R[2 * m], eye[m])
 
 
+def _reinterp_three_arrays(N_from, N_to):
+    """reinterp_matrix as built with separate difference, weight and result
+    arrays; reinterp_matrix does the same arithmetic in one buffer."""
+    x = cgl_points(N_from)
+    y = cgl_points(N_to)
+    lam = _cgl_weight_signs(N_from)
+    diff = y[:, None] - x[None, :]
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = lam[None, :] / diff
+        R = W / W.sum(axis=1, keepdims=True)
+    R[hit.any(axis=1)] = 0.0
+    R[hit] = 1.0
+    return R
+
+
+# (64, 128) interlaces the grids, (255, 257) shares only the end and middle nodes
+@pytest.mark.parametrize("N_from,N_to", [(4, 8), (64, 128), (17, 40), (40, 17), (255, 257),
+                                         (1022, 1024), (1024, 1022)])
+def test_reinterp_matrix_equals_three_array_build_bitwise(N_from, N_to):
+    R = reinterp_matrix(N_from, N_to)
+    assert R.tobytes() == _reinterp_three_arrays(N_from, N_to).tobytes()
+
+
 @pytest.mark.parametrize("N_from,N_to", [(5, 9), (5, 11), (7, 4), (1, 6)])
 def test_reinterp_reproduces_polynomial_values(N_from, N_to):
     # resampling a degree <= min(N_from, N_to) polynomial is exact
@@ -250,6 +275,25 @@ def test_green_bc_matrix_middle_block_matches_dense_product(N):
     assert np.abs(B[:, 1:-1] - R).max() <= 2 * np.finfo(np.float64).eps * np.abs(R).max()
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 16, 64, 257])
+def test_bc_matrices_equal_dense_helper_formulas_bitwise(N):
+    # diff2_bc_matrix overwrites the boundary rows of D2 in place and
+    # green_bc_matrix reads only the boundary rows of E; the formulas with a
+    # zero matrix and the dense extension give the same bits
+    A = np.zeros((N + 1, N + 1))
+    A[1:-1] = diff2_matrix(N)[1:-1]
+    A[0, 0] = A[-1, -1] = 1.0
+    assert diff2_bc_matrix(N).tobytes() == A.tobytes()
+    x = cgl_points(N)
+    G = green_matrix(N).entries
+    E = extension_matrix(N)
+    B = np.empty((N + 1, N + 1))
+    B[:, 0] = 0.5 * (x[0] + x)
+    B[:, -1] = -0.5 * (x[-1] + x)
+    B[:, 1:-1] = G[:, 1:-1] + G[:, :1] * E[0] + G[:, -1:] * E[-1]
+    assert green_bc_matrix(N).tobytes() == B.tobytes()
+
+
 @pytest.mark.parametrize("N", [2, 3, 8, 21])
 def test_bc_matrices_shapes_and_boundary_rows(N):
     A = diff2_bc_matrix(N)
@@ -300,6 +344,21 @@ def test_left_inverse_deviation_is_small(N):
 @pytest.mark.parametrize("N", [4, 8, 32])
 def test_right_inverse_deviation_is_small(N):
     assert verify_right_inverse(N) < 1e-8
+
+
+# the checks form their products in place and in another order; the
+# left-inverse deviation keeps its bits, the right-inverse one moves by
+# round-off (0.02 % at N = 512)
+@pytest.mark.parametrize("N", [64, 257, 512])
+def test_inverse_deviations_match_direct_products(N):
+    G = green_matrix(N).entries
+    D2 = diff2_matrix(N)
+    eye = np.eye(N - 1)
+    left = float(np.abs((G @ D2)[1:-1, 1:-1] - eye).max())
+    assert verify_left_inverse(N) == left
+    right = float(np.abs(reinterp_matrix(N, N - 2) @ D2 @ G @ reinterp_matrix(N - 2, N)
+                         - eye).max())
+    assert abs(verify_right_inverse(N) - right) <= 0.1 * right
 
 
 def test_inverse_checks_reject_tiny_grids():

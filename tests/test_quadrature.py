@@ -9,6 +9,8 @@ from chebgreen import (
     cgl_points,
     consistent_gram_matrix,
     consistent_inner_product,
+    diff2_matrix,
+    reinterp_matrix,
     verify_d2_symmetry,
 )
 
@@ -68,6 +70,22 @@ def test_gram_matrix_is_symmetric_positive_definite(N):
     assert np.all(np.linalg.eigvalsh(S) > 0.0)
 
 
+def _gram_full(N):
+    """R^T W R over every row of the 2N-grid reinterpolation, unit rows included."""
+    R = reinterp_matrix(N, 2 * N)
+    return R.T @ (cc_weights(2 * N)[:, None] * R)
+
+
+@pytest.mark.parametrize("N", list(range(1, 17)) + [64, 257, 1024])
+def test_gram_matrix_from_odd_rows_matches_full_product(N):
+    # the even rows of R are exact unit rows, so S is diag(W_even) plus a
+    # rank-N update over the odd rows, which runs as a symmetric update
+    S = consistent_gram_matrix(N)
+    ref = _gram_full(N)
+    np.testing.assert_array_equal(S, S.T)
+    assert np.abs(S - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_inner_product_monomial_values():
     S = consistent_gram_matrix(4)
     x = cgl_points(4)
@@ -114,6 +132,21 @@ def test_inner_product_rejects_degree_mismatch():
 @pytest.mark.parametrize("N", [3, 8, 16, 32])
 def test_second_derivative_symmetry_deviation(N):
     assert verify_d2_symmetry(N) < 1e-9
+
+
+@pytest.mark.parametrize("N", [64, 257, 512])
+def test_symmetry_deviation_matches_direct_product(N):
+    # the check chains its products in another order over the odd-row Gram
+    # matrix; against B^T (S (D2 B)) with the full-product S the deviation
+    # moves by round-off (1 % at N = 257)
+    x = cgl_points(N)
+    theta = np.arange(N + 1) * (np.pi / N)
+    B = (1.0 - x * x)[:, None] * np.cos(np.outer(theta, np.arange(N - 1)))
+    S = _gram_full(N)
+    M = B.T @ (0.5 * (S + S.T) @ (diff2_matrix(N) @ B))
+    norms = np.linalg.norm(B, axis=0)
+    ref = float((np.abs(M - M.T) / np.outer(norms, norms)).max())
+    assert abs(verify_d2_symmetry(N) - ref) <= 0.1 * ref
 
 
 def test_symmetry_check_needs_degree_three():
