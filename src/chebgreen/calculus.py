@@ -12,16 +12,16 @@ are closed-form sines, and a product-to-sum identity turns their node
 values into Toeplitz and Hankel reads of one table of sine sums plus three
 rank-1 terms (the structure of Townsend, Webb & Olver, "Fast polynomial
 transforms based on Toeplitz and Hankel matrices", *Math. Comp.* 2018).
-Only the node-polynomial primitive, one transform per Green matrix, still
-evaluates on the degree-2N grid and keeps its even-index values.  Of the
-steps only the antidifferentiation is public (:func:`integrate_coeffs`).
+The node-polynomial primitive needs no transform either: by the same
+aliasing its node values are a closed form in the cosines of that table.
+Of the steps only the antidifferentiation is public (:func:`integrate_coeffs`).
 """
 
 import operator
 
 import numpy as np
 
-from .core import NodeVector, CoeffVector, _coeff_to_node_values, _grid_degree
+from .core import NodeVector, CoeffVector, _grid_degree
 
 __all__ = [
     "integrate_coeffs",
@@ -187,20 +187,25 @@ def lagrange_integrals(i, N):
     return NodeVector(up, N), NodeVector(down, N)
 
 
-def _node_poly_factors(i, N):
-    """Factors of the anchor-free node-polynomial primitive, N >= 3.
+def _node_poly_factors(i, N, cosines):
+    """Factors of the anchor-free node-polynomial primitive.
 
-    Returns ``(scale, q)``: q holds the coarse-node values of
-    T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2), one fine-grid evaluation
-    shared by every index, and scale = +-1/(4N), halved at the endpoints,
-    is the cancelled weight of index i (an array of indices gives an array
-    of scales).  The primitive for index i is scale * q.
+    Returns ``(scale, q)``: q holds the node values of
+    T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2), shared by every index, and
+    scale = +-1/(4N), halved at the endpoints, is the cancelled weight of
+    index i (an array of indices gives an array of scales).  The primitive
+    for index i is scale * q.
+
+    At the nodes T_{N+-2}(x_k) = (-1)^k cos(2k pi/N) and T_N(x_k) = (-1)^k,
+    so q_k = (-1)^k [cos(2k pi/N) (1/(N+2) + 1/(N-2)) - 2/N], with
+    cos(m pi/N), m = 0..N, read from ``cosines`` (the first table of
+    ``_primitive_tables(N)``).  At N = 2 the T_{N-2}/(N-2) term stands for
+    a constant, which anchoring removes; at N = 1, T_{-1} = T_1.
     """
-    base = np.zeros(2 * N + 1)
-    base[N - 2] = 1.0 / (N - 2)
-    base[N] = -2.0 / N
-    base[N + 2] = 1.0 / (N + 2)
-    q = _coeff_to_node_values(base)[::2]
+    k = np.arange(N + 1)
+    c = 0.0 if N == 2 else 1.0 / (N - 2)
+    q = cosines[np.minimum(2 * k, 2 * N - 2 * k)] * (1.0 / (N + 2) + c) - 2.0 / N
+    q[1::2] = -q[1::2]
     i = np.asarray(i)
     sign = np.where(i % 2 == 0, 1.0, -1.0)
     halving = np.where((i == 0) | (i == N), 0.5, 1.0)
@@ -214,22 +219,23 @@ def node_poly_primitive(i, N):
     quantity integrated here is the i-th barycentric weight times it, whose
     primitive is
 
-        (lambda_i / 2^(N+1)) * (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)).
+        (lambda_i / 2^(N+1)) * (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)),
 
-    The weight magnitude 2^(N-1)/N is cancelled against 2^(N+1) before any
-    floating-point work (2^(N+1) overflows doubles from N = 1023 on), leaving
-    coefficients of size O(1/N^2).  Requires N >= 3: the T_{N-2}/(N-2) term
-    divides by N-2.
+    with the T_{N-2} term dropped at N = 2, where it is a constant.  The
+    weight magnitude 2^(N-1)/N is cancelled against 2^(N+1) before any
+    floating-point work (2^(N+1) overflows doubles from N = 1023 on),
+    leaving coefficients of size O(1/N^2).  Requires N >= 1, like
+    :func:`lagrange_integrals`.
 
     Returns ``(up, down)``, two NodeVectors with the same anchoring
     conventions as :func:`lagrange_integrals`.
     """
     N = _grid_degree(N)
-    if N < 3:
-        raise ValueError("node polynomial primitive needs degree >= 3 (divides by N - 2)")
+    if N < 1:
+        raise ValueError("grid degree must be >= 1")
     i = operator.index(i)
     if not 0 <= i <= N:
         raise ValueError(f"node index {i} out of range for degree {N}")
-    scale, q = _node_poly_factors(i, N)
+    scale, q = _node_poly_factors(i, N, _primitive_tables(N)[0])
     up, down = _anchor(scale * q)
     return NodeVector(up, N), NodeVector(down, N)

@@ -161,8 +161,7 @@ def _tol_bc_inverse(n):
 
 # name -> (min n, max n or None, deviation, recorded tolerance)
 _CHECKS = {
-    # below n = 3 green_matrix is the oracle itself: nothing to compare
-    "oracle": (3, 10, _dev_oracle, lambda n: 1e-12),
+    "oracle": (1, 10, _dev_oracle, lambda n: 1e-12),
     "centrosymmetry": (1, None, _dev_centrosymmetry, lambda n: 0.0),
     "cc-weights": (1, None, _dev_cc_weights, lambda n: 1e-13),
     "bc-inverse": (2, None, _dev_bc_inverse, _tol_bc_inverse),

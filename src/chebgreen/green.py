@@ -13,7 +13,6 @@ import numpy as np
 from .core import GreenMatrix, NodeVector, cgl_points, _coeff_to_node_values, _grid_degree, _node_to_coeff_values
 from .calculus import (_anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                        _primitive_tables)
-from .oracle import green_matrix_dense_oracle
 
 __all__ = [
     "green_function_eval",
@@ -55,25 +54,24 @@ def green_matrix(N):
 
     Only the first half of the columns is assembled; the rest are mirror
     images (the matrix is centrosymmetric, and filling by reflection makes
-    that exact rather than a round-off casualty).  For N in {1, 2} the
-    closed-form primitive of the node polynomial does not exist and the
-    exact small-N oracle supplies the matrix instead.
+    that exact rather than a round-off casualty).  Every N >= 1 runs the
+    same assembly.
     """
     N = _grid_degree(N)
     if N < 1:
         raise ValueError("grid degree must be >= 1")
-    if N < 3:
-        return green_matrix_dense_oracle(N)
 
     x = cgl_points(N)
     xplus = 0.5 * (x + 1.0)
     xminus = 0.5 * (x - 1.0)
 
-    # primitive of the node polynomial: one fine-grid evaluation shared by
-    # all columns, scaled per column by the cancelled weight
+    # primitive of the node polynomial: one closed form in the cosines of
+    # the sine tables, shared by all columns and scaled per column by the
+    # cancelled weight
     half = N // 2
     idx = np.arange(half + 1)
-    pref, q = _node_poly_factors(idx, N)
+    tables = _primitive_tables(N)
+    pref, q = _node_poly_factors(idx, N, tables[0])
     q_up, q_down = _anchor(q)
 
     # the primitives come in blocks of half-columns, each block a (columns
@@ -88,7 +86,6 @@ def green_matrix(N):
     # Blocks are faster here too (N = 16: 0.42 ms in two blocks of 8 against
     # 0.95 ms, one core of a 2-vCPU Xeon VM).
     G = np.empty((N + 1, N + 1))
-    tables = _primitive_tables(N)
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
@@ -107,11 +104,18 @@ def green_matrix(N):
         block[:, 0] = 0.0
         block[:, -1] = 0.0
         G[:, cols] = block.T
+    # the rest are mirror images, G[:, i] = G[::-1, N - i], copied over
+    # disjoint row ranges: views with overlapping memory bounds would make
+    # numpy copy the source half through a temporary
+    top = (N + 1) // 2
+    right = slice(half + 1, None)
+    left = slice(N - half - 1, None, -1)
+    G[:top, right] = G[N : N - top : -1, left]
+    G[N + 1 - top :, right] = G[top - 1 :: -1, left]
     if N % 2 == 0:
-        # the middle column is its own mirror image; make that exact
+        # the middle row and column are their own mirror images; make that exact
+        G[half, right] = G[half, left]
         G[:, half] = 0.5 * (G[:, half] + G[::-1, half])
-    # the rest are mirror images: G[:, i] = G[::-1, N - i]
-    G[:, half + 1 :] = G[::-1, N - half - 1 :: -1]
     return GreenMatrix(N, G)
 
 

@@ -1,4 +1,4 @@
-"""Slow, exact reference paths used by tests and as small-N fallbacks.
+"""Slow, exact reference paths used by the tests and by ``verify --check oracle``.
 
 Everything here trades speed for transparency: barycentric weights by the
 defining product, Lagrange bases expanded into monomials, Green-matrix

@@ -88,6 +88,24 @@ def test_only_core_defines_dataclasses():
                      ("chebgreen.core", "GreenMatrix")}
 
 
+def test_paths_stay_independent_of_the_references_and_the_dct():
+    # the oracle is the exact reference the assembly is checked against, so
+    # only the CLI's verify and the package namespace may import it; the
+    # dense path's primitives (calculus) use no transform, which keeps them
+    # independent of the DCT-based matrix-free path
+    importers = {path.stem for path in MODULES
+                 for _, mods in _imports(path) if "oracle" in mods}
+    assert importers == {"cli", "__init__"}
+    transforms = {"dct1", "node_to_coeffs", "coeffs_to_nodes",
+                  "_node_to_coeff_values", "_coeff_to_node_values"}
+    tree = ast.parse((Path(chebgreen.__file__).parent / "calculus.py").read_text())
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    from_core = {a.name for node in relative if node.module == "core" for a in node.names}
+    assert from_core and not from_core & transforms
+    # nor the module itself, through which any transform could be reached
+    assert all(a.name != "core" for node in relative if node.module is None for a in node.names)
+
+
 def test_no_imports_inside_functions():
     found = [(path.stem, func, mods) for path in MODULES
              for func, mods in _imports(path) if func is not None]

@@ -13,7 +13,8 @@ from chebgreen import (
     lagrange_integrals,
     node_poly_primitive,
 )
-from chebgreen.calculus import _antiderivative_raw, _lagrange_primitive_values
+from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
+                                _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, barycentric_weights_cgl
 
 
@@ -196,7 +197,7 @@ def test_node_poly_primitive_endpoint_value():
     assert abs(up.values[0] - 2.0 / 45.0) < 1e-16
 
 
-@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 7])
 def test_node_poly_primitive_against_monomial_reference(N):
     # reference: lambda_i times the integral of prod_j (x - x_j)
     x = cgl_points(N)
@@ -212,16 +213,24 @@ def test_node_poly_primitive_against_monomial_reference(N):
         assert down.values[0] == 0.0
 
 
-@pytest.mark.parametrize("N", [3, 4, 11, 64])
+@pytest.mark.parametrize("N", list(range(3, 13)) + [63, 64, 65, 256, 1024, 2048, 4096])
 def test_node_poly_primitive_matches_closed_form_bitwise(N):
     # (lambda_i / 2^(N+1)) (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)) with the
-    # weight scale cancelled to +-1/(4N), halved at the endpoints
+    # weight scale cancelled to +-1/(4N), halved at the endpoints.  The
+    # reference evaluates the bracket on the degree-2N grid with one
+    # transform; the closed-form node values agree with it to a few ulps,
+    # bit for bit at N = 3 and 4.
     base = np.zeros(2 * N + 1)
     base[N - 2] = 1.0 / (N - 2)
     base[N] = -2.0 / N
     base[N + 2] = 1.0 / (N + 2)
-    q = _coeff_to_node_values(base)[::2]
-    for i in range(N + 1):
+    q_fine = _coeff_to_node_values(base)[::2]
+    _, q = _node_poly_factors(0, N, _primitive_tables(N)[0])
+    if N in (3, 4):
+        assert _same_bits(q, q_fine)
+    eps = np.finfo(np.float64).eps
+    assert np.abs(q - q_fine).max() <= 4 * eps * np.abs(q_fine).max()
+    for i in range(N + 1) if N <= 64 else (0, 1, N // 2, N - 1, N):
         sign = 1.0 if i % 2 == 0 else -1.0
         halving = 0.5 if i in (0, N) else 1.0
         p = (sign * halving / (4.0 * N)) * q
@@ -242,8 +251,10 @@ def test_primitives_reject_non_integer_indices(primitive):
     assert _same_bits(up.values, ref_up.values) and _same_bits(down.values, ref_down.values)
 
 
-def test_node_poly_primitive_needs_degree_three():
-    with pytest.raises(ValueError):
-        node_poly_primitive(0, 2)
-    with pytest.raises(ValueError):
+def test_node_poly_primitive_needs_degree_one():
+    with pytest.raises(ValueError, match="grid degree must be >= 1"):
+        node_poly_primitive(0, 0)
+    with pytest.raises(ValueError, match="out of range"):
         node_poly_primitive(4, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        node_poly_primitive(-1, 1)

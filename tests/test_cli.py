@@ -335,15 +335,14 @@ def test_verify_below_minimum_degree_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_verify_oracle_check_starts_at_degree_three(capsys):
-    # below n = 3 green_matrix returns the oracle itself, so the check compared it with itself
+def test_verify_oracle_check_starts_at_degree_one(capsys):
+    # every degree runs the assembly, so the exact reference checks it from n = 1
     for n in ("1", "2"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", n, "--check", "oracle"])
-        assert exc.value.code == 2
+        assert main(["verify", "--n", n, "--check", "oracle"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["check"] == "oracle" and row["deviation"] <= row["tolerance"]
         assert main(["verify", "--n", n]) == 0
-        assert "oracle" not in {r["check"] for r in json.loads(capsys.readouterr().out)}
-    assert main(["verify", "--n", "3", "--check", "oracle"]) == 0
+        assert "oracle" in {r["check"] for r in json.loads(capsys.readouterr().out)}
 
 
 def test_verify_unknown_check_is_usage_error():

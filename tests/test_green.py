@@ -1,5 +1,7 @@
 """The kernel, the assembled Green matrix, and the three solve paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from chebgreen import (
     node_poly_primitive,
     solve_bvp,
 )
-from chebgreen.calculus import _antiderivative_raw, _lagrange_primitive_values
+from chebgreen import core
+from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
+                                _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
 from chebgreen.oracle import green_matrix_dense_oracle
 
@@ -77,15 +81,11 @@ def test_green_matrix_interior_diagonal_negative(N):
 
 
 def _green_matrix_per_column(N):
-    """Column-by-column assembly from the 1-d Lagrange primitive, N >= 3."""
+    """Column-by-column assembly from the 1-d Lagrange and node-polynomial primitives."""
     x = cgl_points(N)
     xplus = 0.5 * (x + 1.0)
     xminus = 0.5 * (x - 1.0)
-    base = np.zeros(2 * N + 1)
-    base[N - 2] = 1.0 / (N - 2)
-    base[N] = -2.0 / N
-    base[N + 2] = 1.0 / (N + 2)
-    q = _coeff_to_node_values(base)[::2]
+    _, q = _node_poly_factors(0, N, _primitive_tables(N)[0])
     q_up = q - q[-1]
     q_down = q[0] - q
     G = np.empty((N + 1, N + 1))
@@ -110,7 +110,7 @@ def _green_matrix_per_column(N):
 # N = 63 and 64 put N/2 + 1 half-columns at and one past the assembly block.
 # The reference builds the sine tables afresh in every call; green_matrix
 # builds them once and passes them to each block.
-@pytest.mark.parametrize("N", list(range(3, 13)) + [16, 31, 32, 33, 62, 63, 64, 65, 66,
+@pytest.mark.parametrize("N", list(range(1, 13)) + [16, 31, 32, 33, 62, 63, 64, 65, 66,
                                                      256, 257, 1024, 2048])
 def test_green_matrix_equals_per_column_assembly_bitwise(N):
     G = green_matrix(N).entries
@@ -129,6 +129,36 @@ def test_green_matrix_columns_match_public_primitives(N):
         col = 0.5 * (x + 1.0) * (p_down.values + (x[i] - 1.0) * l_down.values)
         col += 0.5 * (x - 1.0) * (p_up.values + (x[i] + 1.0) * l_up.values)
         assert np.max(np.abs(G[:, i] - col)) <= tol, i
+
+
+def test_green_matrix_mirror_needs_no_half_matrix_temporary():
+    # G itself is one (N+1)^2 array; copying the mirrored half through a
+    # temporary would add half of another
+    N = 1024
+    green_matrix(N)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        green_matrix(N)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * (N + 1) ** 2
+
+
+@pytest.mark.parametrize("N", list(range(1, 13)) + [64, 65])
+def test_green_matrix_runs_no_dct(N, monkeypatch):
+    # the dense path reads sine and cosine tables only; the DCT belongs to
+    # the matrix-free path it is cross-checked against
+    def refuse(v):
+        raise AssertionError("dct1 called")
+
+    monkeypatch.setattr(core, "dct1", refuse)
+    G = green_matrix(N).entries
+    assert np.array_equal(G, G[::-1, ::-1])
+    for i in range(N + 1):
+        node_poly_primitive(i, N)
 
 
 def test_green_matrix_rejects_degree_zero():
