@@ -17,11 +17,9 @@ aliasing its node values are a closed form in the cosines of that table.
 Of the steps only the antidifferentiation is public (:func:`integrate_coeffs`).
 """
 
-import operator
-
 import numpy as np
 
-from .core import NodeVector, CoeffVector, _grid_degree
+from .core import NodeVector, CoeffVector, _basis_index, _grid_degree
 
 __all__ = [
     "integrate_coeffs",
@@ -178,11 +176,7 @@ def lagrange_integrals(i, N):
     tuple of NodeVector
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
-    i = operator.index(i)  # TypeError for a fractional index, which names no basis function
-    if not 0 <= i <= N:
-        raise ValueError(f"basis index {i} out of range for degree {N}")
+    i = _basis_index(i, N)
     up, down = _anchor(_lagrange_primitive_values(i, N))
     return NodeVector(up, N), NodeVector(down, N)
 
@@ -231,11 +225,7 @@ def node_poly_primitive(i, N):
     conventions as :func:`lagrange_integrals`.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
-    i = operator.index(i)
-    if not 0 <= i <= N:
-        raise ValueError(f"node index {i} out of range for degree {N}")
+    i = _basis_index(i, N)
     scale, q = _node_poly_factors(i, N, _primitive_tables(N)[0])
     up, down = _anchor(scale * q)
     return NodeVector(up, N), NodeVector(down, N)

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .core import NodeVector, cgl_points
+from .core import NodeVector, cgl_points, _grid_degree
 from .green import green_matrix
 from .operators import (METHODS, diff2_bc_matrix, green_bc_matrix, solve_bvp,
                         verify_left_inverse, verify_right_inverse, _identity_deviation)
@@ -40,6 +40,15 @@ def _format_rows(M, cell, sep):
     return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows - half])]
 
 
+def _degree(text):
+    """--n as a grid degree, through the library's guard; argparse reports
+    the error as "argument --n: <message>" and exits 2."""
+    try:
+        return _grid_degree(int(text))
+    except ValueError as exc:  # from int() too, for text that is no integer
+        raise argparse.ArgumentTypeError(exc) from None
+
+
 def _write_text(text, path):
     """Write to path, or stdout when path is None.  Returns an exit code."""
     if path is None:
@@ -59,8 +68,6 @@ def _write_text(text, path):
 
 
 def _cmd_green(args, parser):
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     G = green_matrix(args.n).entries
     ordering = "descending"
     if args.ascending:
@@ -105,8 +112,6 @@ def _load_rhs(rhs_name, n, parser):
 
 
 def _cmd_solve(args, parser):
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     if args.method != "dense-green" and args.n < 2:
         parser.error(f"method {args.method} needs --n >= 2")
     try:
@@ -172,8 +177,6 @@ _CHECKS = {
 
 
 def _cmd_verify(args, parser):
-    if args.n < 1:
-        parser.error("--n must be >= 1")
     if args.check == "all":
         names = [name for name, (lo, hi, _, _) in _CHECKS.items()
                  if args.n >= lo and (hi is None or args.n <= hi)]
@@ -211,7 +214,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("green", help="export the Green matrix")
-    p.add_argument("--n", type=int, required=True, help="grid degree")
+    p.add_argument("--n", type=_degree, required=True, help="grid degree")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--ascending", action="store_true",
@@ -219,7 +222,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("solve", help="solve the boundary-value problem")
-    p.add_argument("--n", type=int, required=True, help="grid degree")
+    p.add_argument("--n", type=_degree, required=True, help="grid degree")
     p.add_argument("--rhs", required=True,
                    help=f"one of {', '.join(_RHS)}, or file:<path>")
     p.add_argument("--method", choices=METHODS, default="dense-green")
@@ -227,7 +230,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="run invariant checks")
-    p.add_argument("--n", type=int, required=True, help="grid degree")
+    p.add_argument("--n", type=_degree, required=True, help="grid degree")
     p.add_argument("--check", default="all",
                    choices=tuple(_CHECKS) + ("all",))
     p.set_defaults(func=_cmd_verify)

@@ -58,12 +58,10 @@ class NodeVector:
     def __post_init__(self):
         _freeze(self, "values", ndim=1, finite=True)
         n = self.values.size
-        deg = _grid_degree(self.grid_degree) if self.grid_degree is not None else n - 1
-        if deg < 1 or n != deg + 1:
-            raise ValueError(
-                "node vector needs grid_degree + 1 values on a grid of degree >= 1, "
-                f"got {n} values for degree {deg}"
-            )
+        deg = _grid_degree(n - 1 if self.grid_degree is None else self.grid_degree)
+        if n != deg + 1:
+            raise ValueError(f"node vector needs grid_degree + 1 values, "
+                             f"got {n} values for degree {deg}")
         object.__setattr__(self, "grid_degree", deg)
 
 
@@ -99,18 +97,31 @@ class GreenMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("grid degree must be >= 1")
+        object.__setattr__(self, "degree", _grid_degree(self.degree))
         _freeze(self, "entries", ndim=2, degree=self.degree)
 
 
-def _grid_degree(N):
+def _grid_degree(N, least=1):
     """N as an int; TypeError naming the value when it is not an integer
-    (a float such as 4.0 names no grid, even when it is whole)."""
+    (a float such as 4.0 names no grid, even when it is whole), then
+    ValueError naming both when it is below least, the smallest degree the
+    caller's operator exists at."""
     try:
-        return operator.index(N)
+        N = operator.index(N)
     except TypeError:
         raise TypeError(f"grid degree must be an integer, got {N!r}") from None
+    if N < least:
+        raise ValueError(f"grid degree must be >= {least}, got {N}")
+    return N
+
+
+def _basis_index(i, N):
+    """i as an int in 0..N; TypeError for a fractional index, which names
+    no basis function, ValueError when it is out of range."""
+    i = operator.index(i)
+    if not 0 <= i <= N:
+        raise ValueError(f"basis index {i} out of range for degree {N}")
+    return i
 
 
 def cgl_points(N):
@@ -121,8 +132,6 @@ def cgl_points(N):
     the degree-N grid bit-for-bit at even indices.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1 (a single point cannot carry a grid)")
     m = N // 2
     j = np.arange(m + 1)
     head = np.cos(np.pi * j / N)
@@ -152,8 +161,6 @@ def barycentric_weights_cgl(N):
     where the scale cancels, and take the unscaled signs instead.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
     if N > 1024:
         raise ValueError(f"the CGL weight scale 2^(N-1)/N overflows at degree {N} "
                          "(the largest is 1024); use cgl_points for the points alone")
@@ -225,8 +232,6 @@ def node_to_coeffs(u):
     Exact (to round-off) for node values of any polynomial of degree <= N:
     the returned coefficients reproduce u under :func:`coeffs_to_nodes`.
     """
-    if u.grid_degree < 1:
-        raise ValueError("transform needs a grid of degree >= 1")
     return CoeffVector(_node_to_coeff_values(u.values))
 
 

@@ -58,8 +58,6 @@ def green_matrix(N):
     same assembly.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
 
     x = cgl_points(N)
     xplus = 0.5 * (x + 1.0)
@@ -130,9 +128,7 @@ def apply_green_matrix_free(f):
     function matching the endpoint values so the result vanishes at both
     ends exactly.  Costs O(N log N).
     """
-    N = f.grid_degree
-    if N < 2:
-        raise ValueError("matrix-free application needs grid degree >= 2")
+    N = _grid_degree(f.grid_degree, 2)
     c = _node_to_coeff_values(f.values)
     # N + 3 coefficients hold the degree-(N+2) second primitive
     ext = np.concatenate([c, np.zeros(2)])

@@ -67,8 +67,6 @@ def diff_matrix(N):
     constant-annihilation property in.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
     D, d, _ = _diff_rows(N, N + 1)
     _diagonal(D)[:] = d
     return D
@@ -94,9 +92,7 @@ def diff2_matrix(N):
     & Reddy, ACM TOMS 2000): off the diagonal
     D2_ij = 2 D_ij (D_ii - 1/(x_i - x_j)), on it the negated row sum.
     """
-    N = _grid_degree(N)
-    if N < 2:
-        raise ValueError("second derivative needs grid degree >= 2")
+    N = _grid_degree(N, 2)
     return _diff2_rows(N, N + 1)
 
 
@@ -121,9 +117,7 @@ def solve_stripped(f):
     N belongs to the even system.  A singular factorization propagates as
     ``numpy.linalg.LinAlgError`` (not expected for this operator).
     """
-    N = f.grid_degree
-    if N < 2:
-        raise ValueError("stripped solve needs grid degree >= 2")
+    N = _grid_degree(f.grid_degree, 2)
     h = (N - 1) // 2
     # nodes 1..h, their mirrors N-1..N-h, and the middle node N/2 if N is even
     up, down, mid = slice(1, h + 1), slice(N - 1, N - h - 1, -1), slice(h + 1, N - h)
@@ -151,8 +145,6 @@ def reinterp_matrix(N_from, N_to):
     bit-for-bit.
     """
     N_from, N_to = _grid_degree(N_from), _grid_degree(N_to)
-    if N_from < 1 or N_to < 1:
-        raise ValueError("grid degrees must be >= 1")
     return _barycentric_rows(N_from, cgl_points(N_to))
 
 
@@ -182,9 +174,7 @@ def extension_matrix(N):
     Huybrechs & Vandewalle, Math. Comp. 2014); unlike the product formula
     they neither underflow nor overflow at any degree.
     """
-    N = _grid_degree(N)
-    if N < 2:
-        raise ValueError("extension needs grid degree >= 2")
+    N = _grid_degree(N, 2)
     E = np.zeros((N + 1, N - 1))
     E[1:-1] = np.eye(N - 1)
     E[0], E[-1] = _extension_rows(N)
@@ -211,9 +201,7 @@ def diff2_bc_matrix(N):
     Row 0 is e_0 and row N is e_N (they read off the boundary values); the
     interior rows are those of the full second-derivative matrix.
     """
-    N = _grid_degree(N)
-    if N < 2:
-        raise ValueError("needs grid degree >= 2")
+    N = _grid_degree(N, 2)
     A = diff2_matrix(N)
     A[[0, -1]] = 0.0
     A[0, 0] = 1.0
@@ -232,9 +220,7 @@ def green_bc_matrix(N):
     than as a dense O(N^3) product, and only the two boundary rows of E are
     built.
     """
-    N = _grid_degree(N)
-    if N < 2:
-        raise ValueError("needs grid degree >= 2")
+    N = _grid_degree(N, 2)
     x = cgl_points(N)
     G = green_matrix(N).entries
     e_first, e_last = _extension_rows(N)
@@ -257,9 +243,7 @@ def _identity_deviation(P):
 
 def verify_left_inverse(N):
     """Max-abs deviation of the stripped product G.D2 from the identity."""
-    N = _grid_degree(N)
-    if N < 3:
-        raise ValueError("left-inverse check needs grid degree >= 3")
+    N = _grid_degree(N, 3)
     P = green_matrix(N).entries @ diff2_matrix(N)
     return _identity_deviation(P[1:-1, 1:-1])
 
@@ -273,9 +257,7 @@ def verify_right_inverse(N):
     so each factor is dropped once used and at most three (N+1)^2 arrays
     are alive at a time.
     """
-    N = _grid_degree(N)
-    if N < 4:
-        raise ValueError("right-inverse check needs grid degree >= 4")
+    N = _grid_degree(N, 4)
     M = green_matrix(N).entries @ reinterp_matrix(N - 2, N)
     M = diff2_matrix(N) @ M
     M = reinterp_matrix(N, N - 2) @ M

@@ -8,12 +8,10 @@ as the degree grows, so the oracles refuse degrees where they would stop
 being trustworthy.
 """
 
-import operator
-
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .core import GreenMatrix, cgl_points, _grid_degree
+from .core import GreenMatrix, cgl_points, _basis_index, _grid_degree
 
 __all__ = [
     "barycentric_weights_general",
@@ -47,9 +45,7 @@ def lagrange_monomial_coeffs(i, N):
     N = _grid_degree(N)
     if N > _MAX_MONOMIAL_DEGREE:
         raise ValueError(f"monomial expansion limited to degree {_MAX_MONOMIAL_DEGREE}")
-    i = operator.index(i)  # TypeError for a fractional index, which names no basis function
-    if not 0 <= i <= N:
-        raise ValueError(f"basis index {i} out of range for degree {N}")
+    i = _basis_index(i, N)
     x = cgl_points(N)
     roots = np.delete(x, i)
     numer = P.polyfromroots(roots)
@@ -71,8 +67,6 @@ def green_matrix_dense_oracle(N):
     kernel's boundary values and are written as exact zeros.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
     if N > _MAX_GREEN_DEGREE:
         raise ValueError(f"dense oracle limited to degree {_MAX_GREEN_DEGREE}")
     x = cgl_points(N)

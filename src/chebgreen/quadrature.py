@@ -34,8 +34,6 @@ def cc_weights(M):
     exact for every polynomial of degree <= M.
     """
     M = _grid_degree(M)
-    if M < 1:
-        raise ValueError("grid degree must be >= 1")
     j = np.arange(M + 1)
     t = np.zeros(M + 1)
     t[::2] = 2.0 / (1.0 - j[::2].astype(np.float64) ** 2)  # integral of T_j; odd j vanish
@@ -57,8 +55,6 @@ def consistent_gram_matrix(N):
     O(N^3) per build.
     """
     N = _grid_degree(N)
-    if N < 1:
-        raise ValueError("grid degree must be >= 1")
     w = cc_weights(2 * N)
     X = _barycentric_rows(N, cgl_points(2 * N)[1::2])
     X *= np.sqrt(w[1::2])[:, None]
@@ -83,9 +79,7 @@ def verify_d2_symmetry(N):
     polynomials vanishing at the boundary, returns
     max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|).
     """
-    N = _grid_degree(N)
-    if N < 3:
-        raise ValueError("symmetry check needs grid degree >= 3")
+    N = _grid_degree(N, 3)
     # M = B^T S D2 B, formed as ((D2^T S) B)^T B (S is symmetric) so that
     # each factor is dropped once used and at most three (N+1)^2 arrays are
     # alive at a time

@@ -163,6 +163,26 @@ DEGREE_BUILDERS = {
     "verify_d2_symmetry": chebgreen.verify_d2_symmetry,
 }
 
+# the smallest degree each builder accepts; the last four take the degree
+# from the matrix or node vector they are given
+LEAST_DEGREE = {
+    "cgl_points": 1, "barycentric_weights_cgl": 1, "green_matrix": 1,
+    "green_matrix_dense_oracle": 1, "lagrange_integrals": 1,
+    "lagrange_monomial_coeffs": 1, "node_poly_primitive": 1, "diff_matrix": 1,
+    "diff2_matrix": 2, "reinterp_matrix (from)": 1, "reinterp_matrix (to)": 1,
+    "extension_matrix": 2, "diff2_bc_matrix": 2, "green_bc_matrix": 2,
+    "verify_left_inverse": 3, "verify_right_inverse": 4, "cc_weights": 1,
+    "consistent_gram_matrix": 1, "verify_d2_symmetry": 3,
+    "NodeVector": 1, "GreenMatrix": 1, "solve_stripped": 2, "apply_green_matrix_free": 2,
+}
+RANGE_BUILDERS = DEGREE_BUILDERS | {
+    "NodeVector": lambda N: chebgreen.NodeVector(np.ones(N + 1), N),
+    "GreenMatrix": lambda N: chebgreen.GreenMatrix(N, np.zeros((N + 1, N + 1))),
+    "solve_stripped": lambda N: chebgreen.solve_stripped(chebgreen.NodeVector(np.ones(N + 1))),
+    "apply_green_matrix_free":
+        lambda N: chebgreen.apply_green_matrix_free(chebgreen.NodeVector(np.ones(N + 1))),
+}
+
 
 @pytest.mark.parametrize("name", DEGREE_BUILDERS)
 def test_non_integer_degree_is_a_type_error_naming_it(name):
@@ -189,3 +209,37 @@ def test_node_vector_refuses_a_float_degree():
             chebgreen.NodeVector(values, grid_degree=bad)
     f = chebgreen.NodeVector(values, grid_degree=np.int64(4))
     assert f.grid_degree == 4 and type(f.grid_degree) is int
+
+
+def test_green_matrix_refuses_a_float_degree():
+    entries = np.zeros((5, 5))
+    for bad in (4.0, np.float64(4.0)):
+        with pytest.raises(TypeError, match="grid degree must be an integer"):
+            chebgreen.GreenMatrix(bad, entries)
+    G = chebgreen.GreenMatrix(np.int64(4), entries)
+    assert G.degree == 4 and type(G.degree) is int
+
+
+@pytest.mark.parametrize("name", RANGE_BUILDERS)
+def test_degree_below_the_least_names_the_least_and_the_degree(name):
+    build, least = RANGE_BUILDERS[name], LEAST_DEGREE[name]
+    with pytest.raises(ValueError, match=f"^grid degree must be >= {least}, got {least - 1}$"):
+        build(least - 1)
+    build(least)
+
+
+def test_lagrange_monomial_coeffs_names_a_negative_degree():
+    # the degree is checked before the basis index, so a bad degree is not
+    # reported as an index out of range
+    with pytest.raises(ValueError, match="grid degree must be >= 1, got -3"):
+        chebgreen.lagrange_monomial_coeffs(0, -3)
+
+
+def test_degree_range_checks_live_in_the_core_guard():
+    # every range check on a grid degree goes through core._grid_degree, so
+    # no other module spells out the policy's message
+    for path in MODULES:
+        if path.name != "core.py":
+            text = path.read_text()
+            for phrase in ("needs grid degree", "grid degree must be >="):
+                assert phrase not in text, f"{path.name} checks a degree range: {phrase!r}"

@@ -113,10 +113,18 @@ def test_green_non_finite_matrix_fails_cleanly(fmt, monkeypatch, capsys):
     assert "non-finite" in err
 
 
-def test_green_rejects_degree_zero():
-    with pytest.raises(SystemExit) as exc:
-        main(["green", "--n", "0"])
-    assert exc.value.code == 2
+def test_green_rejects_degree_zero(capsys):
+    # every command parses --n through the library's degree guard: a degree
+    # below 1, or text that is no integer, is a usage error naming --n
+    for argv in (["green"], ["solve", "--rhs", "one"], ["verify"]):
+        for n in ("0", "-1", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--n", n])
+            assert exc.value.code == 2, (argv, n)
+            err = capsys.readouterr().err
+            assert "argument --n: " in err, (argv, n)
+            if n != "1.5":
+                assert f"grid degree must be >= 1, got {n}" in err, (argv, n)
 
 
 def test_green_unwritable_path_fails_cleanly(capsys):
