@@ -5,8 +5,8 @@ integrand has a degree-(N+1) primitive, and the coefficients above N fold
 back onto lower indices: at the degree-N CGL nodes T_{2N-m}(x_j) = T_m(x_j),
 so T_{N+1} and T_{N-1} take the same node values, as do T_{N+2} and T_{N-2}
 (Trefethen, *Approximation Theory and Approximation Practice*, ch. 4).  The
-matrix-free apply in :mod:`.green` pads, antidifferentiates, folds and
-evaluates with one transform at the grid's own length N+1.  The Lagrange
+matrix-free apply in :mod:`.green` pads, antidifferentiates and folds
+between two transforms at the grid's own length N+1.  The Lagrange
 primitives here need no transform per basis function: their coefficients
 are closed-form sines, and a product-to-sum identity turns their node
 values into Toeplitz and Hankel reads of one table of sine sums plus three
@@ -65,7 +65,7 @@ def _antiderivative_raw(c):
     body = out[..., 2:]
     np.subtract(c[..., 1 : n - 2], c[..., 3:], out=body[..., :-1])
     ot[n - 1] = ct[n - 2]
-    body /= 2.0 * np.arange(2, n)
+    body /= np.arange(4.0, 2.0 * n, 2.0)
     return out
 
 

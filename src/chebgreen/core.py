@@ -38,10 +38,16 @@ def _freeze(obj, name, ndim, degree=None, finite=False):
     if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
         want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
         raise ValueError(f"{where} needs {want}, got shape {a.shape}")
-    if finite and not np.isfinite(a).all():
-        raise ValueError(f"{where} must be finite; got NaN or infinite values")
+    if finite:
+        _require_finite(a, where)
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
+
+
+def _require_finite(a, what):
+    """Raise ValueError naming what unless every entry of a is finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite; got NaN or infinite values")
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,9 @@ def dct1(v):
     size; ``oracle.dct1_naive`` is the direct cosine sum it is checked
     against.  Rows of a 2-d input need n >= 4; each row transforms to the
     same bits as that row passed alone.
+
+    NaN and infinity are not checked and pass through: the matrix-free
+    apply calls this on the values of an already checked ``NodeVector``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] < (2 if v.ndim == 1 else 4):

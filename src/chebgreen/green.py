@@ -5,12 +5,15 @@ applied to node values of f it returns node values of the solution of
 y'' = p, y(-1) = y(1) = 0, where p interpolates f.  The matrix inherits the
 structure of the continuous kernel: its first and last rows vanish and it is
 centrosymmetric.  ``apply_green_matrix_free`` produces the same vector in
-O(N log N) without forming the matrix.
+O(N log N) without forming the matrix: two DCTs of length N+1 with the
+antidifferentiation and the boundary conditions in coefficient space
+between them.
 """
 
 import numpy as np
 
-from .core import GreenMatrix, NodeVector, cgl_points, _coeff_to_node_values, _grid_degree, _node_to_coeff_values
+from . import core
+from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _scale_ends
 from .calculus import (_anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                        _primitive_tables)
 
@@ -120,24 +123,30 @@ def green_matrix(N):
 def apply_green_matrix_free(f):
     """Apply the Green matrix to f without forming it.
 
-    Same contract as ``green_matrix(N).entries @ f.values``: interpolate f,
-    antidifferentiate the coefficients twice on a vector with room for both
-    degree raises, fold the two coefficients above N onto T_{N-1} and
-    T_{N-2} (which take the same values at the degree-N nodes), evaluate at
-    the nodes with one length-(N+1) transform, and subtract the linear
-    function matching the endpoint values so the result vanishes at both
-    ends exactly.  Costs O(N log N).
+    Same contract as ``green_matrix(N).entries @ f.values``, in two DCTs of
+    the grid's length N+1 and nothing in node space: transform f into room
+    for both degree raises, antidifferentiate twice, fold the coefficients
+    above N onto T_{N-1} and T_{N-2} (equal to them at the degree-N nodes),
+    and set the integration constants w_0 and w_1 so that the even and the
+    odd coefficients each sum to zero, that is, y(1) = y(-1) = 0; the two
+    end values are then written as exact zeros.  The orthonormal DCT's
+    factors sqrt(2/N) and sqrt(N/2) cancel and are never applied.  Costs
+    O(N log N).
     """
     N = _grid_degree(f.grid_degree, 2)
-    c = _node_to_coeff_values(f.values)
-    # N + 3 coefficients hold the degree-(N+2) second primitive
-    ext = np.concatenate([c, np.zeros(2)])
-    prim2 = _antiderivative_raw(_antiderivative_raw(ext))
-    prim2[N - 1] += prim2[N + 1]
-    prim2[N - 2] += prim2[N + 2]
-    h = _coeff_to_node_values(prim2[: N + 1])
-    x = cgl_points(N)
-    y = h - h[0] * (0.5 * (1.0 + x)) - h[-1] * (0.5 * (1.0 - x))
+    # core.dct1 is looked up per call, where the benchmark tracer
+    # (perfbench/tracer.py) wraps it
+    c = np.zeros(N + 3)
+    c[: N + 1] = core.dct1(f.values)
+    _scale_ends(c[: N + 1], 0.5)
+    w = _antiderivative_raw(_antiderivative_raw(c))
+    w[N - 1] += w[N + 1]
+    w[N - 2] += w[N + 2]
+    w = w[: N + 1]
+    w[0] = -w[2::2].sum()
+    w[1] = -w[3::2].sum()
+    _scale_ends(w, 2.0)
+    y = core.dct1(w)
     y[0] = 0.0
     y[-1] = 0.0
     return NodeVector(y, N)

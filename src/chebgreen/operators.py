@@ -15,7 +15,7 @@ mutual inverses.
 import numpy as np
 
 from . import green
-from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree
+from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_finite
 from .green import green_matrix
 
 __all__ = [
@@ -97,9 +97,10 @@ def diff2_matrix(N):
 
 
 def strip(D2):
-    """Interior block of a square matrix: first/last rows and columns removed."""
+    """Interior block of a finite square matrix: first/last rows and columns removed."""
     if D2.ndim != 2 or D2.shape[0] != D2.shape[1] or D2.shape[0] < 3:
         raise ValueError("stripping needs a square matrix of size >= 3")
+    _require_finite(D2, "the matrix to strip")
     return D2[1:-1, 1:-1].copy()
 
 

@@ -11,7 +11,7 @@ being trustworthy.
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .core import GreenMatrix, cgl_points, _basis_index, _grid_degree
+from .core import GreenMatrix, cgl_points, _basis_index, _grid_degree, _require_finite
 
 __all__ = [
     "barycentric_weights_general",
@@ -26,10 +26,11 @@ _MAX_GREEN_DEGREE = 10
 
 
 def barycentric_weights_general(points):
-    """Barycentric weights of arbitrary distinct points by the defining product."""
+    """Barycentric weights of distinct finite points by the defining product."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least two points")
+    _require_finite(x, "points")
     if x.size > _MAX_GENERAL_POINTS:
         raise ValueError(f"product formula limited to {_MAX_GENERAL_POINTS} points")
     d = x[:, None] - x[None, :]
@@ -83,10 +84,11 @@ def green_matrix_dense_oracle(N):
 
 
 def dct1_naive(v):
-    """Direct O(n^2) cosine-sum DCT-I; the cross-check for the FFT path."""
+    """Direct O(n^2) cosine-sum DCT-I of a finite vector; the cross-check for the FFT path."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a 1-d vector with at least two entries")
+    _require_finite(v, "the vector to transform")
     n = v.size
     w = v.copy()
     w[0] *= 0.5

@@ -13,7 +13,7 @@ the 2N-point Clenshaw-Curtis rule is exact there.
 
 import numpy as np
 
-from .core import cgl_points, _grid_degree, _node_to_coeff_values
+from .core import cgl_points, _grid_degree, _node_to_coeff_values, _require_finite
 # reinterp_matrix is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
 from .operators import diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal
@@ -65,10 +65,12 @@ def consistent_gram_matrix(N):
 
 def consistent_inner_product(p, q, S):
     """q^T S p; the exact integral of p*q when S is the degree-N Gram matrix
-    and both vectors live on the degree-N grid."""
+    and both vectors live on the degree-N grid.  A NaN or infinite entry
+    in S raises ValueError (p and q are checked NodeVectors)."""
     N = p.grid_degree
     if q.grid_degree != N or S.shape != (N + 1, N + 1):
         raise ValueError("inner product needs matching degrees")
+    _require_finite(S, "the Gram matrix S")
     return float(q.values @ (S @ p.values))
 
 

@@ -243,3 +243,31 @@ def test_degree_range_checks_live_in_the_core_guard():
             text = path.read_text()
             for phrase in ("needs grid degree", "grid degree must be >="):
                 assert phrase not in text, f"{path.name} checks a degree range: {phrase!r}"
+
+
+# the public functions that take raw arrays, each with a valid input and a
+# way to put a bad value into it; dct1 is left unchecked on purpose (it runs
+# on the matrix-free hot path, whose input is an already checked NodeVector)
+def _poison(a, bad):
+    a = np.array(a, dtype=np.float64)
+    a.flat[a.size // 2] = bad
+    return a
+
+
+RAW_ARRAY_INPUTS = {
+    "strip": lambda bad: chebgreen.strip(_poison(chebgreen.diff2_matrix(4), bad)),
+    "consistent_inner_product": lambda bad: chebgreen.consistent_inner_product(
+        chebgreen.NodeVector(np.ones(5)), chebgreen.NodeVector(np.ones(5)),
+        _poison(chebgreen.consistent_gram_matrix(4), bad)),
+    "barycentric_weights_general":
+        lambda bad: chebgreen.barycentric_weights_general(_poison(chebgreen.cgl_points(4), bad)),
+    "dct1_naive": lambda bad: chebgreen.dct1_naive(_poison(np.ones(5), bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", RAW_ARRAY_INPUTS)
+def test_raw_array_inputs_refuse_non_finite_values(name, bad):
+    RAW_ARRAY_INPUTS[name](1.0 / 3.0)  # a finite value passes
+    with pytest.raises(ValueError, match="must be finite; got NaN or infinite values"):
+        RAW_ARRAY_INPUTS[name](bad)

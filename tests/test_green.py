@@ -1,9 +1,11 @@
 """The kernel, the assembled Green matrix, and the three solve paths."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chebgreen import (
     METHODS,
@@ -16,7 +18,7 @@ from chebgreen import (
     node_poly_primitive,
     solve_bvp,
 )
-from chebgreen import core
+from chebgreen import core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                                 _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
@@ -209,7 +211,7 @@ def _fine_grid_apply(f):
 def test_apply_fold_matches_fine_grid_reference(N):
     # random forcings cancel in G @ f, so the bound scales with max|f| (the
     # Green matrix has entries of size at most 1/2); measured worst case
-    # 0.8 ulps of max|f| over five forcings per degree
+    # 0.5 ulps of max|f| over five forcings per degree
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(N)
     for f in (rng.standard_normal(N + 1) for _ in range(5)):
@@ -233,6 +235,86 @@ def test_apply_large_degree_closed_form(N, kind):
         u = (line - f) / b**2
     y = apply_green_matrix_free(NodeVector(f)).values
     assert np.abs(y - u).max() <= 1e-13 * np.abs(f).max()
+
+
+def _phi(z):
+    """(e^z - 1 - z) / z^2 without cancellation: its Taylor series
+    sum_k z^k / (k+2)! for |z| < 1, the direct formula elsewhere."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.zeros_like(z)
+    for k in range(20, -1, -1):
+        out = out * z + 1.0 / math.factorial(k + 2)
+    far = np.abs(z) >= 1.0
+    out[far] = (np.exp(z[far]) - 1.0 - z[far]) / z[far] ** 2
+    return out
+
+
+def _closed_form_pair(kind, t, N):
+    """A forcing f on the degree-N grid and the exact solution u of u'' = f,
+    u(+-1) = 0 there.
+
+    f is exp(a x) or sin(b x + 0.3), Re(s e^{zx}) with z = a, s = 1 or
+    z = i b, s = -i e^{0.3 i}; then u = Re(s (x^2 phi(zx) - even - x odd)),
+    with even and odd the halved sum and difference of phi(z) and phi(-z),
+    which takes no difference of nearly equal terms even where z is tiny.
+    The rate is t times a cap that shrinks with N so that the Chebyshev
+    tail of f beyond degree N, about (|z|/2)^(N+1)/(N+1)!, stays below
+    1e-17: the interpolant then is f to round-off, so u is what the
+    matrix-free apply must return.
+    """
+    cap = 2.0 * math.exp((math.log(1e-17) + math.lgamma(N + 2)) / (N + 1))
+    x = cgl_points(N)
+    if kind == "exp":
+        a = t * min(2.5, cap)
+        z, s, f = a, 1.0, np.exp(a * x)
+    else:
+        b = t * min(7.0, cap)
+        z, s, f = 1j * b, -1j * np.exp(0.3j), np.sin(b * x + 0.3)
+    even = 0.5 * (_phi(z) + _phi(-z))
+    odd = 0.5 * (_phi(z) - _phi(-z))
+    u = (s * (x**2 * _phi(z * x) - even - x * odd)).real
+    return f, u
+
+
+# odd, even and prime lengths N + 1 over the whole range, beside the drawn ones
+@example(N=2, kind="exp", t=1.0)
+@example(N=3, kind="sin", t=1.0)
+@example(N=30, kind="sin", t=1.0)
+@example(N=4_096, kind="exp", t=1.0)
+@example(N=65_520, kind="sin", t=1.0)  # N + 1 = 65 521 is prime
+@example(N=99_991, kind="exp", t=1.0)  # N is prime: 2N takes pocketfft's slow path
+@example(N=100_000, kind="sin", t=1.0)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(N=st.integers(2, 100_000), kind=st.sampled_from(["exp", "sin"]),
+       t=st.floats(0.0, 1.0))
+def test_apply_degree_sweep_matches_closed_form(N, kind, t):
+    f, u = _closed_form_pair(kind, t, N)
+    y = apply_green_matrix_free(NodeVector(f)).values
+    assert np.abs(y - u).max() <= 1e-13 * np.abs(f).max()
+    assert y[0] == 0.0 and y[-1] == 0.0
+
+
+def test_apply_runs_two_dcts_and_no_node_space_pass(monkeypatch):
+    # one transform in, one out, both looked up on core where the benchmark
+    # tracer wraps them; no grid points are built for a node-space line
+    calls = {"dct1": 0, "_antiderivative_raw": 0, "cgl_points": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(core, "dct1")
+    count(green, "_antiderivative_raw")
+    count(core, "cgl_points")
+    count(green, "cgl_points")
+    f = NodeVector(np.exp(cgl_points(64)))
+    apply_green_matrix_free(f)
+    assert calls == {"dct1": 2, "_antiderivative_raw": 2, "cgl_points": 0}
 
 
 def test_apply_needs_degree_two():
