@@ -19,7 +19,7 @@ Of the steps only the antidifferentiation is public (:func:`integrate_coeffs`).
 
 import numpy as np
 
-from .core import NodeVector, CoeffVector, _basis_index, _grid_degree
+from .core import NodeVector, CoeffVector, _basis_index, _cgl_weight_signs, _grid_degree, _require_type
 
 __all__ = [
     "integrate_coeffs",
@@ -40,6 +40,7 @@ def integrate_coeffs(uhat):
     nonzero top coefficient the degree-raised primitive would be silently
     truncated.
     """
+    _require_type(uhat, CoeffVector, "integrate_coeffs")
     vals = uhat.values
     if vals.size < 3:
         raise ValueError("integration needs at least three coefficients")
@@ -186,9 +187,9 @@ def _node_poly_factors(i, N, cosines):
 
     Returns ``(scale, q)``: q holds the node values of
     T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2), shared by every index, and
-    scale = +-1/(4N), halved at the endpoints, is the cancelled weight of
-    index i (an array of indices gives an array of scales).  The primitive
-    for index i is scale * q.
+    scale is the unscaled CGL weight of index i (``core._cgl_weight_signs``,
+    +-1 halved at the endpoints) over 4N; an array of indices gives an
+    array of scales.  The primitive for index i is scale * q.
 
     At the nodes T_{N+-2}(x_k) = (-1)^k cos(2k pi/N) and T_N(x_k) = (-1)^k,
     so q_k = (-1)^k [cos(2k pi/N) (1/(N+2) + 1/(N-2)) - 2/N], with
@@ -200,10 +201,7 @@ def _node_poly_factors(i, N, cosines):
     c = 0.0 if N == 2 else 1.0 / (N - 2)
     q = cosines[np.minimum(2 * k, 2 * N - 2 * k)] * (1.0 / (N + 2) + c) - 2.0 / N
     q[1::2] = -q[1::2]
-    i = np.asarray(i)
-    sign = np.where(i % 2 == 0, 1.0, -1.0)
-    halving = np.where((i == 0) | (i == N), 0.5, 1.0)
-    return sign * halving / (4.0 * N), q
+    return _cgl_weight_signs(N)[i] / (4.0 * N), q
 
 
 def node_poly_primitive(i, N):

@@ -15,7 +15,7 @@ from .core import NodeVector, cgl_points, _grid_degree
 from .green import green_matrix
 from .operators import (METHODS, diff2_bc_matrix, green_bc_matrix, solve_bvp,
                         verify_left_inverse, verify_right_inverse, _identity_deviation)
-from .oracle import green_matrix_dense_oracle
+from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
 from .quadrature import cc_weights, verify_d2_symmetry
 
 _EPS = np.finfo(np.float64).eps
@@ -166,7 +166,7 @@ def _tol_bc_inverse(n):
 
 # name -> (min n, max n or None, deviation, recorded tolerance)
 _CHECKS = {
-    "oracle": (1, 10, _dev_oracle, lambda n: 1e-12),
+    "oracle": (1, _MAX_GREEN_DEGREE, _dev_oracle, lambda n: 1e-12),
     "centrosymmetry": (1, None, _dev_centrosymmetry, lambda n: 0.0),
     "cc-weights": (1, None, _dev_cc_weights, lambda n: 1e-13),
     "bc-inverse": (2, None, _dev_bc_inverse, _tol_bc_inverse),

@@ -50,6 +50,13 @@ def _require_finite(a, what):
         raise ValueError(f"{what} must be finite; got NaN or infinite values")
 
 
+def _require_type(v, cls, fn):
+    """Raise TypeError naming the function fn and both types unless v is a
+    cls: a bare array, or the other vector class, carries no grid meaning."""
+    if not isinstance(v, cls):
+        raise TypeError(f"{fn} expects a {cls.__name__}, got {type(v).__name__}")
+
+
 @dataclass(frozen=True)
 class NodeVector:
     """Values of a function at all points of a degree-N CGL grid.
@@ -241,11 +248,13 @@ def node_to_coeffs(u):
     Exact (to round-off) for node values of any polynomial of degree <= N:
     the returned coefficients reproduce u under :func:`coeffs_to_nodes`.
     """
+    _require_type(u, NodeVector, "node_to_coeffs")
     return CoeffVector(_node_to_coeff_values(u.values))
 
 
 def coeffs_to_nodes(uhat):
     """Evaluate sum_j uhat[j] T_j at the CGL grid of degree len(uhat)-1."""
+    _require_type(uhat, CoeffVector, "coeffs_to_nodes")
     vals = uhat.values
     if vals.size < 2:
         raise ValueError("need at least two coefficients (target grid degree >= 1)")

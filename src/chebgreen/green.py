@@ -13,7 +13,7 @@ between them.
 import numpy as np
 
 from . import core
-from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _scale_ends
+from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _require_type, _scale_ends
 from .calculus import (_anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                        _primitive_tables)
 
@@ -133,6 +133,7 @@ def apply_green_matrix_free(f):
     factors sqrt(2/N) and sqrt(N/2) cancel and are never applied.  Costs
     O(N log N).
     """
+    _require_type(f, NodeVector, "apply_green_matrix_free")
     N = _grid_degree(f.grid_degree, 2)
     # core.dct1 is looked up per call, where the benchmark tracer
     # (perfbench/tracer.py) wraps it

@@ -6,16 +6,20 @@ SIAM Review 2004) with the negative-row-sum diagonal.  The second-derivative
 matrix is its square in exact arithmetic, built directly in O(N^2) from the
 same entries (Welfert, SIAM J. Numer. Anal. 1997; Weideman & Reddy, ACM
 TOMS 2000); the stripped solve splits it by parity (Solomonoff, J. Comput.
-Phys. 1992).  The boundary-embedded pair ``diff2_bc_matrix`` /
-``green_bc_matrix`` extends the stripped second derivative and the Green
-matrix with boundary rows/columns so that the two square matrices are
-mutual inverses.
+Phys. 1992).  Every resampling matrix is one barycentric evaluation of an
+interpolant at a set of points: ``reinterp_matrix`` evaluates the grid
+interpolant on another grid, and the extension E is the interpolant
+through the interior nodes evaluated at every node.  The boundary-embedded
+pair ``diff2_bc_matrix`` / ``green_bc_matrix`` extends the stripped second
+derivative and the Green matrix with boundary rows/columns so that the two
+square matrices are mutual inverses.
 """
 
 import numpy as np
 
 from . import green
-from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_finite
+from .core import (NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_finite,
+                   _require_type)
 from .green import green_matrix
 
 __all__ = [
@@ -97,7 +101,8 @@ def diff2_matrix(N):
 
 
 def strip(D2):
-    """Interior block of a finite square matrix: first/last rows and columns removed."""
+    """Interior block of a finite square array-like: first/last rows and columns removed."""
+    D2 = np.asarray(D2)
     if D2.ndim != 2 or D2.shape[0] != D2.shape[1] or D2.shape[0] < 3:
         raise ValueError("stripping needs a square matrix of size >= 3")
     _require_finite(D2, "the matrix to strip")
@@ -118,6 +123,7 @@ def solve_stripped(f):
     N belongs to the even system.  A singular factorization propagates as
     ``numpy.linalg.LinAlgError`` (not expected for this operator).
     """
+    _require_type(f, NodeVector, "solve_stripped")
     N = _grid_degree(f.grid_degree, 2)
     h = (N - 1) // 2
     # nodes 1..h, their mirrors N-1..N-h, and the middle node N/2 if N is even
@@ -146,15 +152,14 @@ def reinterp_matrix(N_from, N_to):
     bit-for-bit.
     """
     N_from, N_to = _grid_degree(N_from), _grid_degree(N_to)
-    return _barycentric_rows(N_from, cgl_points(N_to))
+    return _barycentric_rows(cgl_points(N_from), _cgl_weight_signs(N_from), cgl_points(N_to))
 
 
-def _barycentric_rows(N, y):
-    # evaluation matrix of the degree-N interpolant at the points y, built
-    # in one buffer: the differences, then the weights over them, then the
-    # rows normalised; points on a node get exact unit rows
-    x = cgl_points(N)
-    lam = _cgl_weight_signs(N)
+def _barycentric_rows(x, lam, y):
+    # evaluation matrix at the points y of the interpolant through the nodes
+    # x with barycentric weights lam, built in one buffer: the differences,
+    # then the weights over them, then the rows normalised; points on a node
+    # get exact unit rows
     R = np.subtract.outer(y, x)
     rows, cols = np.nonzero(R == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -165,35 +170,27 @@ def _barycentric_rows(N, y):
     return R
 
 
+def _interior_weights(N):
+    # barycentric weights of the interior CGL points, the zeros of U_{N-1}:
+    # (-1)^(j+1) sin^2(j pi/N), j = 1..N-1, in closed form (Wang, Huybrechs
+    # & Vandewalle, Math. Comp. 2014); unlike the product formula they
+    # neither underflow nor overflow at any degree
+    j = np.arange(1, N)
+    return np.where(j % 2 == 1, 1.0, -1.0) * np.sin(np.pi * j / N) ** 2
+
+
 def extension_matrix(N):
     """(N+1) x (N-1) extension from interior values to all nodes.
 
-    Interior rows pass values through; the two boundary rows evaluate the
-    degree-(N-2) interpolant through the interior nodes at x = 1 and
-    x = -1.  The interior CGL points are the zeros of U_{N-1}, whose
-    barycentric weights have the closed form (-1)^j sin^2(j pi/N) (Wang,
-    Huybrechs & Vandewalle, Math. Comp. 2014); unlike the product formula
-    they neither underflow nor overflow at any degree.
+    E is the degree-(N-2) interpolant through the interior nodes evaluated
+    at every node: its interior rows are exact unit rows, and its two
+    boundary rows extrapolate to x = 1 and x = -1.  The interior weights
+    are in closed form (Wang, Huybrechs & Vandewalle, Math. Comp. 2014),
+    so E is finite at every degree.
     """
     N = _grid_degree(N, 2)
-    E = np.zeros((N + 1, N - 1))
-    E[1:-1] = np.eye(N - 1)
-    E[0], E[-1] = _extension_rows(N)
-    return E
-
-
-def _extension_rows(N):
-    # the two boundary rows of extension_matrix(N): the barycentric
-    # evaluation of the interior interpolant at x = 1 and x = -1
     x = cgl_points(N)
-    t = x[1:-1]
-    j = np.arange(1, N)
-    lam = np.where(j % 2 == 1, 1.0, -1.0) * np.sin(np.pi * j / N) ** 2
-    rows = []
-    for z in (x[0], x[-1]):
-        w = lam / (z - t)
-        rows.append(w / w.sum())
-    return rows
+    return _barycentric_rows(x[1:-1], _interior_weights(N), x)
 
 
 def diff2_bc_matrix(N):
@@ -224,7 +221,7 @@ def green_bc_matrix(N):
     N = _grid_degree(N, 2)
     x = cgl_points(N)
     G = green_matrix(N).entries
-    e_first, e_last = _extension_rows(N)
+    e_first, e_last = _barycentric_rows(x[1:-1], _interior_weights(N), x[[0, -1]])
     B = np.empty((N + 1, N + 1))
     B[:, 0] = 0.5 * (x[0] + x)
     B[:, -1] = -0.5 * (x[-1] + x)
@@ -272,8 +269,7 @@ def solve_bvp(f, method):
     "matrix-free" (transform pipeline), or "linear-system" (solve the
     boundary-stripped collocation system).
     """
-    if not isinstance(f, NodeVector):
-        raise TypeError(f"solve_bvp expects a NodeVector, got {type(f).__name__}")
+    _require_type(f, NodeVector, "solve_bvp")
     if method == "dense-green":
         y = green_matrix(f.grid_degree).entries @ f.values
         return NodeVector(y, f.grid_degree)

@@ -13,7 +13,8 @@ the 2N-point Clenshaw-Curtis rule is exact there.
 
 import numpy as np
 
-from .core import cgl_points, _grid_degree, _node_to_coeff_values, _require_finite
+from .core import (NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _node_to_coeff_values,
+                   _require_finite, _require_type)
 # reinterp_matrix is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
 from .operators import diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal
@@ -56,7 +57,7 @@ def consistent_gram_matrix(N):
     """
     N = _grid_degree(N)
     w = cc_weights(2 * N)
-    X = _barycentric_rows(N, cgl_points(2 * N)[1::2])
+    X = _barycentric_rows(cgl_points(N), _cgl_weight_signs(N), cgl_points(2 * N)[1::2])
     X *= np.sqrt(w[1::2])[:, None]
     S = X.T @ X
     _diagonal(S)[:] += w[::2]
@@ -67,6 +68,8 @@ def consistent_inner_product(p, q, S):
     """q^T S p; the exact integral of p*q when S is the degree-N Gram matrix
     and both vectors live on the degree-N grid.  A NaN or infinite entry
     in S raises ValueError (p and q are checked NodeVectors)."""
+    _require_type(p, NodeVector, "consistent_inner_product")
+    _require_type(q, NodeVector, "consistent_inner_product")
     N = p.grid_degree
     if q.grid_degree != N or S.shape != (N + 1, N + 1):
         raise ValueError("inner product needs matching degrees")

@@ -271,3 +271,40 @@ def test_raw_array_inputs_refuse_non_finite_values(name, bad):
     RAW_ARRAY_INPUTS[name](1.0 / 3.0)  # a finite value passes
     with pytest.raises(ValueError, match="must be finite; got NaN or infinite values"):
         RAW_ARRAY_INPUTS[name](bad)
+
+
+# every public function that takes a NodeVector or a CoeffVector, with the
+# class it expects; the other class has .values too, so it must be refused
+# by type, not by a missing attribute.  The values end in two zeros, so the
+# coefficient functions would accept them as padded coefficients.
+_VALUES = np.array([1.0, 0.5, 0.25, 0.0, 0.0])
+_NODES = chebgreen.NodeVector(_VALUES)
+VECTOR_INPUTS = {
+    "apply_green_matrix_free": (chebgreen.apply_green_matrix_free, chebgreen.NodeVector),
+    "solve_stripped": (chebgreen.solve_stripped, chebgreen.NodeVector),
+    "consistent_inner_product (p)": (lambda v: chebgreen.consistent_inner_product(
+        v, _NODES, chebgreen.consistent_gram_matrix(4)), chebgreen.NodeVector),
+    "consistent_inner_product (q)": (lambda v: chebgreen.consistent_inner_product(
+        _NODES, v, chebgreen.consistent_gram_matrix(4)), chebgreen.NodeVector),
+    "node_to_coeffs": (chebgreen.node_to_coeffs, chebgreen.NodeVector),
+    "coeffs_to_nodes": (chebgreen.coeffs_to_nodes, chebgreen.CoeffVector),
+    "integrate_coeffs": (chebgreen.integrate_coeffs, chebgreen.CoeffVector),
+}
+
+
+@pytest.mark.parametrize("given", ["ndarray", "other vector class"])
+@pytest.mark.parametrize("name", VECTOR_INPUTS)
+def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given):
+    call, expected = VECTOR_INPUTS[name]
+    call(expected(_VALUES))  # the expected class passes
+    other = chebgreen.CoeffVector if expected is chebgreen.NodeVector else chebgreen.NodeVector
+    bad = _VALUES.copy() if given == "ndarray" else other(_VALUES)
+    fn = name.split(" ")[0]
+    with pytest.raises(TypeError,
+                       match=f"^{fn} expects a {expected.__name__}, got {type(bad).__name__}$"):
+        call(bad)
+
+
+def test_strip_takes_any_array_like():
+    D2 = chebgreen.diff2_matrix(4)
+    assert chebgreen.strip(D2.tolist()).tobytes() == chebgreen.strip(D2).tobytes()

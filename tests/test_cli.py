@@ -343,6 +343,21 @@ def test_verify_below_minimum_degree_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", cli._CHECKS)
+def test_check_degree_limits_agree_with_their_deviations(name):
+    # the least n in _CHECKS is the least degree the deviation itself takes,
+    # and a cap is the deviation's own limit
+    lo, hi, deviation, _ = cli._CHECKS[name]
+    assert np.isfinite(deviation(lo))
+    if lo >= 2:
+        with pytest.raises(ValueError):
+            deviation(lo - 1)
+    if hi is not None:
+        assert np.isfinite(deviation(hi))
+        with pytest.raises(ValueError):
+            deviation(hi + 1)
+
+
 def test_verify_oracle_check_starts_at_degree_one(capsys):
     # every degree runs the assembly, so the exact reference checks it from n = 1
     for n in ("1", "2"):

@@ -246,6 +246,32 @@ def test_extension_matches_product_formula(N):
     assert np.max(np.abs(E - _extension_product_formula(N))) <= 1e-12
 
 
+def _extension_closed_form(N):
+    """extension_matrix as an identity interior plus two boundary rows, each
+    the interior weights (-1)^(j+1) sin^2(j pi/N) over the distances to the
+    boundary node, divided by their sum."""
+    x = cgl_points(N)
+    t = x[1:-1]
+    j = np.arange(1, N)
+    lam = np.where(j % 2 == 1, 1.0, -1.0) * np.sin(np.pi * j / N) ** 2
+    E = np.zeros((N + 1, N - 1))
+    E[1:-1] = np.eye(N - 1)
+    for row in (0, N):
+        w = lam / (x[row] - t)
+        E[row] = w / w.sum()
+    return E
+
+
+@pytest.mark.parametrize("N", [*range(2, 32), 864, 2048])
+def test_extension_and_bc_rows_equal_closed_form_bitwise(N):
+    E = _extension_closed_form(N)
+    assert extension_matrix(N).tobytes() == E.tobytes()
+    # the middle block of green_bc_matrix reads the two boundary rows of E
+    G = green_matrix(N).entries
+    mid = G[:, 1:-1] + G[:, :1] * E[0] + G[:, -1:] * E[-1]
+    assert green_bc_matrix(N)[:, 1:-1].tobytes() == mid.tobytes()
+
+
 @pytest.mark.parametrize("N", [864, 1100, 2048])
 def test_extension_stays_finite_at_large_degree(N):
     # the product-formula weights underflowed here
