@@ -40,26 +40,25 @@ __all__ = [
 METHODS = ("dense-green", "matrix-free", "linear-system")
 
 
-def _diagonal(A):
-    # writable view of the main diagonal of a C-contiguous array that has at
-    # least as many columns as rows
-    return A.reshape(-1)[::A.shape[1] + 1]
+def _diagonal(A, start=0):
+    # writable view of the diagonal entries A[i, start + i] of a C-contiguous
+    # array of rows start..start+len(A)-1 of a wider square matrix (start = 0:
+    # the main diagonal of an array with at least as many columns as rows)
+    return A.reshape(-1)[start::A.shape[1] + 1]
 
 
-def _diff_rows(N, stop):
-    # rows 0..stop-1 of the first-derivative matrix with a zero diagonal, its
-    # diagonal (the negated row sums), and the reciprocal node differences
-    # 1/(x_i - x_j) with ones on the diagonal.  The weight ratios are
-    # +-1, +-2 or +-1/2, so scaling the reciprocal by them is exact and equals
-    # dividing the ratio by the difference bit-for-bit.
-    x = cgl_points(N)
-    lam = _cgl_weight_signs(N)
-    inv = np.subtract.outer(x[:stop], x)
-    _diagonal(inv)[:] = 1.0
+def _diff_rows(x, lam, start, stop, out=None):
+    # rows start..stop-1 of the first-derivative matrix with a zero diagonal,
+    # its diagonal (the negated row sums), and the reciprocal node differences
+    # 1/(x_i - x_j) with ones on the diagonal, in out if given.  The weight
+    # ratios are +-1, +-2 or +-1/2, so scaling the reciprocal by them is exact
+    # and equals dividing the ratio by the difference bit-for-bit.
+    inv = np.subtract.outer(x[start:stop], x, out=out)
+    _diagonal(inv, start)[:] = 1.0
     np.reciprocal(inv, out=inv)
     D = inv * lam
-    D /= lam[:stop, None]
-    _diagonal(D)[:] = 0.0
+    D /= lam[start:stop, None]
+    _diagonal(D, start)[:] = 0.0
     return D, -D.sum(axis=1), inv
 
 
@@ -71,20 +70,31 @@ def diff_matrix(N):
     constant-annihilation property in.
     """
     N = _grid_degree(N)
-    D, d, _ = _diff_rows(N, N + 1)
+    D, d, _ = _diff_rows(cgl_points(N), _cgl_weight_signs(N), 0, N + 1)
     _diagonal(D)[:] = d
     return D
 
 
+# rows per panel of the second-derivative build: the panel's two temporaries
+# stay a small fraction of the output, and every entry goes through the same
+# operations as in a one-shot build, so the result is the same bit for bit
+_PANEL = 64
+
+
 def _diff2_rows(N, stop):
-    # rows 0..stop-1 of the second-derivative matrix, in place on the two
-    # arrays of _diff_rows: 2 D_ij (D_ii - 1/(x_i - x_j)) off the diagonal,
-    # the negated row sum on it
-    D, d, D2 = _diff_rows(N, stop)
-    np.subtract(d[:, None], D2, out=D2)
-    D2 *= D
-    D2 *= 2.0  # zero on the diagonal, where D is zero
-    np.negative(D2.sum(axis=1), out=_diagonal(D2))
+    # rows 0..stop-1 of the second-derivative matrix, _PANEL rows at a time in
+    # place on the output rows that _diff_rows fills with the reciprocal
+    # differences: 2 D_ij (D_ii - 1/(x_i - x_j)) off the diagonal, the
+    # negated row sum on it
+    x, lam = cgl_points(N), _cgl_weight_signs(N)
+    D2 = np.empty((stop, N + 1))
+    for start in range(0, stop, _PANEL):
+        end = min(start + _PANEL, stop)
+        D, d, P = _diff_rows(x, lam, start, end, out=D2[start:end])
+        np.subtract(d[:, None], P, out=P)
+        P *= D
+        P *= 2.0  # zero on the diagonal, where D is zero
+        np.negative(P.sum(axis=1), out=_diagonal(P, start))
     return D2
 
 

@@ -71,6 +71,7 @@ def consistent_inner_product(p, q, S):
     _require_type(p, NodeVector, "consistent_inner_product")
     _require_type(q, NodeVector, "consistent_inner_product")
     N = p.grid_degree
+    S = np.asarray(S)
     if q.grid_degree != N or S.shape != (N + 1, N + 1):
         raise ValueError("inner product needs matching degrees")
     _require_finite(S, "the Gram matrix S")
@@ -85,19 +86,26 @@ def verify_d2_symmetry(N):
     max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|).
     """
     N = _grid_degree(N, 3)
-    # M = B^T S D2 B, formed as ((D2^T S) B)^T B (S is symmetric) so that
-    # each factor is dropped once used and at most three (N+1)^2 arrays are
+    # M = B^T D2^T S B, the transpose of B^T S D2 B (S is symmetric), formed
+    # right to left from the Gram matrix: S is dropped before D2 is built and
+    # B is rebuilt for the last product, so at most three (N+1)^2 arrays are
     # alive at a time
-    M = diff2_matrix(N).T @ consistent_gram_matrix(N)
-    x = cgl_points(N)
-    theta = np.arange(N + 1) * (np.pi / N)  # T_m at node j is cos(m j pi / N)
-    B = np.outer(theta, np.arange(N - 1))
-    np.cos(B, out=B)
-    B *= (1.0 - x * x)[:, None]
-    M = M @ B
-    M = M.T @ B
+    M = consistent_gram_matrix(N) @ _boundary_basis(N)
+    M = diff2_matrix(N).T @ M
+    B = _boundary_basis(N)
+    M = B.T @ M
     M = M - M.T
     np.abs(M, out=M)
     norms = np.linalg.norm(B, axis=0)
     M /= np.outer(norms, norms)
     return float(M.max())
+
+
+def _boundary_basis(N):
+    # node values of p_m = (1 - x^2) T_m, m = 0..N-2, one column per m;
+    # T_m at node j is cos(m j pi / N)
+    x = cgl_points(N)
+    B = np.outer(np.arange(N + 1) * (np.pi / N), np.arange(N - 1))
+    np.cos(B, out=B)
+    B *= (1.0 - x * x)[:, None]
+    return B

@@ -22,6 +22,7 @@ from chebgreen import (
     verify_right_inverse,
 )
 from chebgreen.core import _cgl_weight_signs
+from chebgreen.operators import _diff2_rows
 
 
 def test_diff_matrix_degree_one():
@@ -106,6 +107,47 @@ def test_diff2_matrix_matches_square_of_diff_matrix(N):
     assert np.max(np.abs(D2 - D @ D)) <= 1e-11 * np.max(np.abs(D2))
 
 
+def _diff2_rows_one_shot(N, stop):
+    """The second-derivative rows 0..stop-1 built all at once, on two
+    full-height arrays: the reciprocal differences and the first derivative."""
+    x, lam = cgl_points(N), _cgl_weight_signs(N)
+    k = np.arange(stop)
+    inv = np.subtract.outer(x[:stop], x)
+    inv[k, k] = 1.0
+    np.reciprocal(inv, out=inv)
+    D = inv * lam
+    D /= lam[:stop, None]
+    D[k, k] = 0.0
+    d = -D.sum(axis=1)
+    np.subtract(d[:, None], inv, out=inv)
+    inv *= D
+    inv *= 2.0
+    inv[k, k] = -inv.sum(axis=1)
+    return inv
+
+
+# one panel, one panel plus a row, two full panels, and many panels
+@pytest.mark.parametrize("N", [*range(2, 13), 63, 64, 65, 127, 128, 129, 1024, 2048])
+def test_diff2_rows_in_panels_equal_one_shot_build_bitwise(N):
+    # the full rows and the top N//2 + 1 rows of the stripped solve
+    for stop in (N + 1, N // 2 + 1):
+        assert _diff2_rows(N, stop).tobytes() == _diff2_rows_one_shot(N, stop).tobytes()
+
+
+def test_diff2_matrix_peak_memory_stays_near_its_output():
+    # the row panels' temporaries are small next to the (N+1)^2 output
+    N = 1024
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        diff2_matrix(N)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * (N + 1) ** 2
+
+
 @pytest.mark.parametrize("N", _DIRECT_DEGREES)
 def test_parity_split_solve_matches_full_stripped_solve(N):
     x = cgl_points(N)
@@ -127,8 +169,8 @@ def test_solve_stripped_keeps_parity_bitwise(N, shape, sign):
 
 @pytest.mark.parametrize("N", [512, 513])
 def test_solve_stripped_peak_memory_stays_near_one_matrix(N):
-    # the split builds only the top half of the D2 rows; two half-height
-    # arrays during that build are the peak, about one (N+1)^2 matrix
+    # the split builds only the top half of the D2 rows; that half and the
+    # two parity blocks are the peak, about one (N+1)^2 matrix
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
     tracemalloc.start()
     try:

@@ -93,6 +93,8 @@ def test_inner_product_monomial_values():
     assert abs(consistent_inner_product(x2, x2, S) - 2.0 / 5.0) < 1e-15
     x1 = NodeVector(x)
     assert abs(consistent_inner_product(x1, x2, S)) < 1e-15
+    # a nested-list S is taken as an array
+    assert consistent_inner_product(x2, x2, S.tolist()) == consistent_inner_product(x2, x2, S)
 
 
 @pytest.mark.parametrize("N", [1, 3, 8])
@@ -123,6 +125,8 @@ def test_inner_product_rejects_degree_mismatch():
         consistent_inner_product(NodeVector(np.ones(5)), NodeVector(np.ones(6)), S)
     with pytest.raises(ValueError):
         consistent_inner_product(NodeVector(np.ones(6)), NodeVector(np.ones(6)), S)
+    with pytest.raises(ValueError):
+        consistent_inner_product(NodeVector(np.ones(6)), NodeVector(np.ones(6)), S.tolist())
 
 
 # ---------------------------------------------------------------------------
