@@ -185,7 +185,7 @@ def dct1(v):
 
     Parameters
     ----------
-    v : sequence of n >= 2 reals, or a 2-d array of rows of n >= 4 reals
+    v : sequence of n >= 2 reals, or a 2-d array of rows of n >= 2 reals
 
     Returns
     -------
@@ -197,16 +197,16 @@ def dct1(v):
     -----
     Runs as a real FFT of the even extension of v (length 2(n-1)) at every
     size; ``oracle.dct1_naive`` is the direct cosine sum it is checked
-    against.  Rows of a 2-d input need n >= 4; each row transforms to the
-    same bits as that row passed alone.
+    against.  Each row of a 2-d input transforms to the same bits as that
+    row passed alone.
 
     NaN and infinity are not checked and pass through: the matrix-free
     apply calls this on the values of an already checked ``NodeVector``.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[-1] < (2 if v.ndim == 1 else 4):
-        raise ValueError("dct1 needs a 1-d vector with at least two entries "
-                         "or a 2-d array of rows with at least four")
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise ValueError("dct1 needs a 1-d vector or a 2-d array of rows "
+                         "with at least two entries")
     n = v.shape[-1]
     # even extension [v_0 .. v_{n-1}, v_{n-2} .. v_1]: the rfft of it is a
     # pure cosine sum whose first n real parts are the (unnormalized) DCT-I

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import core
 from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _require_type, _scale_ends
-from .calculus import (_anchor, _antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
+from .calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                        _primitive_tables)
 
 __all__ = [
@@ -24,15 +24,15 @@ __all__ = [
 ]
 
 # half-columns per block in green_matrix.  The blocks run no transform, only
-# elementwise passes.  Re-timed over blocks of 32/48/64/128 (median build
-# time over 7 interleaved rounds, two processes, one core of a 2-vCPU Xeon
-# VM): N = 64 0.41-0.44/0.27/0.25-0.29/0.27 ms, N = 256 1.5-1.6/1.2-1.5/
-# 1.9-2.1/1.8-2.0 ms, N = 1024 15.3-17.0/14.0-15.4/13.7-14.8/13.9-15.3 ms,
-# N = 2048 within the spread.  Over the degrees the solve workload builds
-# (64, 256 twice, 1024 per round) a larger block saves about 1 ms of some
-# 35; 32 stays, which keeps the per-layer call counts comparable with
-# earlier traces.  Any block above 32 would also need its own threshold
-# for the one-column-per-call path below.
+# elementwise passes.  Timed over blocks of 32/48/64 on the chord-form
+# assembly (median build time over 7 interleaved rounds, two processes, one
+# core of a 2-vCPU Xeon VM, the one-column path kept at N <= 62):
+# N = 64 0.14/0.10-0.11/0.10 ms, N = 256 0.50-0.51/0.43-0.44/0.42-0.44 ms,
+# N = 1024 5.5/5.4-5.5/5.3-5.4 ms, N = 2048 21.9-22.3/22.2-22.7/24.1-24.5 ms.
+# Over the degrees the solve workload builds (64, 256 twice, 1024 per
+# round) a larger block saves about 0.2 ms; 32 stays, which keeps the
+# per-layer call counts comparable with earlier traces.  Any block above 32
+# would also need its own threshold for the one-column-per-call path below.
 _BLOCK = 32
 
 
@@ -48,12 +48,12 @@ def green_function_eval(x, xi):
 def green_matrix(N):
     """Assemble the discrete Green matrix for the degree-N grid.
 
-    Column i holds node values of the solution of y'' = l_i, y(+-1) = 0,
-    obtained from the anchored primitives of l_i and of the weighted node
-    polynomial:
-
-        G[:, i] = (x+1)/2 * [P_down + (x_i - 1) L_down]
-                + (x-1)/2 * [P_up   + (x_i + 1) L_up]
+    Column i holds node values of the solution of y'' = l_i, y(+-1) = 0.
+    With H_i a primitive of l_i and P_i one of the weighted node polynomial
+    (x - x_i) l_i, the function (x - x_i) H_i - P_i has second derivative
+    l_i; it is the column once the line through its end values is taken
+    off (the chord form).  The integration constants of H_i and P_i only
+    add a line, so neither primitive needs anchoring.
 
     Only the first half of the columns is assembled; the rest are mirror
     images (the matrix is centrosymmetric, and filling by reflection makes
@@ -63,23 +63,25 @@ def green_matrix(N):
     N = _grid_degree(N)
 
     x = cgl_points(N)
-    xplus = 0.5 * (x + 1.0)
-    xminus = 0.5 * (x - 1.0)
+    # the chord's weight on the end value at x = -1: exactly 0 at x = 1 and
+    # 1 at x = -1, so both end rows come out +0.0
+    fall = 0.5 * (1.0 - x)
 
     # primitive of the node polynomial: one closed form in the cosines of
     # the sine tables, shared by all columns and scaled per column by the
-    # cancelled weight
+    # cancelled weight.  It is taken from x = -1: the line removal below
+    # makes any constant exact in theory, but with the bare q the rounding
+    # moves G(3)[1, 1] to -0.24999999999999997 from -0.25
     half = N // 2
     idx = np.arange(half + 1)
     tables = _primitive_tables(N)
     pref, q = _node_poly_factors(idx, N, tables[0])
-    q_up, q_down = _anchor(q)
+    q -= q[-1]
 
     # the primitives come in blocks of half-columns, each block a (columns
     # x N+1) array read from one set of sine and cosine tables built here,
-    # and the block is assembled in place on the two anchored primitives in
-    # the order of the per-column formula above, so a block holds the bits
-    # of the column-by-column loop.  A build whose
+    # and the chord form is applied to the block in place, so a block holds
+    # the bits of the column-by-column loop.  A build whose
     # half-columns fit in one block (N <= 2 * _BLOCK - 2) goes one column per
     # call instead: the benchmark harness's self-check
     # (perfbench/selfcheck.py) counts N/2 + 1 primitive calls for an N = 16
@@ -90,21 +92,12 @@ def green_matrix(N):
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
-        block = _lagrange_primitive_values(idx[cols], N, tables=tables)
-        l_down = block[:, :1] - block
-        block -= block[:, -1:]  # l_up
-        p = pref[cols, None]
-        xi = x[cols, None]
-        l_down *= xi - 1.0
-        l_down += p * q_down
-        l_down *= xplus
-        block *= xi + 1.0
-        block += p * q_up
-        block *= xminus
-        block += l_down
-        block[:, 0] = 0.0
-        block[:, -1] = 0.0
-        G[:, cols] = block.T
+        v = _lagrange_primitive_values(idx[cols], N, tables=tables)
+        v *= x - x[cols, None]
+        v -= pref[cols, None] * q
+        v -= v[:, :1]
+        v -= v[:, -1:] * fall
+        G[:, cols] = v.T
     # the rest are mirror images, G[:, i] = G[::-1, N - i], copied over
     # disjoint row ranges: views with overlapping memory bounds would make
     # numpy copy the source half through a temporary

@@ -128,17 +128,12 @@ def _fine_grid_primitive_values(i, N):
 
 @pytest.mark.parametrize("N", list(range(1, 13)) + [63, 64, 65, 256, 1024, 2048])
 def test_lagrange_primitive_fold_matches_fine_grid_reference(N):
-    # every index, in blocks of 64 (2-d transforms need rows of >= 4 entries,
-    # so N <= 2 goes index by index); measured worst case 4.4 ulps at N = 2048
+    # every index, in blocks of 64; measured worst case 4.4 ulps at N = 2048
     eps = np.finfo(np.float64).eps
     for start in range(0, N + 1, 64):
         idx = np.arange(start, min(start + 64, N + 1))
-        if N < 3:
-            got = np.stack([_lagrange_primitive_values(i, N) for i in idx])
-            ref = np.stack([_fine_grid_primitive_values(i, N) for i in idx])
-        else:
-            got = _lagrange_primitive_values(idx, N)
-            ref = _fine_grid_primitive_values(idx, N)
+        got = _lagrange_primitive_values(idx, N)
+        ref = _fine_grid_primitive_values(idx, N)
         assert np.abs(got - ref).max() <= 8 * eps * np.abs(ref).max(), start
 
 

@@ -83,24 +83,20 @@ def test_green_matrix_interior_diagonal_negative(N):
 
 
 def _green_matrix_per_column(N):
-    """Column-by-column assembly from the 1-d Lagrange and node-polynomial primitives."""
+    """Column-by-column chord-form assembly from the 1-d Lagrange and node-polynomial primitives."""
     x = cgl_points(N)
-    xplus = 0.5 * (x + 1.0)
-    xminus = 0.5 * (x - 1.0)
+    fall = 0.5 * (1.0 - x)
     _, q = _node_poly_factors(0, N, _primitive_tables(N)[0])
-    q_up = q - q[-1]
-    q_down = q[0] - q
+    q = q - q[-1]
     G = np.empty((N + 1, N + 1))
     half = N // 2
     for i in range(half + 1):
         pref = (1.0 if i % 2 == 0 else -1.0) * (0.5 if i == 0 else 1.0) / (4.0 * N)
-        lag = _lagrange_primitive_values(i, N)
-        l_up = lag - lag[-1]
-        l_down = lag[0] - lag
-        col = xplus * (pref * q_down + (x[i] - 1.0) * l_down)
-        col += xminus * (pref * q_up + (x[i] + 1.0) * l_up)
-        col[0] = 0.0
-        col[-1] = 0.0
+        # (x - x_i) H_i - P_i, then minus the line through its end values
+        col = _lagrange_primitive_values(i, N) * (x - x[i])
+        col -= pref * q
+        col -= col[0]
+        col -= col[-1] * fall
         G[:, i] = col
     if N % 2 == 0:
         G[:, half] = 0.5 * (G[:, half] + G[::-1, half])
@@ -131,6 +127,47 @@ def test_green_matrix_columns_match_public_primitives(N):
         col = 0.5 * (x + 1.0) * (p_down.values + (x[i] - 1.0) * l_down.values)
         col += 0.5 * (x - 1.0) * (p_up.values + (x[i] + 1.0) * l_up.values)
         assert np.max(np.abs(G[:, i] - col)) <= tol, i
+
+
+def _green_matrix_longdouble(N):
+    """Green matrix in long double, from Chebyshev coefficients alone.
+
+    l_i has the coefficients (2/N) w_i w_m cos(i m pi/N), w = 1/2 at both
+    ends; the recurrence integrates them twice onto T_0..T_{N+2}, the sum
+    of T_m(x_k) = cos(m k pi/N) evaluates them at the nodes, and the line
+    through the two end values is taken off.  One cosine table serves all.
+    """
+    LD = np.longdouble
+    cosines = np.cos(np.arccos(LD(-1)) * np.arange(2 * N, dtype=LD) / N)
+    m = np.arange(N + 3)
+    k = m[: N + 1]
+    w = np.ones(N + 1, dtype=LD)
+    w[[0, N]] = LD(0.5)
+    c = np.zeros((N + 1, N + 3), dtype=LD)  # row i: l_i
+    c[:, : N + 1] = cosines[np.multiply.outer(k, k) % (2 * N)]
+    c[:, : N + 1] *= (LD(2) / N) * np.multiply.outer(w, w)
+    for _ in range(2):
+        p = np.zeros_like(c)
+        p[:, 1] = c[:, 0] - c[:, 2] / 2
+        p[:, 2:-1] = (c[:, 1:-2] - c[:, 3:]) / (2 * m[2:-1])
+        p[:, -1] = c[:, -2] / (2 * m[-1])
+        c = p
+    y = c @ cosines[np.multiply.outer(m, k) % (2 * N)]  # y[i, k]: column i at node k
+    x = cosines[: N + 1]
+    y -= np.multiply.outer(y[:, 0], (1 + x) / 2) + np.multiply.outer(y[:, -1], (1 - x) / 2)
+    return y.T
+
+
+@pytest.mark.parametrize("N", list(range(2, 13)) + [33, 64, 65, 128, 256])
+def test_green_matrix_matches_extended_precision_reference(N):
+    # measured at most 3.8 eps max|G| up to N = 128 and 5.1 at N = 256; a
+    # (1 + 1e-9) G scale fault fails at every N
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is not an extended type on this platform")
+    G = green_matrix(N).entries
+    ref = _green_matrix_longdouble(N)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(G - ref)) <= 8 * eps * np.max(np.abs(G))
 
 
 def test_green_matrix_mirror_needs_no_half_matrix_temporary():

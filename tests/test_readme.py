@@ -1,0 +1,16 @@
+"""The README's Python examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run_in_order():
+    # the blocks build on each other (the second reuses N, f and G from the
+    # first), so they share one namespace
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    namespace = {"__name__": "readme"}
+    for n, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {n}", "exec"), namespace)
