@@ -24,7 +24,6 @@ from .core import NodeVector, CoeffVector, _basis_index, _cgl_weight_signs, _gri
 __all__ = [
     "integrate_coeffs",
     "lagrange_integrals",
-    "node_poly_primitive",
 ]
 
 
@@ -68,12 +67,6 @@ def _antiderivative_raw(c):
     ot[n - 1] = ct[n - 2]
     body /= np.arange(4.0, 2.0 * n, 2.0)
     return out
-
-
-def _anchor(p):
-    """Anchor a primitive along the last axis: ``(up, down) = (p - p[-1],
-    p[0] - p)``, the integrals from -1 and up to +1 at each node."""
-    return p - p[..., -1:], p[..., :1] - p
 
 
 def _lagrange_primitive_values(i, N, tables=None):
@@ -178,8 +171,8 @@ def lagrange_integrals(i, N):
     """
     N = _grid_degree(N)
     i = _basis_index(i, N)
-    up, down = _anchor(_lagrange_primitive_values(i, N))
-    return NodeVector(up, N), NodeVector(down, N)
+    p = _lagrange_primitive_values(i, N)
+    return NodeVector(p - p[-1], N), NodeVector(p[0] - p, N)
 
 
 def _node_poly_factors(i, N, cosines):
@@ -202,28 +195,3 @@ def _node_poly_factors(i, N, cosines):
     q = cosines[np.minimum(2 * k, 2 * N - 2 * k)] * (1.0 / (N + 2) + c) - 2.0 / N
     q[1::2] = -q[1::2]
     return _cgl_weight_signs(N)[i] / (4.0 * N), q
-
-
-def node_poly_primitive(i, N):
-    """Anchored primitives of the weighted node polynomial at the grid nodes.
-
-    The node polynomial of the degree-N grid is (T_{N+1} - T_{N-1})/2^N; the
-    quantity integrated here is the i-th barycentric weight times it, whose
-    primitive is
-
-        (lambda_i / 2^(N+1)) * (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)),
-
-    with the T_{N-2} term dropped at N = 2, where it is a constant.  The
-    weight magnitude 2^(N-1)/N is cancelled against 2^(N+1) before any
-    floating-point work (2^(N+1) overflows doubles from N = 1023 on),
-    leaving coefficients of size O(1/N^2).  Requires N >= 1, like
-    :func:`lagrange_integrals`.
-
-    Returns ``(up, down)``, two NodeVectors with the same anchoring
-    conventions as :func:`lagrange_integrals`.
-    """
-    N = _grid_degree(N)
-    i = _basis_index(i, N)
-    scale, q = _node_poly_factors(i, N, _primitive_tables(N)[0])
-    up, down = _anchor(scale * q)
-    return NodeVector(up, N), NodeVector(down, N)

@@ -18,7 +18,6 @@ __all__ = [
     "NodeVector",
     "CoeffVector",
     "cgl_points",
-    "barycentric_weights_cgl",
     "dct1",
     "node_to_coeffs",
     "coeffs_to_nodes",
@@ -163,21 +162,6 @@ def _cgl_weight_signs(N):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def barycentric_weights_cgl(N):
-    """Closed-form barycentric weights of the CGL grid.
-
-    w[j] = (-1)^j * 2^(N-1)/N with the two endpoint entries halved.  The
-    common magnitude overflows doubles from N = 1025 on, so larger degrees
-    raise ValueError.  The solvers in this package use weight ratios only,
-    where the scale cancels, and take the unscaled signs instead.
-    """
-    N = _grid_degree(N)
-    if N > 1024:
-        raise ValueError(f"the CGL weight scale 2^(N-1)/N overflows at degree {N} "
-                         "(the largest is 1024); use cgl_points for the points alone")
-    return _cgl_weight_signs(N) * (2.0 ** (N - 1) / N)
 
 
 def dct1(v):

@@ -18,15 +18,13 @@ square matrices are mutual inverses.
 import numpy as np
 
 from . import green
-from .core import (NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_finite,
-                   _require_type)
+from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_type
 from .green import green_matrix
 
 __all__ = [
     "METHODS",
     "diff_matrix",
     "diff2_matrix",
-    "strip",
     "solve_stripped",
     "reinterp_matrix",
     "extension_matrix",
@@ -108,15 +106,6 @@ def diff2_matrix(N):
     """
     N = _grid_degree(N, 2)
     return _diff2_rows(N, N + 1)
-
-
-def strip(D2):
-    """Interior block of a finite square array-like: first/last rows and columns removed."""
-    D2 = np.asarray(D2)
-    if D2.ndim != 2 or D2.shape[0] != D2.shape[1] or D2.shape[0] < 3:
-        raise ValueError("stripping needs a square matrix of size >= 3")
-    _require_finite(D2, "the matrix to strip")
-    return D2[1:-1, 1:-1].copy()
 
 
 def solve_stripped(f):

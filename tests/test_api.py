@@ -13,13 +13,13 @@ import chebgreen
 
 PUBLIC = {
     "CoeffVector", "GreenMatrix", "METHODS", "NodeVector", "__version__",
-    "apply_green_matrix_free", "barycentric_weights_cgl", "barycentric_weights_general",
+    "apply_green_matrix_free", "barycentric_weights_general",
     "cc_weights", "cgl_points", "coeffs_to_nodes", "consistent_gram_matrix",
     "consistent_inner_product", "dct1", "dct1_naive", "diff2_bc_matrix", "diff2_matrix",
     "diff_matrix", "extension_matrix", "green_bc_matrix", "green_function_eval",
     "green_matrix", "green_matrix_dense_oracle", "integrate_coeffs", "lagrange_integrals",
-    "lagrange_monomial_coeffs", "node_poly_primitive", "node_to_coeffs", "reinterp_matrix",
-    "solve_bvp", "solve_stripped", "strip", "verify_d2_symmetry",
+    "lagrange_monomial_coeffs", "node_to_coeffs", "reinterp_matrix",
+    "solve_bvp", "solve_stripped", "verify_d2_symmetry",
     "verify_left_inverse", "verify_right_inverse",
 }
 
@@ -143,12 +143,10 @@ def test_solve_bvp_calls_each_method_through_its_patchable_attribute(method, mon
 # every public builder that takes a grid degree, with its other arguments
 DEGREE_BUILDERS = {
     "cgl_points": chebgreen.cgl_points,
-    "barycentric_weights_cgl": chebgreen.barycentric_weights_cgl,
     "green_matrix": chebgreen.green_matrix,
     "green_matrix_dense_oracle": chebgreen.green_matrix_dense_oracle,
     "lagrange_integrals": lambda N: chebgreen.lagrange_integrals(0, N),
     "lagrange_monomial_coeffs": lambda N: chebgreen.lagrange_monomial_coeffs(0, N),
-    "node_poly_primitive": lambda N: chebgreen.node_poly_primitive(0, N),
     "diff_matrix": chebgreen.diff_matrix,
     "diff2_matrix": chebgreen.diff2_matrix,
     "reinterp_matrix (from)": lambda N: chebgreen.reinterp_matrix(N, 4),
@@ -166,9 +164,9 @@ DEGREE_BUILDERS = {
 # the smallest degree each builder accepts; the last four take the degree
 # from the matrix or node vector they are given
 LEAST_DEGREE = {
-    "cgl_points": 1, "barycentric_weights_cgl": 1, "green_matrix": 1,
+    "cgl_points": 1, "green_matrix": 1,
     "green_matrix_dense_oracle": 1, "lagrange_integrals": 1,
-    "lagrange_monomial_coeffs": 1, "node_poly_primitive": 1, "diff_matrix": 1,
+    "lagrange_monomial_coeffs": 1, "diff_matrix": 1,
     "diff2_matrix": 2, "reinterp_matrix (from)": 1, "reinterp_matrix (to)": 1,
     "extension_matrix": 2, "diff2_bc_matrix": 2, "green_bc_matrix": 2,
     "verify_left_inverse": 3, "verify_right_inverse": 4, "cc_weights": 1,
@@ -255,7 +253,6 @@ def _poison(a, bad):
 
 
 RAW_ARRAY_INPUTS = {
-    "strip": lambda bad: chebgreen.strip(_poison(chebgreen.diff2_matrix(4), bad)),
     "consistent_inner_product": lambda bad: chebgreen.consistent_inner_product(
         chebgreen.NodeVector(np.ones(5)), chebgreen.NodeVector(np.ones(5)),
         _poison(chebgreen.consistent_gram_matrix(4), bad)),
@@ -303,8 +300,3 @@ def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given
     with pytest.raises(TypeError,
                        match=f"^{fn} expects a {expected.__name__}, got {type(bad).__name__}$"):
         call(bad)
-
-
-def test_strip_takes_any_array_like():
-    D2 = chebgreen.diff2_matrix(4)
-    assert chebgreen.strip(D2.tolist()).tobytes() == chebgreen.strip(D2).tobytes()

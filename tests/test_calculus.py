@@ -11,11 +11,11 @@ from chebgreen import (
     cgl_points,
     integrate_coeffs,
     lagrange_integrals,
-    node_poly_primitive,
 )
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                                 _primitive_tables)
-from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, barycentric_weights_cgl
+from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values
+from chebgreen.oracle import barycentric_weights_general
 
 
 def _same_bits(a, b):
@@ -187,34 +187,38 @@ def test_lagrange_integrals_rejects_bad_indices():
 # node-polynomial primitives
 
 
+def _node_poly_up(i, N):
+    # the node-polynomial primitive taken from x = -1, as green_matrix
+    # subtracts it from column i
+    scale, q = _node_poly_factors(i, N, _primitive_tables(N)[0])
+    return scale * (q - q[-1])
+
+
 def test_node_poly_primitive_endpoint_value():
-    up, _ = node_poly_primitive(0, 3)
-    assert abs(up.values[0] - 2.0 / 45.0) < 1e-16
+    assert abs(_node_poly_up(0, 3)[0] - 2.0 / 45.0) < 1e-16
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 7])
 def test_node_poly_primitive_against_monomial_reference(N):
-    # reference: lambda_i times the integral of prod_j (x - x_j)
+    # reference: lambda_i times the integral of prod_j (x - x_j), with the
+    # weights by the defining product, scale and all
     x = cgl_points(N)
-    lam = barycentric_weights_cgl(N)
+    lam = barycentric_weights_general(x)
     omega = nppoly.polyfromroots(x)
     prim = nppoly.polyint(omega)
     for i in range(N + 1):
         up_ref = lam[i] * (nppoly.polyval(x, prim) - nppoly.polyval(-1.0, prim))
-        up, down = node_poly_primitive(i, N)
-        np.testing.assert_allclose(up.values, up_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13)
-        assert up.values[-1] == 0.0
-        assert down.values[0] == 0.0
+        up = _node_poly_up(i, N)
+        np.testing.assert_allclose(up, up_ref, rtol=0, atol=1e-13)
+        assert up[-1] == 0.0
 
 
 @pytest.mark.parametrize("N", list(range(3, 13)) + [63, 64, 65, 256, 1024, 2048, 4096])
 def test_node_poly_primitive_matches_closed_form_bitwise(N):
-    # (lambda_i / 2^(N+1)) (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)) with the
-    # weight scale cancelled to +-1/(4N), halved at the endpoints.  The
-    # reference evaluates the bracket on the degree-2N grid with one
-    # transform; the closed-form node values agree with it to a few ulps,
-    # bit for bit at N = 3 and 4.
+    # q holds the node values of T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2).
+    # The reference evaluates it on the degree-2N grid with one transform;
+    # the closed-form node values agree with it to a few ulps, bit for bit
+    # at N = 3 and 4.
     base = np.zeros(2 * N + 1)
     base[N - 2] = 1.0 / (N - 2)
     base[N] = -2.0 / N
@@ -225,16 +229,9 @@ def test_node_poly_primitive_matches_closed_form_bitwise(N):
         assert _same_bits(q, q_fine)
     eps = np.finfo(np.float64).eps
     assert np.abs(q - q_fine).max() <= 4 * eps * np.abs(q_fine).max()
-    for i in range(N + 1) if N <= 64 else (0, 1, N // 2, N - 1, N):
-        sign = 1.0 if i % 2 == 0 else -1.0
-        halving = 0.5 if i in (0, N) else 1.0
-        p = (sign * halving / (4.0 * N)) * q
-        up, down = node_poly_primitive(i, N)
-        assert _same_bits(up.values, p - p[-1])
-        assert _same_bits(down.values, p[0] - p)
 
 
-@pytest.mark.parametrize("primitive", [lagrange_integrals, node_poly_primitive])
+@pytest.mark.parametrize("primitive", [lagrange_integrals])
 def test_primitives_reject_non_integer_indices(primitive):
     # a fractional index names no basis function; an integral float is
     # refused too rather than silently truncated
@@ -244,12 +241,3 @@ def test_primitives_reject_non_integer_indices(primitive):
     up, down = primitive(np.int64(2), 4)
     ref_up, ref_down = primitive(2, 4)
     assert _same_bits(up.values, ref_up.values) and _same_bits(down.values, ref_down.values)
-
-
-def test_node_poly_primitive_needs_degree_one():
-    with pytest.raises(ValueError, match="grid degree must be >= 1"):
-        node_poly_primitive(0, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        node_poly_primitive(4, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        node_poly_primitive(-1, 1)

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chebgreen import (METHODS, NodeVector, cgl_points, diff2_bc_matrix, green_bc_matrix,
-                       green_matrix, solve_bvp)
-from chebgreen import cli
+from chebgreen import (METHODS, GreenMatrix, NodeVector, cgl_points, diff2_bc_matrix,
+                       green_bc_matrix, green_matrix, solve_bvp)
+from chebgreen import cli, operators
 from chebgreen.cli import _format_rows, main
 
 
@@ -214,7 +214,8 @@ def test_solve_output_is_byte_identical_to_reference(n, method, capsys):
 
 
 def test_solve_above_the_weight_overflow_degree(capsys):
-    # barycentric_weights_cgl raises from n = 1025 on; the solve only needs the points
+    # the CGL weights' common scale 2^(N-1)/N overflows doubles from n = 1025
+    # on; the solvers use the weights' signs alone, where the scale cancels
     assert main(["solve", "--n", "1100", "--rhs", "exp"]) == 0
     y = np.array([float(v) for v in capsys.readouterr().out.split()])
     x = cgl_points(1100)
@@ -292,6 +293,49 @@ def test_verify_writes_non_finite_deviation_as_null_and_fails(bad, monkeypatch, 
     assert rows["left-inverse"]["deviation"] is None
     assert all(r["deviation"] <= r["tolerance"]
                for name, r in rows.items() if name != "left-inverse")
+
+
+def _scale_fault(G):
+    return G * (1.0 + 1e-9)
+
+
+def _entry_fault(G):
+    # a centrosymmetric pair, so the exact centrosymmetry check stays blind
+    n = len(G) - 1
+    k, i = n // 3, n // 4
+    G = G.copy()
+    G[[k, n - k], [i, n - i]] += 1e-9 * np.abs(G).max()
+    return G
+
+
+# the checks each fault fails; with no failed check verify exits 0.  Above
+# n = 10 no check sees a uniform relative error in G this small: the
+# inverse tolerances grow like n^3 eps and the oracle stops at n = 10
+FAULT_TABLE = {
+    (_scale_fault, 8): {"bc-inverse", "left-inverse", "oracle", "right-inverse"},
+    (_scale_fault, 64): set(),
+    (_scale_fault, 256): set(),
+    (_entry_fault, 8): {"bc-inverse", "left-inverse", "oracle", "right-inverse"},
+    (_entry_fault, 64): {"bc-inverse", "left-inverse", "right-inverse"},
+    (_entry_fault, 256): {"left-inverse", "right-inverse"},
+}
+
+
+@pytest.mark.parametrize("fault, n", FAULT_TABLE, ids=lambda v: getattr(v, "__name__", v))
+def test_verify_fails_exactly_the_tabulated_checks_on_a_faulty_green_matrix(
+        fault, n, monkeypatch, capsys):
+    def faulty(N):
+        return GreenMatrix(N, fault(green_matrix(N).entries))
+
+    # the CLI's own checks and the operators behind the inverse checks
+    monkeypatch.setattr(cli, "green_matrix", faulty)
+    monkeypatch.setattr(operators, "green_matrix", faulty)
+    code = main(["verify", "--n", str(n)])
+    rows = _strict_json(capsys.readouterr().out)
+    failed = {r["check"] for r in rows
+              if r["deviation"] is None or r["deviation"] > r["tolerance"]}
+    assert failed == FAULT_TABLE[fault, n]
+    assert code == (1 if failed else 0)
 
 
 VERIFY_SWEEP = (list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 255, 256, 257]

@@ -7,14 +7,13 @@ from numpy.polynomial import chebyshev as npcheb
 from chebgreen import (
     CoeffVector,
     NodeVector,
-    barycentric_weights_cgl,
     cgl_points,
     coeffs_to_nodes,
     dct1,
     node_to_coeffs,
 )
-from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values
-from chebgreen.oracle import dct1_naive
+from chebgreen.core import _cgl_weight_signs, _coeff_to_node_values, _node_to_coeff_values
+from chebgreen.oracle import barycentric_weights_general, dct1_naive
 
 
 def _same_bits(a, b):
@@ -60,32 +59,29 @@ def test_cgl_points_rejects_degree_zero():
 
 
 def test_barycentric_weights_closed_form():
-    np.testing.assert_array_equal(barycentric_weights_cgl(4), [1.0, -2.0, 2.0, -2.0, 1.0])
-    np.testing.assert_array_equal(barycentric_weights_cgl(2), [0.5, -1.0, 0.5])
-    np.testing.assert_array_equal(barycentric_weights_cgl(1), [0.5, -0.5])
+    np.testing.assert_array_equal(_cgl_weight_signs(4), [0.5, -1.0, 1.0, -1.0, 0.5])
+    np.testing.assert_array_equal(_cgl_weight_signs(2), [0.5, -1.0, 0.5])
+    np.testing.assert_array_equal(_cgl_weight_signs(1), [0.5, -0.5])
 
 
 @pytest.mark.parametrize("N", [3, 6, 11, 64])
 def test_barycentric_weights_pattern(N):
-    w = barycentric_weights_cgl(N)
-    scale = 2.0 ** (N - 1) / N
-    signs = (-1.0) ** np.arange(N + 1)
-    expect = scale * signs
+    expect = (-1.0) ** np.arange(N + 1)
     expect[0] *= 0.5
     expect[-1] *= 0.5
-    np.testing.assert_array_equal(w, expect)
+    np.testing.assert_array_equal(_cgl_weight_signs(N), expect)
+
+
+def test_barycentric_weights_match_the_defining_product():
+    # the defining product carries the common scale 2^(N-1)/N, which cancels
+    # wherever the weights enter as ratios; it takes at most 40 points
+    for N in range(1, 40):
+        ref = barycentric_weights_general(cgl_points(N)) * (N / 2.0 ** (N - 1))
+        np.testing.assert_allclose(_cgl_weight_signs(N), ref, rtol=1e-13, atol=0, err_msg=f"N={N}")
 
 
 def test_weights_and_grid_are_finite_up_to_degree_1024():
-    w = barycentric_weights_cgl(1024)
-    assert np.isfinite(w).all() and np.isfinite(cgl_points(1024)).all()
-    assert w[1] == -(2.0**1023) / 1024
-
-
-@pytest.mark.parametrize("N", [1025, 1100, 4096])
-def test_weights_and_grid_raise_where_the_scale_overflows(N):
-    with pytest.raises(ValueError, match="overflows"):
-        barycentric_weights_cgl(N)
+    assert np.isfinite(_cgl_weight_signs(1024)).all() and np.isfinite(cgl_points(1024)).all()
 
 
 # ---------------------------------------------------------------------------
