@@ -14,7 +14,7 @@ import numpy as np
 from .core import NodeVector, cgl_points, _grid_degree
 from .green import green_matrix
 from .operators import (METHODS, diff2_bc_matrix, green_bc_matrix, solve_bvp,
-                        verify_left_inverse, verify_right_inverse, _identity_deviation)
+                        verify_left_inverse, verify_right_inverse, _identity_deviation, _PANEL)
 from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
 from .quadrature import cc_weights, verify_d2_symmetry
 
@@ -134,20 +134,19 @@ def _dev_oracle(n):
 
 
 def _dev_centrosymmetry(n):
+    # in row panels, each against its mirror rows, so no (n+1)^2 temporary
     G = green_matrix(n).entries
-    D = G - G[::-1, ::-1]
-    return float(np.abs(D, out=D).max())
+    return max(float(np.abs(G[i:i + _PANEL] - G[::-1, ::-1][i:i + _PANEL]).max())
+               for i in range(0, n + 1, _PANEL))
 
 
 def _dev_bc_inverse(n):
-    # B before A: green_bc_matrix holds G, B and a temporary at its peak, so
-    # building it first keeps at most three (n+1)^2 arrays alive; both
-    # products go through one buffer
+    # B before A: green_bc_matrix holds G and B at its peak, so building it
+    # first keeps at most two (n+1)^2 arrays alive; neither product is
+    # formed whole, each is checked a row panel at a time
     B = green_bc_matrix(n)
     A = diff2_bc_matrix(n)
-    P = A @ B
-    dev = _identity_deviation(P)
-    return max(dev, _identity_deviation(np.matmul(B, A, out=P)))
+    return max(_identity_deviation(A, B), _identity_deviation(B, A))
 
 
 def _dev_cc_weights(n):

@@ -17,7 +17,8 @@ from .core import (NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _nod
                    _require_finite, _require_type)
 # reinterp_matrix is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
-from .operators import diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal
+from .operators import (diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal,
+                        _multiply_into, _PANEL)
 
 __all__ = [
     "cc_weights",
@@ -83,29 +84,34 @@ def verify_d2_symmetry(N):
 
     Over the basis p_m = (1 - x^2) T_m, m = 0..N-2, of degree <= N
     polynomials vanishing at the boundary, returns
-    max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|).
+    max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|), forming its products in
+    row panels so that at most two (N+1)^2 arrays are alive at a time.
     """
     N = _grid_degree(N, 3)
-    # M = B^T D2^T S B, the transpose of B^T S D2 B (S is symmetric), formed
-    # right to left from the Gram matrix: S is dropped before D2 is built and
-    # B is rebuilt for the last product, so at most three (N+1)^2 arrays are
-    # alive at a time
-    M = consistent_gram_matrix(N) @ _boundary_basis(N)
-    M = diff2_matrix(N).T @ M
-    B = _boundary_basis(N)
-    M = B.T @ M
-    M = M - M.T
-    np.abs(M, out=M)
-    norms = np.linalg.norm(B, axis=0)
-    M /= np.outer(norms, norms)
-    return float(M.max())
+    # M = B^T S D2 B, the transpose of B^T D2^T S B (S is symmetric), formed
+    # left to right over the array that starts as B^T: S is dropped before
+    # D2 is built and B^T is rebuilt for the last product
+    S = consistent_gram_matrix(N)
+    Bt = _boundary_basis(N)
+    norms = np.sqrt(np.einsum("ij,ij->i", Bt, Bt))
+    M = _multiply_into(Bt, S)
+    del S
+    M = _multiply_into(M, diff2_matrix(N))
+    M = _multiply_into(M, _boundary_basis(N).T)
+    # the antisymmetric part in row panels, each against its mirror columns
+    dev = 0.0
+    for i in range(0, N - 1, _PANEL):
+        A = M[i:i + _PANEL] - M[:, i:i + _PANEL].T
+        A /= np.multiply.outer(norms[i:i + _PANEL], norms)
+        dev = max(dev, float(np.abs(A, out=A).max()))
+    return dev
 
 
 def _boundary_basis(N):
-    # node values of p_m = (1 - x^2) T_m, m = 0..N-2, one column per m;
+    # node values of p_m = (1 - x^2) T_m, m = 0..N-2, one row per m;
     # T_m at node j is cos(m j pi / N)
     x = cgl_points(N)
-    B = np.outer(np.arange(N + 1) * (np.pi / N), np.arange(N - 1))
+    B = np.outer(np.arange(N - 1), np.arange(N + 1) * (np.pi / N))
     np.cos(B, out=B)
-    B *= (1.0 - x * x)[:, None]
+    B *= 1.0 - x * x
     return B

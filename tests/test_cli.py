@@ -351,8 +351,16 @@ def test_verify_all_checks_hold_across_degrees(n, capsys):
         assert np.isfinite(r["deviation"]) and r["deviation"] <= r["tolerance"], r
 
 
+# the degrees where a panel of the verify checks' products ends: their row
+# count (n + 1, or n - 1 in the right-inverse chain) one below, at and one
+# past a multiple of the panel height (a quarter of the rows, rounded up to
+# a multiple of 24), and not near one; n = 62-64 do the same for the 64-row
+# panels of green_bc_matrix
+PANEL_EDGE_DEGREES = [22, 23, 24, 25, 26, 62, 63, 64, 95, 96, 97, 98, 99, 190, 191, 300, 1024]
+
+
 # at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does
-@pytest.mark.parametrize("n", [3, 64, 257, 512])
+@pytest.mark.parametrize("n", sorted({3, 64, 257, 512, *PANEL_EDGE_DEGREES}))
 def test_in_place_deviations_equal_direct_formulas_bitwise(n):
     G = green_matrix(n).entries
     assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
@@ -361,6 +369,27 @@ def test_in_place_deviations_equal_direct_formulas_bitwise(n):
     eye = np.eye(n + 1)
     assert cli._dev_bc_inverse(n) == max(float(np.max(np.abs(A @ B - eye))),
                                          float(np.max(np.abs(B @ A - eye))))
+
+
+@pytest.mark.parametrize("n", PANEL_EDGE_DEGREES)
+def test_panel_products_equal_direct_formulas_bitwise(n):
+    # each panel's product has the bits of the same rows of the whole
+    # product, so the inverse checks equal their formulas with one-shot
+    # products, in numpy's left-to-right order
+    G = green_matrix(n).entries
+    D2 = operators.diff2_matrix(n)
+    left = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - np.eye(n - 1))))
+    assert operators.verify_left_inverse(n) == left
+    P = operators.reinterp_matrix(n, n - 2) @ D2 @ G @ operators.reinterp_matrix(n - 2, n)
+    assert operators.verify_right_inverse(n) == float(np.max(np.abs(P - np.eye(n - 1))))
+    # green_bc_matrix adds its rank-1 terms in row panels
+    x = cgl_points(n)
+    E = operators.extension_matrix(n)
+    B = np.empty((n + 1, n + 1))
+    B[:, 0] = 0.5 * (x[0] + x)
+    B[:, -1] = -0.5 * (x[-1] + x)
+    B[:, 1:-1] = G[:, :1] * E[0] + G[:, 1:-1] + G[:, -1:] * E[-1]
+    assert green_bc_matrix(n).tobytes() == B.tobytes()
 
 
 # every check that runs at n = 256 (oracle stops at n = 10)
@@ -379,6 +408,27 @@ def test_verify_check_working_set_stays_within_four_matrices(name):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * (n + 1) ** 2
+
+
+# two (n+1)^2 arrays and a panel a quarter of the rows high at n = 1024.  At
+# n = 256 one such array is 0.5 MiB, and the builders' own fixed-size
+# temporaries take a larger share of it while another array is alive:
+# numpy's 64 KiB ufunc buffers, the 64-row panels of D2 and the column
+# blocks of green_matrix, which right-inverse builds after R_down.D2
+@pytest.mark.parametrize("n,arrays", [(256, 2.75), (1024, 2.3)])
+@pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
+                                  if hi is None or hi >= 256])
+def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name, n, arrays):
+    deviation = cli._CHECKS[name][2]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        deviation(n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * (n + 1) ** 2
 
 
 def test_verify_below_minimum_degree_is_usage_error():
