@@ -235,9 +235,12 @@ def green_bc_matrix(N):
 
 
 # rows per panel of the verify checks' products: a quarter of A's rows,
-# rounded up to a multiple of 24 so that each panel's product has the bits
-# of the same rows of the one-shot product (OpenBLAS runs its kernel on
-# blocks of 12 rows, 24 on Haswell).  Each panel re-packs B, so few tall
+# rounded up to a multiple of 24 so that, with one BLAS thread, each panel's
+# product has the bits of the same rows of the one-shot product (OpenBLAS
+# runs its kernel on blocks of 12 rows, 24 on Haswell).  With more threads
+# OpenBLAS splits each product's rows among them by its height, so a
+# panel's rows can round differently and a deviation move by rounding.
+# Each panel re-packs B, so few tall
 # panels are fastest: `verify --check all` in process, median ms over
 # interleaved runs on one core of a 2-vCPU Xeon VM, one panel / a quarter /
 # an eighth / 96 rows / 48 rows: n = 512 85/84/93/88/106, n = 1024

@@ -1,14 +1,17 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chebgreen import (METHODS, GreenMatrix, NodeVector, cgl_points, diff2_bc_matrix,
-                       green_bc_matrix, green_matrix, solve_bvp)
+from chebgreen import (METHODS, GreenMatrix, NodeVector, cgl_points, green_bc_matrix,
+                       green_matrix, solve_bvp)
 from chebgreen import cli, operators
 from chebgreen.cli import _format_rows, main
 
@@ -357,31 +360,63 @@ def test_verify_all_checks_hold_across_degrees(n, capsys):
 # a multiple of 24), and not near one; n = 62-64 do the same for the 64-row
 # panels of green_bc_matrix
 PANEL_EDGE_DEGREES = [22, 23, 24, 25, 26, 62, 63, 64, 95, 96, 97, 98, 99, 190, 191, 300, 1024]
+IN_PLACE_DEGREES = sorted({3, 64, 257, 512, *PANEL_EDGE_DEGREES})
+
+# Each inverse check next to its formula with one-shot products, in numpy's
+# left-to-right order, per degree.  OpenBLAS splits a product's rows among
+# its threads by the product's height, so with more than one thread a row
+# panel can round differently from the same rows of the whole product; the
+# panels keep the one-shot bits on one thread, so the pairs come from a
+# child process started with one BLAS thread.
+_ONE_THREAD_PAIRS = """
+import json, sys
+import numpy as np
+from chebgreen import cli, diff2_bc_matrix, green_bc_matrix, green_matrix, operators
+
+pairs = {}
+for n in json.loads(sys.argv[1]):
+    A, B, eye = diff2_bc_matrix(n), green_bc_matrix(n), np.eye(n + 1)
+    pairs[n] = {"bc-inverse": [cli._dev_bc_inverse(n),
+                               max(float(np.max(np.abs(A @ B - eye))),
+                                   float(np.max(np.abs(B @ A - eye))))]}
+    if n >= 4:
+        G, D2, eye = green_matrix(n).entries, operators.diff2_matrix(n), np.eye(n - 1)
+        left = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - eye)))
+        P = operators.reinterp_matrix(n, n - 2) @ D2 @ G @ operators.reinterp_matrix(n - 2, n)
+        pairs[n]["left-inverse"] = [operators.verify_left_inverse(n), left]
+        pairs[n]["right-inverse"] = [operators.verify_right_inverse(n),
+                                     float(np.max(np.abs(P - eye)))]
+print(json.dumps(pairs))
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_pairs():
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_PAIRS, json.dumps(IN_PLACE_DEGREES)],
+                         env=env, capture_output=True, text=True, check=True, timeout=300).stdout
+    return {int(n): pairs for n, pairs in json.loads(out).items()}
 
 
 # at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does
-@pytest.mark.parametrize("n", sorted({3, 64, 257, 512, *PANEL_EDGE_DEGREES}))
-def test_in_place_deviations_equal_direct_formulas_bitwise(n):
+@pytest.mark.parametrize("n", IN_PLACE_DEGREES)
+def test_in_place_deviations_equal_direct_formulas_bitwise(n, one_thread_pairs):
     G = green_matrix(n).entries
     assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
-    A = diff2_bc_matrix(n)
-    B = green_bc_matrix(n)
-    eye = np.eye(n + 1)
-    assert cli._dev_bc_inverse(n) == max(float(np.max(np.abs(A @ B - eye))),
-                                         float(np.max(np.abs(B @ A - eye))))
+    check, formula = one_thread_pairs[n]["bc-inverse"]
+    assert check == formula
 
 
 @pytest.mark.parametrize("n", PANEL_EDGE_DEGREES)
-def test_panel_products_equal_direct_formulas_bitwise(n):
-    # each panel's product has the bits of the same rows of the whole
-    # product, so the inverse checks equal their formulas with one-shot
-    # products, in numpy's left-to-right order
+def test_panel_products_equal_direct_formulas_bitwise(n, one_thread_pairs):
+    # on one thread each panel's product has the bits of the same rows of
+    # the whole product, so the inverse checks equal their formulas
+    for name in ("left-inverse", "right-inverse"):
+        check, formula = one_thread_pairs[n][name]
+        assert check == formula, name
     G = green_matrix(n).entries
-    D2 = operators.diff2_matrix(n)
-    left = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - np.eye(n - 1))))
-    assert operators.verify_left_inverse(n) == left
-    P = operators.reinterp_matrix(n, n - 2) @ D2 @ G @ operators.reinterp_matrix(n - 2, n)
-    assert operators.verify_right_inverse(n) == float(np.max(np.abs(P - np.eye(n - 1))))
     # green_bc_matrix adds its rank-1 terms in row panels
     x = cgl_points(n)
     E = operators.extension_matrix(n)
