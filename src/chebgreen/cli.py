@@ -14,7 +14,8 @@ import numpy as np
 from .core import NodeVector, cgl_points, _grid_degree
 from .green import green_matrix
 from .operators import (METHODS, diff2_bc_matrix, green_bc_matrix, solve_bvp,
-                        verify_left_inverse, verify_right_inverse, _identity_deviation, _PANEL)
+                        verify_left_inverse, verify_right_inverse, _identity_deviation,
+                        _multiply_into, _row_slices)
 from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
 from .quadrature import cc_weights, verify_d2_symmetry
 
@@ -136,17 +137,21 @@ def _dev_oracle(n):
 def _dev_centrosymmetry(n):
     # in row panels, each against its mirror rows, so no (n+1)^2 temporary
     G = green_matrix(n).entries
-    return max(float(np.abs(G[i:i + _PANEL] - G[::-1, ::-1][i:i + _PANEL]).max())
-               for i in range(0, n + 1, _PANEL))
+    R, dev = G[::-1, ::-1], 0.0
+    for rows in _row_slices(n + 1):
+        D = G[rows] - R[rows]
+        dev = max(dev, float(np.abs(D, out=D).max()))
+        del D  # before the next panel's D is made
+    return dev
 
 
 def _dev_bc_inverse(n):
     # B before A: green_bc_matrix holds G and B at its peak, so building it
-    # first keeps at most two (n+1)^2 arrays alive; neither product is
-    # formed whole, each is checked a row panel at a time
+    # first keeps at most two (n+1)^2 arrays alive.  A.B is written over A,
+    # which is rebuilt (in O(n^2)) for B.A, written over B
     B = green_bc_matrix(n)
-    A = diff2_bc_matrix(n)
-    return max(_identity_deviation(A, B), _identity_deviation(B, A))
+    dev = _identity_deviation(_multiply_into(diff2_bc_matrix(n), B))
+    return max(dev, _identity_deviation(_multiply_into(B, diff2_bc_matrix(n))))
 
 
 def _dev_cc_weights(n):

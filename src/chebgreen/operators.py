@@ -225,8 +225,7 @@ def green_bc_matrix(N):
     B = np.empty((N + 1, N + 1))
     B[:, 0] = 0.5 * (x[0] + x)
     B[:, -1] = -0.5 * (x[-1] + x)
-    for start in range(0, N + 1, _PANEL):
-        rows = slice(start, start + _PANEL)
+    for rows in _row_slices(N + 1):
         mid = B[rows, 1:-1]
         np.multiply(G[rows, :1], e_first, out=mid)
         mid += G[rows, 1:-1]
@@ -234,53 +233,42 @@ def green_bc_matrix(N):
     return B
 
 
-# rows per panel of the verify checks' products: a quarter of A's rows,
-# rounded up to a multiple of 24 so that, with one BLAS thread, each panel's
-# product has the bits of the same rows of the one-shot product (OpenBLAS
-# runs its kernel on blocks of 12 rows, 24 on Haswell).  With more threads
-# OpenBLAS splits each product's rows among them by its height, so a
-# panel's rows can round differently and a deviation move by rounding.
-# Each panel re-packs B, so few tall
-# panels are fastest: `verify --check all` in process, median ms over
-# interleaved runs on one core of a 2-vCPU Xeon VM, one panel / a quarter /
-# an eighth / 96 rows / 48 rows: n = 512 85/84/93/88/106, n = 1024
-# 425/437/448/471/517, n = 2048 2254/2302/-/2650/-; n = 256 all 19-21.
-def _row_panels(A, B):
-    # (first row, row panel of A, that panel times B) for each row panel of
-    # A (two rows or more), every product written into one buffer; a last
-    # row joins the panel before it, as a one-row product rounds differently
-    w, n = 24 * -(-len(A) // 96), B.shape[1]
-    buf = np.empty(min(w + 1, len(A)) * n)
-    for start in range(0, len(A) - 1, w):
-        rows = A[start:start + w if start + w < len(A) - 1 else None]
-        yield start, rows, np.matmul(rows, B, out=buf[:len(rows) * n].reshape(-1, n))
-
-
-def _identity_deviation(A, B, stripped=False):
-    # max |A.B - I| of a square product without forming A.B; stripped leaves
-    # out the first and last rows and columns by zeroing them, as slicing A
-    # and B would move the panels and change the rounding
-    n, dev = len(A), 0.0
-    for start, _, P in _row_panels(A, B):
-        _diagonal(P, start)[:] -= 1.0
-        if stripped:  # leave out the first and last rows and columns
-            P[:, [0, -1]] = 0.0
-            P[[i - start for i in (0, n - 1) if start <= i < start + len(P)]] = 0.0
-        dev = max(dev, float(np.abs(P, out=P).max()))
-    return dev
+# row panels of the verify checks: a quarter of the m rows, rounded up to a
+# multiple of 24, a last single row joined to the one before (numpy runs a
+# one-row product as a vector product).  Each product panel re-packs B, so
+# few tall panels are fastest (`verify --check all` in process, median ms,
+# one core of a 2-vCPU Xeon VM; one panel / a quarter / an eighth / 96 / 48
+# rows): n = 512 121/113/118/111/122, n = 1024 613/618/636/618/691, n = 2048
+# 3454/3571/3792/3921/4640.  On one BLAS thread the checks kept the one-shot
+# bits at all but one degree tried; with more they move by rounding.
+def _row_slices(m):
+    w = 24 * -(-m // 96)
+    return [slice(s, s + w if s + w < m - 1 else m) for s in range(0, m - 1, w)]
 
 
 def _multiply_into(A, B):
-    # A.B written over the first B.shape[1] columns of A, which it returns
-    for _, rows, P in _row_panels(A, B):
-        rows[:, :B.shape[1]] = P
-    return A[:, :B.shape[1]]
+    # A.B written over the first B.shape[1] columns of A, which it returns,
+    # a row panel at a time through one panel-sized buffer
+    panels, n = _row_slices(len(A)), B.shape[1]
+    buf = np.empty(max(s.stop - s.start for s in panels) * n)
+    for s in panels:
+        A[s, :n] = np.matmul(A[s], B, out=buf[:(s.stop - s.start) * n].reshape(-1, n))
+    return A[:, :n]
+
+
+def _identity_deviation(P):
+    # max |P - I| of a square matrix, computed in place on P
+    k = np.arange(len(P))
+    P[k, k] -= 1.0
+    return float(np.abs(P, out=P).max())
 
 
 def verify_left_inverse(N):
     """Max-abs deviation of the stripped product G.D2 from the identity."""
     N = _grid_degree(N, 3)
-    return _identity_deviation(green_matrix(N).entries, diff2_matrix(N), stripped=True)
+    G = green_matrix(N).entries
+    G.flags.writeable = True  # the entries are G's own, and nothing else holds them
+    return _identity_deviation(_multiply_into(G, diff2_matrix(N))[1:-1, 1:-1])
 
 
 def verify_right_inverse(N):
@@ -288,15 +276,17 @@ def verify_right_inverse(N):
 
     The product reinterpolates a degree-(N-2) node vector up to degree N,
     applies D2.G there, and restricts back; it acts as the identity on
-    length-(N-1) vectors.  It is formed left to right, ((R_down.D2).G).R_up,
-    in row panels written back over R_down, the last product only compared
-    with the identity; each factor is dropped once used, so at most two
-    (N+1)^2 arrays and a panel are alive at a time.
+    length-(N-1) vectors.  It is formed right to left, R_down.(D2.(G.R_up)),
+    each product written over its left factor in row panels, so with each
+    factor dropped once used at most two (N+1)^2 arrays and a panel are
+    alive at a time.
     """
     N = _grid_degree(N, 4)
-    M = _multiply_into(reinterp_matrix(N, N - 2), diff2_matrix(N))
-    M = _multiply_into(M, green_matrix(N).entries)
-    return _identity_deviation(M, reinterp_matrix(N - 2, N))
+    M = green_matrix(N).entries
+    M.flags.writeable = True  # the entries are G's own, and nothing else holds them
+    M = _multiply_into(M, reinterp_matrix(N - 2, N))
+    M = _multiply_into(diff2_matrix(N), M)
+    return _identity_deviation(_multiply_into(reinterp_matrix(N, N - 2), M))
 
 
 def solve_bvp(f, method):

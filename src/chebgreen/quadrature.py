@@ -18,7 +18,7 @@ from .core import (NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _nod
 # reinterp_matrix is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
 from .operators import (diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal,
-                        _multiply_into, _PANEL)
+                        _multiply_into, _row_slices)
 
 __all__ = [
     "cc_weights",
@@ -58,9 +58,12 @@ def consistent_gram_matrix(N):
     """
     N = _grid_degree(N)
     w = cc_weights(2 * N)
+    # S before X, so that X, freed first, goes back to the top of the heap
+    # rather than leave a hole too small for the next (N+1)^2 array
+    S = np.empty((N + 1, N + 1))
     X = _barycentric_rows(cgl_points(N), _cgl_weight_signs(N), cgl_points(2 * N)[1::2])
     X *= np.sqrt(w[1::2])[:, None]
-    S = X.T @ X
+    np.matmul(X.T, X, out=S)
     _diagonal(S)[:] += w[::2]
     return S
 
@@ -84,34 +87,32 @@ def verify_d2_symmetry(N):
 
     Over the basis p_m = (1 - x^2) T_m, m = 0..N-2, of degree <= N
     polynomials vanishing at the boundary, returns
-    max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|), forming its products in
-    row panels so that at most two (N+1)^2 arrays are alive at a time.
+    max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|).  The products run in row
+    panels, so at most two (N+1)^2 arrays and a panel are alive at a time.
     """
     N = _grid_degree(N, 3)
-    # M = B^T S D2 B, the transpose of B^T D2^T S B (S is symmetric), formed
-    # left to right over the array that starts as B^T: S is dropped before
-    # D2 is built and B^T is rebuilt for the last product
-    S = consistent_gram_matrix(N)
-    Bt = _boundary_basis(N)
-    norms = np.sqrt(np.einsum("ij,ij->i", Bt, Bt))
-    M = _multiply_into(Bt, S)
-    del S
-    M = _multiply_into(M, diff2_matrix(N))
-    M = _multiply_into(M, _boundary_basis(N).T)
+    # M = B^T D2^T S B, the transpose of B^T S D2 B (S is symmetric), formed
+    # right to left from the Gram matrix, each product written over its left
+    # factor (S.B over S, then over D2); B is rebuilt for the last product
+    M = _multiply_into(consistent_gram_matrix(N), _boundary_basis(N))
+    M = _multiply_into(diff2_matrix(N).T, M)
+    B = _boundary_basis(N)
+    norms = np.sqrt(np.einsum("ij,ij->j", B, B))
+    M = _multiply_into(B.T, M)
     # the antisymmetric part in row panels, each against its mirror columns
     dev = 0.0
-    for i in range(0, N - 1, _PANEL):
-        A = M[i:i + _PANEL] - M[:, i:i + _PANEL].T
-        A /= np.multiply.outer(norms[i:i + _PANEL], norms)
+    for rows in _row_slices(N - 1):
+        A = M[rows] - M[:, rows].T
+        A /= np.multiply.outer(norms[rows], norms)
         dev = max(dev, float(np.abs(A, out=A).max()))
     return dev
 
 
 def _boundary_basis(N):
-    # node values of p_m = (1 - x^2) T_m, m = 0..N-2, one row per m;
+    # node values of p_m = (1 - x^2) T_m, m = 0..N-2, one column per m;
     # T_m at node j is cos(m j pi / N)
     x = cgl_points(N)
-    B = np.outer(np.arange(N - 1), np.arange(N + 1) * (np.pi / N))
+    B = np.outer(np.arange(N + 1) * (np.pi / N), np.arange(N - 1))
     np.cos(B, out=B)
-    B *= 1.0 - x * x
+    B *= (1.0 - x * x)[:, None]
     return B

