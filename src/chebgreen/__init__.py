@@ -6,8 +6,7 @@ matrix, a matrix-free transform pipeline, and a stripped collocation
 system.  Grids are stored in the conventional descending order.
 """
 
-from . import calculus, core, green, operators, oracle, quadrature
-from .calculus import *
+from . import core, green, operators, oracle, quadrature
 from .core import *
 from .green import *
 from .operators import *
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     *core.__all__,
-    *calculus.__all__,
     *green.__all__,
     *operators.__all__,
     *oracle.__all__,

@@ -1,4 +1,4 @@
-"""Coefficient-space calculus and anchored primitives of nodal bases.
+"""Antiderivative and primitive kernels of the two Green-matrix paths.
 
 Integrals of grid polynomials are exact up to round-off.  A degree-N
 integrand has a degree-(N+1) primitive, and the coefficients above N fold
@@ -14,46 +14,19 @@ rank-1 terms (the structure of Townsend, Webb & Olver, "Fast polynomial
 transforms based on Toeplitz and Hankel matrices", *Math. Comp.* 2018).
 The node-polynomial primitive needs no transform either: by the same
 aliasing its node values are a closed form in the cosines of that table.
-Of the steps only the antidifferentiation is public (:func:`integrate_coeffs`).
+The module is private: its unchecked kernels take arguments that
+:mod:`.green` has already checked.
 """
 
 import numpy as np
 
-from .core import NodeVector, CoeffVector, _basis_index, _cgl_weight_signs, _grid_degree, _require_type
-
-__all__ = [
-    "integrate_coeffs",
-    "lagrange_integrals",
-]
-
-
-def integrate_coeffs(uhat):
-    """Antidifferentiate in coefficient space.
-
-    out[0] = u[1]/4, out[1] = u[0] - u[2]/2, out[j] = (u[j-1] - u[j+1])/(2j)
-    for j >= 2, with out-of-range entries read as zero.  The output has the
-    same length as the input and represents a primitive of it up to an
-    additive constant.
-
-    The input must end in at least two zeros (the padded shape): with a
-    nonzero top coefficient the degree-raised primitive would be silently
-    truncated.
-    """
-    _require_type(uhat, CoeffVector, "integrate_coeffs")
-    vals = uhat.values
-    if vals.size < 3:
-        raise ValueError("integration needs at least three coefficients")
-    if vals[-1] != 0.0 or vals[-2] != 0.0:
-        raise ValueError(
-            "integration needs two trailing zero coefficients; "
-            "pad the vector with zeros first or the primitive would be truncated"
-        )
-    return CoeffVector(_antiderivative_raw(vals))
+from .core import _cgl_weight_signs
 
 
 def _antiderivative_raw(c):
-    # unchecked core of integrate_coeffs, along the last axis; callers
-    # guarantee enough padding
+    # coefficient-space antiderivative along the last axis, up to a
+    # constant; unchecked, so callers pad with two trailing zeros or the
+    # degree-raised primitive is truncated
     n = c.shape[-1]
     out = np.empty(c.shape)
     # single entries go through .T, which puts the last axis first: a 1-d
@@ -145,34 +118,6 @@ def _primitive_tables(N):
     table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
     windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
     return cosines, sines, windows
-
-
-def lagrange_integrals(i, N):
-    """Integrals of the i-th degree-N Lagrange basis polynomial up to each node.
-
-    Returns ``(up, down)``, two NodeVectors: ``up.values[k]`` is the
-    integral of l_i over [-1, x_k], so it vanishes at the last node, and
-    ``down.values[k]`` over [x_k, 1], vanishing at the first.  Exact up to
-    round-off: the primitive's Chebyshev coefficients have a closed form,
-    the one above N is folded onto T_{N-1}, which takes the same values at
-    the degree-N nodes, and the node values come from one table of sine
-    sums, read along Toeplitz and Hankel diagonals, with no transform.
-
-    Parameters
-    ----------
-    i : int
-        Basis index, 0 <= i <= N.
-    N : int
-        Grid degree, N >= 1.
-
-    Returns
-    -------
-    tuple of NodeVector
-    """
-    N = _grid_degree(N)
-    i = _basis_index(i, N)
-    p = _lagrange_primitive_values(i, N)
-    return NodeVector(p - p[-1], N), NodeVector(p[0] - p, N)
 
 
 def _node_poly_factors(i, N, cosines):

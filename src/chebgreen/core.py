@@ -1,8 +1,8 @@
-"""Chebyshev-Gauss-Lobatto grids and the node/coefficient transform pair.
+"""Chebyshev-Gauss-Lobatto grids, the value carriers and the DCT-I.
 
 Grids are indexed descending (``points[0] = 1``, ``points[N] = -1``) so that
-index j corresponds to the angle j*pi/N.  The transform pair
-:func:`node_to_coeffs` / :func:`coeffs_to_nodes` is built on an orthonormal,
+index j corresponds to the angle j*pi/N.  The node/coefficient transforms
+(``_node_to_coeff_values`` and its inverse) are built on an orthonormal,
 self-inverse DCT-I; that normalization keeps round trips free of stray
 scale factors.  See Trefethen, "Spectral Methods in MATLAB", for the grid
 and weight background.
@@ -16,11 +16,8 @@ import numpy as np
 __all__ = [
     "GreenMatrix",
     "NodeVector",
-    "CoeffVector",
     "cgl_points",
     "dct1",
-    "node_to_coeffs",
-    "coeffs_to_nodes",
 ]
 
 
@@ -30,10 +27,13 @@ def _freeze(obj, name, ndim, degree=None, finite=False):
 
     Raises ValueError unless the array has ndim axes and, when a grid
     degree is given, degree + 1 entries along every axis; with finite set,
-    also when it holds NaN or infinite values.
+    also when it holds NaN or infinite values.  Complex values raise
+    TypeError rather than lose their imaginary part in the cast.
     """
-    a = np.ascontiguousarray(getattr(obj, name), dtype=np.float64)
     where = f"{type(obj).__name__}.{name}"
+    a = getattr(obj, name)
+    _require_real(a, where)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
         want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
         raise ValueError(f"{where} needs {want}, got shape {a.shape}")
@@ -49,9 +49,16 @@ def _require_finite(a, what):
         raise ValueError(f"{what} must be finite; got NaN or infinite values")
 
 
+def _require_real(a, what):
+    """Raise TypeError naming what when a holds complex values, which a
+    float64 cast would truncate to their real parts."""
+    if np.iscomplexobj(a):
+        raise TypeError(f"{what} must be real; got complex values")
+
+
 def _require_type(v, cls, fn):
     """Raise TypeError naming the function fn and both types unless v is a
-    cls: a bare array, or the other vector class, carries no grid meaning."""
+    cls: a bare array carries no grid meaning."""
     if not isinstance(v, cls):
         raise TypeError(f"{fn} expects a {cls.__name__}, got {type(v).__name__}")
 
@@ -75,25 +82,6 @@ class NodeVector:
             raise ValueError(f"node vector needs grid_degree + 1 values, "
                              f"got {n} values for degree {deg}")
         object.__setattr__(self, "grid_degree", deg)
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """Chebyshev coefficients: ``values[j]`` multiplies T_j.
-
-    The length is arbitrary (>= 1) and carries no grid association; trailing
-    zeros are meaningful padding for the integration rules.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "values", ndim=1, finite=True)
-        if self.values.size < 1:
-            raise ValueError("coefficient vector must be 1-d with at least one entry")
-
-    def __len__(self):
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -186,7 +174,9 @@ def dct1(v):
 
     NaN and infinity are not checked and pass through: the matrix-free
     apply calls this on the values of an already checked ``NodeVector``.
+    Complex input raises TypeError.
     """
+    _require_real(v, "dct1 input")
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] < 2:
         raise ValueError("dct1 needs a 1-d vector or a 2-d array of rows "
@@ -224,23 +214,4 @@ def _coeff_to_node_values(c):
     _scale_ends(w, 2.0)
     w *= np.sqrt(M / 2.0)
     return dct1(w)
-
-
-def node_to_coeffs(u):
-    """Chebyshev coefficients of the degree-N interpolant through u.
-
-    Exact (to round-off) for node values of any polynomial of degree <= N:
-    the returned coefficients reproduce u under :func:`coeffs_to_nodes`.
-    """
-    _require_type(u, NodeVector, "node_to_coeffs")
-    return CoeffVector(_node_to_coeff_values(u.values))
-
-
-def coeffs_to_nodes(uhat):
-    """Evaluate sum_j uhat[j] T_j at the CGL grid of degree len(uhat)-1."""
-    _require_type(uhat, CoeffVector, "coeffs_to_nodes")
-    vals = uhat.values
-    if vals.size < 2:
-        raise ValueError("need at least two coefficients (target grid degree >= 1)")
-    return NodeVector(_coeff_to_node_values(vals))
 

@@ -13,8 +13,7 @@ the 2N-point Clenshaw-Curtis rule is exact there.
 
 import numpy as np
 
-from .core import (NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _node_to_coeff_values,
-                   _require_finite, _require_type)
+from .core import cgl_points, _cgl_weight_signs, _grid_degree, _node_to_coeff_values
 # reinterp_matrix is not called here; it stays importable from this module
 # because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
 from .operators import (diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal,
@@ -23,7 +22,6 @@ from .operators import (diff2_matrix, reinterp_matrix, _barycentric_rows, _diago
 __all__ = [
     "cc_weights",
     "consistent_gram_matrix",
-    "consistent_inner_product",
     "verify_d2_symmetry",
 ]
 
@@ -31,7 +29,7 @@ __all__ = [
 def cc_weights(M):
     """Clenshaw-Curtis weights on the degree-M grid: w_i = integral of l_i.
 
-    Batched form of the full-interval values of ``lagrange_integrals``; the
+    All M+1 basis integrals come from one node-to-coefficient transform; the
     result is symmetrized (the exact weights satisfy w[i] = w[M-i]) and is
     exact for every polynomial of degree <= M.
     """
@@ -66,20 +64,6 @@ def consistent_gram_matrix(N):
     np.matmul(X.T, X, out=S)
     _diagonal(S)[:] += w[::2]
     return S
-
-
-def consistent_inner_product(p, q, S):
-    """q^T S p; the exact integral of p*q when S is the degree-N Gram matrix
-    and both vectors live on the degree-N grid.  A NaN or infinite entry
-    in S raises ValueError (p and q are checked NodeVectors)."""
-    _require_type(p, NodeVector, "consistent_inner_product")
-    _require_type(q, NodeVector, "consistent_inner_product")
-    N = p.grid_degree
-    S = np.asarray(S)
-    if q.grid_degree != N or S.shape != (N + 1, N + 1):
-        raise ValueError("inner product needs matching degrees")
-    _require_finite(S, "the Gram matrix S")
-    return float(q.values @ (S @ p.values))
 
 
 def verify_d2_symmetry(N):

@@ -12,13 +12,13 @@ import pytest
 import chebgreen
 
 PUBLIC = {
-    "CoeffVector", "GreenMatrix", "METHODS", "NodeVector", "__version__",
+    "GreenMatrix", "METHODS", "NodeVector", "__version__",
     "apply_green_matrix_free", "barycentric_weights_general",
-    "cc_weights", "cgl_points", "coeffs_to_nodes", "consistent_gram_matrix",
-    "consistent_inner_product", "dct1", "dct1_naive", "diff2_bc_matrix", "diff2_matrix",
+    "cc_weights", "cgl_points", "consistent_gram_matrix",
+    "dct1", "dct1_naive", "diff2_bc_matrix", "diff2_matrix",
     "diff_matrix", "extension_matrix", "green_bc_matrix", "green_function_eval",
-    "green_matrix", "green_matrix_dense_oracle", "integrate_coeffs", "lagrange_integrals",
-    "lagrange_monomial_coeffs", "node_to_coeffs", "reinterp_matrix",
+    "green_matrix", "green_matrix_dense_oracle",
+    "lagrange_monomial_coeffs", "reinterp_matrix",
     "solve_bvp", "solve_stripped", "verify_d2_symmetry",
     "verify_left_inverse", "verify_right_inverse",
 }
@@ -33,8 +33,8 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_each_public_name_comes_from_one_module():
-    modules = (chebgreen.core, chebgreen.calculus, chebgreen.green,
-               chebgreen.operators, chebgreen.oracle, chebgreen.quadrature)
+    modules = (chebgreen.core, chebgreen.green, chebgreen.operators,
+               chebgreen.oracle, chebgreen.quadrature)
     for name in PUBLIC - {"__version__"}:
         (home,) = [m for m in modules if name in m.__all__]
         assert getattr(chebgreen, name) is getattr(home, name)
@@ -72,8 +72,8 @@ def test_module_level_imports_form_a_dag():
 
 
 def test_only_core_defines_dataclasses():
-    # NodeVector, CoeffVector and GreenMatrix are the package's only
-    # containers; every other builder returns plain arrays or tuples
+    # NodeVector and GreenMatrix are the package's only containers; every
+    # other builder returns plain arrays or tuples
     importers = set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -84,8 +84,7 @@ def test_only_core_defines_dataclasses():
     modules = [importlib.import_module(f"chebgreen.{path.stem}") for path in MODULES]
     found = {(obj.__module__, name) for m in modules for name, obj in vars(m).items()
              if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
-    assert found == {("chebgreen.core", "NodeVector"), ("chebgreen.core", "CoeffVector"),
-                     ("chebgreen.core", "GreenMatrix")}
+    assert found == {("chebgreen.core", "NodeVector"), ("chebgreen.core", "GreenMatrix")}
 
 
 def test_paths_stay_independent_of_the_references_and_the_dct():
@@ -96,8 +95,7 @@ def test_paths_stay_independent_of_the_references_and_the_dct():
     importers = {path.stem for path in MODULES
                  for _, mods in _imports(path) if "oracle" in mods}
     assert importers == {"cli", "__init__"}
-    transforms = {"dct1", "node_to_coeffs", "coeffs_to_nodes",
-                  "_node_to_coeff_values", "_coeff_to_node_values"}
+    transforms = {"dct1", "_node_to_coeff_values", "_coeff_to_node_values"}
     tree = ast.parse((Path(chebgreen.__file__).parent / "calculus.py").read_text())
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     from_core = {a.name for node in relative if node.module == "core" for a in node.names}
@@ -145,7 +143,6 @@ DEGREE_BUILDERS = {
     "cgl_points": chebgreen.cgl_points,
     "green_matrix": chebgreen.green_matrix,
     "green_matrix_dense_oracle": chebgreen.green_matrix_dense_oracle,
-    "lagrange_integrals": lambda N: chebgreen.lagrange_integrals(0, N),
     "lagrange_monomial_coeffs": lambda N: chebgreen.lagrange_monomial_coeffs(0, N),
     "diff_matrix": chebgreen.diff_matrix,
     "diff2_matrix": chebgreen.diff2_matrix,
@@ -165,8 +162,7 @@ DEGREE_BUILDERS = {
 # from the matrix or node vector they are given
 LEAST_DEGREE = {
     "cgl_points": 1, "green_matrix": 1,
-    "green_matrix_dense_oracle": 1, "lagrange_integrals": 1,
-    "lagrange_monomial_coeffs": 1, "diff_matrix": 1,
+    "green_matrix_dense_oracle": 1, "lagrange_monomial_coeffs": 1, "diff_matrix": 1,
     "diff2_matrix": 2, "reinterp_matrix (from)": 1, "reinterp_matrix (to)": 1,
     "extension_matrix": 2, "diff2_bc_matrix": 2, "green_bc_matrix": 2,
     "verify_left_inverse": 3, "verify_right_inverse": 4, "cc_weights": 1,
@@ -253,9 +249,6 @@ def _poison(a, bad):
 
 
 RAW_ARRAY_INPUTS = {
-    "consistent_inner_product": lambda bad: chebgreen.consistent_inner_product(
-        chebgreen.NodeVector(np.ones(5)), chebgreen.NodeVector(np.ones(5)),
-        _poison(chebgreen.consistent_gram_matrix(4), bad)),
     "barycentric_weights_general":
         lambda bad: chebgreen.barycentric_weights_general(_poison(chebgreen.cgl_points(4), bad)),
     "dct1_naive": lambda bad: chebgreen.dct1_naive(_poison(np.ones(5), bad)),
@@ -270,33 +263,43 @@ def test_raw_array_inputs_refuse_non_finite_values(name, bad):
         RAW_ARRAY_INPUTS[name](bad)
 
 
-# every public function that takes a NodeVector or a CoeffVector, with the
-# class it expects; the other class has .values too, so it must be refused
-# by type, not by a missing attribute.  The values end in two zeros, so the
-# coefficient functions would accept them as padded coefficients.
+# every public function that takes a NodeVector; a bare array or list of
+# the same values carries no grid degree, so it must be refused by type
 _VALUES = np.array([1.0, 0.5, 0.25, 0.0, 0.0])
-_NODES = chebgreen.NodeVector(_VALUES)
 VECTOR_INPUTS = {
-    "apply_green_matrix_free": (chebgreen.apply_green_matrix_free, chebgreen.NodeVector),
-    "solve_stripped": (chebgreen.solve_stripped, chebgreen.NodeVector),
-    "consistent_inner_product (p)": (lambda v: chebgreen.consistent_inner_product(
-        v, _NODES, chebgreen.consistent_gram_matrix(4)), chebgreen.NodeVector),
-    "consistent_inner_product (q)": (lambda v: chebgreen.consistent_inner_product(
-        _NODES, v, chebgreen.consistent_gram_matrix(4)), chebgreen.NodeVector),
-    "node_to_coeffs": (chebgreen.node_to_coeffs, chebgreen.NodeVector),
-    "coeffs_to_nodes": (chebgreen.coeffs_to_nodes, chebgreen.CoeffVector),
-    "integrate_coeffs": (chebgreen.integrate_coeffs, chebgreen.CoeffVector),
+    "apply_green_matrix_free": chebgreen.apply_green_matrix_free,
+    "solve_stripped": chebgreen.solve_stripped,
+    "solve_bvp": lambda v: chebgreen.solve_bvp(v, "dense-green"),
 }
 
 
-@pytest.mark.parametrize("given", ["ndarray", "other vector class"])
+@pytest.mark.parametrize("given", ["ndarray", "list"])
 @pytest.mark.parametrize("name", VECTOR_INPUTS)
 def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given):
-    call, expected = VECTOR_INPUTS[name]
-    call(expected(_VALUES))  # the expected class passes
-    other = chebgreen.CoeffVector if expected is chebgreen.NodeVector else chebgreen.NodeVector
-    bad = _VALUES.copy() if given == "ndarray" else other(_VALUES)
-    fn = name.split(" ")[0]
-    with pytest.raises(TypeError,
-                       match=f"^{fn} expects a {expected.__name__}, got {type(bad).__name__}$"):
+    call = VECTOR_INPUTS[name]
+    call(chebgreen.NodeVector(_VALUES))  # a NodeVector passes
+    bad = _VALUES.copy() if given == "ndarray" else _VALUES.tolist()
+    with pytest.raises(TypeError, match=f"^{name} expects a NodeVector, got {given}$"):
         call(bad)
+
+
+# private kernels that only the tests call, as references; every other
+# module-level private function must be named somewhere in the package
+TEST_REFERENCES = {("core", "_coeff_to_node_values")}
+
+
+def test_no_private_function_is_left_without_a_caller():
+    # a kernel whose last caller is retired goes with it; a recursive call
+    # does not count as a caller
+    defs, named = set(), set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text()).body:
+            used = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            if (isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+                    and not top.name.startswith("__")):
+                defs.add((path.stem, top.name))
+                used.discard(top.name)
+            named |= used
+    orphans = {(module, name) for module, name in defs if name not in named}
+    assert orphans == TEST_REFERENCES

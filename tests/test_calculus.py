@@ -1,17 +1,13 @@
-"""Coefficient-space integration and the anchored (up, down) primitives."""
+"""The antiderivative and primitive kernels of the two Green-matrix paths,
+against references that share none of their code: numpy's Chebyshev and
+monomial calculus, long double sums and a fine-grid transform pipeline."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
-from chebgreen import (
-    CoeffVector,
-    NodeVector,
-    cgl_points,
-    integrate_coeffs,
-    lagrange_integrals,
-)
+from chebgreen import cgl_points
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                                 _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values
@@ -23,21 +19,13 @@ def _same_bits(a, b):
 
 
 def test_integrate_known_triples():
-    got = integrate_coeffs(CoeffVector([1.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(got.values, [0.0, 1.0, 0.0])
-    got = integrate_coeffs(CoeffVector([0.0, 1.0, 0.0, 0.0]))
-    np.testing.assert_array_equal(got.values, [0.25, 0.0, 0.25, 0.0])
-    got = integrate_coeffs(CoeffVector([0.0, 0.0, 1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(got.values, [0.0, -0.5, 0.0, 1.0 / 6.0, 0.0], rtol=0, atol=1e-16)
-
-
-def test_integrate_requires_two_trailing_zeros():
-    with pytest.raises(ValueError):
-        integrate_coeffs(CoeffVector([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        integrate_coeffs(CoeffVector([1.0, 0.0, 3e-300]))  # almost zero is not zero
-    with pytest.raises(ValueError):
-        integrate_coeffs(CoeffVector([1.0, 0.0]))  # too short
+    # inputs padded with two trailing zeros, as the kernel's callers pad them
+    got = _antiderivative_raw(np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
+    got = _antiderivative_raw(np.array([0.0, 1.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(got, [0.25, 0.0, 0.25, 0.0])
+    got = _antiderivative_raw(np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(got, [0.0, -0.5, 0.0, 1.0 / 6.0, 0.0], rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 40])
@@ -46,7 +34,7 @@ def test_integrate_inverts_differentiation(n):
     rng = np.random.default_rng(n)
     c = np.zeros(n + 2)
     c[:n] = rng.standard_normal(n)
-    out = integrate_coeffs(CoeffVector(c)).values
+    out = _antiderivative_raw(c)
     np.testing.assert_allclose(npcheb.chebder(out), c[:-1], rtol=0, atol=1e-13)
 
 
@@ -54,7 +42,7 @@ def test_integrate_matches_reference_antiderivative():
     rng = np.random.default_rng(5)
     c = np.zeros(9)
     c[:7] = rng.standard_normal(7)
-    got = integrate_coeffs(CoeffVector(c)).values
+    got = _antiderivative_raw(c)
     ref = npcheb.chebint(c)[: c.size]
     # anchoring constants differ; compare everything above T_0
     np.testing.assert_allclose(got[1:], ref[1:], rtol=0, atol=1e-14)
@@ -141,22 +129,29 @@ def test_lagrange_primitive_fold_matches_fine_grid_reference(N):
 # Lagrange-basis primitives
 
 
+def _lagrange_integrals(i, N):
+    """(up, down): the integral of l_i over [-1, x_k], vanishing at the last
+    node, and over [x_k, 1], vanishing at the first."""
+    p = _lagrange_primitive_values(i, N)
+    return p - p[-1], p[0] - p
+
+
 def test_lagrange_integrals_degree_two_values():
-    up, down = lagrange_integrals(1, 2)  # l_1 = 1 - x^2
-    np.testing.assert_allclose(up.values, [4.0 / 3.0, 2.0 / 3.0, 0.0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(down.values, [0.0, 2.0 / 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
-    up, _ = lagrange_integrals(0, 2)  # l_0 = x(x+1)/2
-    np.testing.assert_allclose(up.values, [1.0 / 3.0, -1.0 / 12.0, 0.0], rtol=0, atol=1e-15)
+    up, down = _lagrange_integrals(1, 2)  # l_1 = 1 - x^2
+    np.testing.assert_allclose(up, [4.0 / 3.0, 2.0 / 3.0, 0.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(down, [0.0, 2.0 / 3.0, 4.0 / 3.0], rtol=0, atol=1e-15)
+    up, _ = _lagrange_integrals(0, 2)  # l_0 = x(x+1)/2
+    np.testing.assert_allclose(up, [1.0 / 3.0, -1.0 / 12.0, 0.0], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
 def test_lagrange_integrals_anchoring(N):
     for i in range(N + 1):
-        up, down = lagrange_integrals(i, N)
-        assert up.values[-1] == 0.0
-        assert down.values[0] == 0.0
+        up, down = _lagrange_integrals(i, N)
+        assert up[-1] == 0.0
+        assert down[0] == 0.0
         # up + down is the full integral, constant across nodes
-        total = up.values + down.values
+        total = up + down
         np.testing.assert_allclose(total, total[0], rtol=0, atol=1e-14)
 
 
@@ -169,18 +164,9 @@ def test_lagrange_integrals_against_monomial_reference(N):
         li = nppoly.polyfromroots(roots) / np.prod(x[i] - roots)
         prim = nppoly.polyint(li)
         up_ref = nppoly.polyval(x, prim) - nppoly.polyval(-1.0, prim)
-        up, down = lagrange_integrals(i, N)
-        np.testing.assert_allclose(up.values, up_ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(down.values, up_ref[0] - up_ref, rtol=0, atol=1e-13)
-
-
-def test_lagrange_integrals_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        lagrange_integrals(3, 2)
-    with pytest.raises(ValueError):
-        lagrange_integrals(-1, 2)
-    with pytest.raises(ValueError):
-        lagrange_integrals(0, 0)
+        up, down = _lagrange_integrals(i, N)
+        np.testing.assert_allclose(up, up_ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(down, up_ref[0] - up_ref, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +216,3 @@ def test_node_poly_primitive_matches_closed_form_bitwise(N):
     eps = np.finfo(np.float64).eps
     assert np.abs(q - q_fine).max() <= 4 * eps * np.abs(q_fine).max()
 
-
-@pytest.mark.parametrize("primitive", [lagrange_integrals])
-def test_primitives_reject_non_integer_indices(primitive):
-    # a fractional index names no basis function; an integral float is
-    # refused too rather than silently truncated
-    for i in (1.5, 2.0, np.float64(1.0)):
-        with pytest.raises(TypeError):
-            primitive(i, 4)
-    up, down = primitive(np.int64(2), 4)
-    ref_up, ref_down = primitive(2, 4)
-    assert _same_bits(up.values, ref_up.values) and _same_bits(down.values, ref_down.values)

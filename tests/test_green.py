@@ -14,7 +14,6 @@ from chebgreen import (
     apply_green_matrix_free,
     green_function_eval,
     green_matrix,
-    lagrange_integrals,
     solve_bvp,
 )
 from chebgreen import core, green
@@ -117,18 +116,18 @@ def test_green_matrix_equals_per_column_assembly_bitwise(N):
 
 @pytest.mark.parametrize("N", [3, 8, 33, 64, 65])
 def test_green_matrix_columns_match_public_primitives(N):
-    # column i from the Lagrange primitives of lagrange_integrals and the
-    # node-polynomial primitive, both anchored at both ends: a form of the
-    # column that takes no chord off
+    # column i from the Lagrange primitive and the node-polynomial
+    # primitive, both anchored at both ends: a form of the column that
+    # takes no chord off
     G = green_matrix(N).entries
     x = cgl_points(N)
     tol = 1e-14 * np.max(np.abs(G))
     scale, q = _node_poly_factors(np.arange(N + 1), N, _primitive_tables(N)[0])
     for i in range(N + 1):
-        l_up, l_down = lagrange_integrals(i, N)
+        h = _lagrange_primitive_values(i, N)
         p = scale[i] * q
-        col = 0.5 * (x + 1.0) * (p[0] - p + (x[i] - 1.0) * l_down.values)
-        col += 0.5 * (x - 1.0) * (p - p[-1] + (x[i] + 1.0) * l_up.values)
+        col = 0.5 * (x + 1.0) * (p[0] - p + (x[i] - 1.0) * (h[0] - h))
+        col += 0.5 * (x - 1.0) * (p - p[-1] + (x[i] + 1.0) * (h - h[-1]))
         assert np.max(np.abs(G[:, i] - col)) <= tol, i
 
 

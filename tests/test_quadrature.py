@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from chebgreen import (
-    NodeVector,
     cc_weights,
     cgl_points,
     consistent_gram_matrix,
-    consistent_inner_product,
     diff2_matrix,
     reinterp_matrix,
     verify_d2_symmetry,
@@ -89,12 +87,9 @@ def test_gram_matrix_from_odd_rows_matches_full_product(N):
 def test_inner_product_monomial_values():
     S = consistent_gram_matrix(4)
     x = cgl_points(4)
-    x2 = NodeVector(x**2)
-    assert abs(consistent_inner_product(x2, x2, S) - 2.0 / 5.0) < 1e-15
-    x1 = NodeVector(x)
-    assert abs(consistent_inner_product(x1, x2, S)) < 1e-15
-    # a nested-list S is taken as an array
-    assert consistent_inner_product(x2, x2, S.tolist()) == consistent_inner_product(x2, x2, S)
+    x2 = x**2
+    assert abs(x2 @ S @ x2 - 2.0 / 5.0) < 1e-15
+    assert abs(x2 @ S @ x) < 1e-15
 
 
 @pytest.mark.parametrize("N", [1, 3, 8])
@@ -104,7 +99,7 @@ def test_inner_product_exact_on_resolvable_monomials(N):
     x = cgl_points(N)
     for a in range(N + 1):
         for b in range(N + 1):
-            got = consistent_inner_product(NodeVector(x**a), NodeVector(x**b), S)
+            got = x**b @ S @ x**a
             exact = 2.0 / (a + b + 1) if (a + b) % 2 == 0 else 0.0
             assert abs(got - exact) < 1e-13
 
@@ -112,21 +107,9 @@ def test_inner_product_exact_on_resolvable_monomials(N):
 def test_inner_product_is_symmetric_in_arguments():
     S = consistent_gram_matrix(6)
     rng = np.random.default_rng(8)
-    p = NodeVector(rng.standard_normal(7))
-    q = NodeVector(rng.standard_normal(7))
-    assert consistent_inner_product(p, q, S) == pytest.approx(
-        consistent_inner_product(q, p, S), abs=1e-15
-    )
-
-
-def test_inner_product_rejects_degree_mismatch():
-    S = consistent_gram_matrix(4)
-    with pytest.raises(ValueError):
-        consistent_inner_product(NodeVector(np.ones(5)), NodeVector(np.ones(6)), S)
-    with pytest.raises(ValueError):
-        consistent_inner_product(NodeVector(np.ones(6)), NodeVector(np.ones(6)), S)
-    with pytest.raises(ValueError):
-        consistent_inner_product(NodeVector(np.ones(6)), NodeVector(np.ones(6)), S.tolist())
+    p = rng.standard_normal(7)
+    q = rng.standard_normal(7)
+    assert q @ S @ p == pytest.approx(p @ S @ q, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
