@@ -1,5 +1,8 @@
 """Command-line front end: export, solve, verify.
 
+Every ``verify`` check lives here: its deviation function beside the
+``_CHECKS`` table that holds its degree range and tolerance.
+
 Exit codes: 0 on success, 1 when a verification deviation is non-finite
 or exceeds its recorded tolerance, an output path cannot be written or
 memory runs out, 2 for usage errors.
@@ -13,11 +16,10 @@ import numpy as np
 
 from .core import NodeVector, cgl_points, _grid_degree
 from .green import green_matrix
-from .operators import (METHODS, diff2_bc_matrix, green_bc_matrix, solve_bvp,
-                        verify_left_inverse, verify_right_inverse, _identity_deviation,
-                        _multiply_into, _row_slices)
+from .operators import (METHODS, diff2_bc_matrix, diff2_matrix, green_bc_matrix,
+                        reinterp_matrix, solve_bvp, _row_slices)
 from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
-from .quadrature import cc_weights, verify_d2_symmetry
+from .quadrature import cc_weights, consistent_gram_matrix
 
 _EPS = np.finfo(np.float64).eps
 
@@ -69,15 +71,16 @@ def _write_text(text, path):
 
 
 def _cmd_green(args, parser):
-    G = green_matrix(args.n).entries
+    try:
+        G = green_matrix(args.n).entries
+    except ValueError:  # GreenMatrix refuses non-finite entries
+        print(f"error: the degree-{args.n} Green matrix has non-finite entries",
+              file=sys.stderr)
+        return 1
     ordering = "descending"
     if args.ascending:
         G = G[::-1, ::-1]
         ordering = "ascending"
-    if not np.isfinite(G).all():
-        print(f"error: the degree-{args.n} Green matrix has non-finite entries",
-              file=sys.stderr)
-        return 1
     if args.fmt == "csv":
         text = "\n".join(_format_rows(G, "%.17g", ",")) + "\n"
     else:
@@ -127,6 +130,28 @@ def _cmd_solve(args, parser):
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# Each deviation takes a degree in its _CHECKS range, which _cmd_verify
+# enforces.  The product checks multiply in row panels through one buffer,
+# each panel written over the product's left factor, so at most two (n+1)^2
+# arrays and a panel are alive at a time.
+
+
+def _multiply_into(A, B):
+    # A.B written over the first B.shape[1] columns of A, which it returns,
+    # a row panel at a time through one panel-sized buffer
+    panels, n = _row_slices(len(A)), B.shape[1]
+    buf = np.empty(max(s.stop - s.start for s in panels) * n)
+    for s in panels:
+        A[s, :n] = np.matmul(A[s], B, out=buf[:(s.stop - s.start) * n].reshape(-1, n))
+    return A[:, :n]
+
+
+def _identity_deviation(P):
+    # max |P - I| of a square matrix, computed in place on P
+    k = np.arange(len(P))
+    P[k, k] -= 1.0
+    return float(np.abs(P, out=P).max())
 
 
 def _dev_oracle(n):
@@ -159,6 +184,55 @@ def _dev_cc_weights(n):
     return max(abs(float(w.sum()) - 2.0), max(0.0, -float(w.min())))
 
 
+def _dev_left_inverse(n):
+    # max |G.D2 - I| over the interior rows and columns
+    G = green_matrix(n).entries
+    G.flags.writeable = True  # the entries are G's own, and nothing else holds them
+    return _identity_deviation(_multiply_into(G, diff2_matrix(n))[1:-1, 1:-1])
+
+
+def _dev_right_inverse(n):
+    # max |R_down.D2.G.R_up - I|: a degree-(n-2) node vector reinterpolated
+    # up to degree n, mapped by D2.G there and restricted back.  Formed right
+    # to left, R_down.(D2.(G.R_up)), each factor dropped once used
+    M = green_matrix(n).entries
+    M.flags.writeable = True  # the entries are G's own, and nothing else holds them
+    M = _multiply_into(M, reinterp_matrix(n - 2, n))
+    M = _multiply_into(diff2_matrix(n), M)
+    return _identity_deviation(_multiply_into(reinterp_matrix(n, n - 2), M))
+
+
+def _boundary_basis(n):
+    # node values of p_m = (1 - x^2) T_m, m = 0..n-2, one column per m;
+    # T_m at node j is cos(m j pi / n)
+    x = cgl_points(n)
+    B = np.outer(np.arange(n + 1) * (np.pi / n), np.arange(n - 1))
+    np.cos(B, out=B)
+    B *= (1.0 - x * x)[:, None]
+    return B
+
+
+def _dev_symmetry(n):
+    # max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|) over the basis of degree <= n
+    # polynomials vanishing at the boundary, in the consistent inner product
+    # of S.  M = B^T D2^T S B, the transpose of B^T S D2 B (S is symmetric),
+    # is formed right to left from the Gram matrix, each product written over
+    # its left factor (S.B over S, then over D2); B is rebuilt for the last
+    # product
+    M = _multiply_into(consistent_gram_matrix(n), _boundary_basis(n))
+    M = _multiply_into(diff2_matrix(n).T, M)
+    B = _boundary_basis(n)
+    norms = np.sqrt(np.einsum("ij,ij->j", B, B))
+    M = _multiply_into(B.T, M)
+    # the antisymmetric part in row panels, each against its mirror columns
+    dev = 0.0
+    for rows in _row_slices(n - 1):
+        A = M[rows] - M[:, rows].T
+        A /= np.multiply.outer(norms[rows], norms)
+        dev = max(dev, float(np.abs(A, out=A).max()))
+    return dev
+
+
 def _tol_inverse(n):
     return max(1e-12, 40.0 * n**3 * _EPS)
 
@@ -174,9 +248,9 @@ _CHECKS = {
     "centrosymmetry": (1, None, _dev_centrosymmetry, lambda n: 0.0),
     "cc-weights": (1, None, _dev_cc_weights, lambda n: 1e-13),
     "bc-inverse": (2, None, _dev_bc_inverse, _tol_bc_inverse),
-    "left-inverse": (3, None, verify_left_inverse, _tol_inverse),
-    "right-inverse": (4, None, verify_right_inverse, _tol_inverse),
-    "symmetry": (3, None, verify_d2_symmetry, lambda n: max(1e-11, 4.0 * n**2 * _EPS)),
+    "left-inverse": (3, None, _dev_left_inverse, _tol_inverse),
+    "right-inverse": (4, None, _dev_right_inverse, _tol_inverse),
+    "symmetry": (3, None, _dev_symmetry, lambda n: max(1e-11, 4.0 * n**2 * _EPS)),
 }
 
 

@@ -21,14 +21,14 @@ __all__ = [
 ]
 
 
-def _freeze(obj, name, ndim, degree=None, finite=False):
+def _freeze(obj, name, ndim, degree=None):
     """Store the named field of the frozen dataclass obj as a read-only
     contiguous float64 array.
 
-    Raises ValueError unless the array has ndim axes and, when a grid
-    degree is given, degree + 1 entries along every axis; with finite set,
-    also when it holds NaN or infinite values.  Complex values raise
-    TypeError rather than lose their imaginary part in the cast.
+    Raises ValueError unless the array has ndim axes (degree + 1 entries
+    along each when a grid degree is given) and holds only finite values.
+    Complex values raise TypeError rather than lose their imaginary part in
+    the cast.
     """
     where = f"{type(obj).__name__}.{name}"
     a = getattr(obj, name)
@@ -37,8 +37,7 @@ def _freeze(obj, name, ndim, degree=None, finite=False):
     if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
         want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
         raise ValueError(f"{where} needs {want}, got shape {a.shape}")
-    if finite:
-        _require_finite(a, where)
+    _require_finite(a, where)
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
 
@@ -75,7 +74,7 @@ class NodeVector:
     grid_degree: int | None = None
 
     def __post_init__(self):
-        _freeze(self, "values", ndim=1, finite=True)
+        _freeze(self, "values", ndim=1)
         n = self.values.size
         deg = _grid_degree(n - 1 if self.grid_degree is None else self.grid_degree)
         if n != deg + 1:

@@ -30,8 +30,6 @@ __all__ = [
     "extension_matrix",
     "diff2_bc_matrix",
     "green_bc_matrix",
-    "verify_left_inverse",
-    "verify_right_inverse",
     "solve_bvp",
 ]
 
@@ -233,60 +231,18 @@ def green_bc_matrix(N):
     return B
 
 
-# row panels of the verify checks: a quarter of the m rows, rounded up to a
-# multiple of 24, a last single row joined to the one before (numpy runs a
-# one-row product as a vector product).  Each product panel re-packs B, so
-# few tall panels are fastest (`verify --check all` in process, median ms,
-# one core of a 2-vCPU Xeon VM; one panel / a quarter / an eighth / 96 / 48
-# rows): n = 512 121/113/118/111/122, n = 1024 613/618/636/618/691, n = 2048
+# row panels of green_bc_matrix and the verify checks in cli: a quarter of
+# the m rows, rounded up to a multiple of 24, a last single row joined to the
+# one before (numpy runs a one-row product as a vector product).  Each
+# product panel re-packs its right factor, so few tall panels are fastest
+# (`verify --check all` in process, median ms, one core of a 2-vCPU Xeon VM;
+# one panel / a quarter / an eighth / 96 / 48 rows): n = 512
+# 121/113/118/111/122, n = 1024 613/618/636/618/691, n = 2048
 # 3454/3571/3792/3921/4640.  On one BLAS thread the checks kept the one-shot
 # bits at all but one degree tried; with more they move by rounding.
 def _row_slices(m):
     w = 24 * -(-m // 96)
     return [slice(s, s + w if s + w < m - 1 else m) for s in range(0, m - 1, w)]
-
-
-def _multiply_into(A, B):
-    # A.B written over the first B.shape[1] columns of A, which it returns,
-    # a row panel at a time through one panel-sized buffer
-    panels, n = _row_slices(len(A)), B.shape[1]
-    buf = np.empty(max(s.stop - s.start for s in panels) * n)
-    for s in panels:
-        A[s, :n] = np.matmul(A[s], B, out=buf[:(s.stop - s.start) * n].reshape(-1, n))
-    return A[:, :n]
-
-
-def _identity_deviation(P):
-    # max |P - I| of a square matrix, computed in place on P
-    k = np.arange(len(P))
-    P[k, k] -= 1.0
-    return float(np.abs(P, out=P).max())
-
-
-def verify_left_inverse(N):
-    """Max-abs deviation of the stripped product G.D2 from the identity."""
-    N = _grid_degree(N, 3)
-    G = green_matrix(N).entries
-    G.flags.writeable = True  # the entries are G's own, and nothing else holds them
-    return _identity_deviation(_multiply_into(G, diff2_matrix(N))[1:-1, 1:-1])
-
-
-def verify_right_inverse(N):
-    """Max-abs deviation of R_down . D2 . G . R_up from the identity.
-
-    The product reinterpolates a degree-(N-2) node vector up to degree N,
-    applies D2.G there, and restricts back; it acts as the identity on
-    length-(N-1) vectors.  It is formed right to left, R_down.(D2.(G.R_up)),
-    each product written over its left factor in row panels, so with each
-    factor dropped once used at most two (N+1)^2 arrays and a panel are
-    alive at a time.
-    """
-    N = _grid_degree(N, 4)
-    M = green_matrix(N).entries
-    M.flags.writeable = True  # the entries are G's own, and nothing else holds them
-    M = _multiply_into(M, reinterp_matrix(N - 2, N))
-    M = _multiply_into(diff2_matrix(N), M)
-    return _identity_deviation(_multiply_into(reinterp_matrix(N, N - 2), M))
 
 
 def solve_bvp(f, method):

@@ -14,15 +14,14 @@ the 2N-point Clenshaw-Curtis rule is exact there.
 import numpy as np
 
 from .core import cgl_points, _cgl_weight_signs, _grid_degree, _node_to_coeff_values
-# reinterp_matrix is not called here; it stays importable from this module
-# because the benchmark tracer (perfbench/tracer.py) wraps it in this namespace
-from .operators import (diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal,
-                        _multiply_into, _row_slices)
+# diff2_matrix and reinterp_matrix are not called here; they stay importable
+# from this module because the benchmark tracer (perfbench/tracer.py) wraps
+# them in this namespace
+from .operators import diff2_matrix, reinterp_matrix, _barycentric_rows, _diagonal
 
 __all__ = [
     "cc_weights",
     "consistent_gram_matrix",
-    "verify_d2_symmetry",
 ]
 
 
@@ -64,39 +63,3 @@ def consistent_gram_matrix(N):
     np.matmul(X.T, X, out=S)
     _diagonal(S)[:] += w[::2]
     return S
-
-
-def verify_d2_symmetry(N):
-    """Symmetry defect of the second derivative in the consistent product.
-
-    Over the basis p_m = (1 - x^2) T_m, m = 0..N-2, of degree <= N
-    polynomials vanishing at the boundary, returns
-    max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|).  The products run in row
-    panels, so at most two (N+1)^2 arrays and a panel are alive at a time.
-    """
-    N = _grid_degree(N, 3)
-    # M = B^T D2^T S B, the transpose of B^T S D2 B (S is symmetric), formed
-    # right to left from the Gram matrix, each product written over its left
-    # factor (S.B over S, then over D2); B is rebuilt for the last product
-    M = _multiply_into(consistent_gram_matrix(N), _boundary_basis(N))
-    M = _multiply_into(diff2_matrix(N).T, M)
-    B = _boundary_basis(N)
-    norms = np.sqrt(np.einsum("ij,ij->j", B, B))
-    M = _multiply_into(B.T, M)
-    # the antisymmetric part in row panels, each against its mirror columns
-    dev = 0.0
-    for rows in _row_slices(N - 1):
-        A = M[rows] - M[:, rows].T
-        A /= np.multiply.outer(norms[rows], norms)
-        dev = max(dev, float(np.abs(A, out=A).max()))
-    return dev
-
-
-def _boundary_basis(N):
-    # node values of p_m = (1 - x^2) T_m, m = 0..N-2, one column per m;
-    # T_m at node j is cos(m j pi / N)
-    x = cgl_points(N)
-    B = np.outer(np.arange(N + 1) * (np.pi / N), np.arange(N - 1))
-    np.cos(B, out=B)
-    B *= (1.0 - x * x)[:, None]
-    return B

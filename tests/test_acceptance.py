@@ -22,10 +22,8 @@ from chebgreen import (
     green_bc_matrix,
     green_matrix,
     solve_bvp,
-    verify_d2_symmetry,
-    verify_left_inverse,
-    verify_right_inverse,
 )
+from chebgreen.cli import _dev_left_inverse, _dev_right_inverse, _dev_symmetry
 from chebgreen.oracle import dct1_naive, green_matrix_dense_oracle
 
 _EPS = np.finfo(np.float64).eps
@@ -84,8 +82,8 @@ def test_criterion_03_structural_invariants_hold_exactly():
 
 def test_criterion_04_inverse_identities():
     t0 = time.perf_counter()
-    worst_left = max(verify_left_inverse(N) for N in range(3, 65))
-    worst_right = max(verify_right_inverse(N) for N in range(4, 65))
+    worst_left = max(_dev_left_inverse(N) for N in range(3, 65))
+    worst_right = max(_dev_right_inverse(N) for N in range(4, 65))
     worst_bc = 0.0
     for N in range(2, 33):
         A = diff2_bc_matrix(N)
@@ -171,7 +169,7 @@ def test_criterion_08_quadrature_and_inner_product():
                 exact = 2.0 / (a + b + 1) if (a + b) % 2 == 0 else 0.0
                 worst_ip = max(worst_ip, abs(got - exact))
     assert worst_ip < 1e-12
-    worst_sym = max(verify_d2_symmetry(N) for N in range(3, 33))
+    worst_sym = max(_dev_symmetry(N) for N in range(3, 33))
     assert worst_sym < 1e-9
     print(
         f"PASS quadrature: weights normalized to 4096, products {worst_ip:.2e} "

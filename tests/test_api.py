@@ -19,8 +19,7 @@ PUBLIC = {
     "diff_matrix", "extension_matrix", "green_bc_matrix", "green_function_eval",
     "green_matrix", "green_matrix_dense_oracle",
     "lagrange_monomial_coeffs", "reinterp_matrix",
-    "solve_bvp", "solve_stripped", "verify_d2_symmetry",
-    "verify_left_inverse", "verify_right_inverse",
+    "solve_bvp", "solve_stripped",
 }
 
 
@@ -151,11 +150,8 @@ DEGREE_BUILDERS = {
     "extension_matrix": chebgreen.extension_matrix,
     "diff2_bc_matrix": chebgreen.diff2_bc_matrix,
     "green_bc_matrix": chebgreen.green_bc_matrix,
-    "verify_left_inverse": chebgreen.verify_left_inverse,
-    "verify_right_inverse": chebgreen.verify_right_inverse,
     "cc_weights": chebgreen.cc_weights,
     "consistent_gram_matrix": chebgreen.consistent_gram_matrix,
-    "verify_d2_symmetry": chebgreen.verify_d2_symmetry,
 }
 
 # the smallest degree each builder accepts; the last four take the degree
@@ -165,8 +161,7 @@ LEAST_DEGREE = {
     "green_matrix_dense_oracle": 1, "lagrange_monomial_coeffs": 1, "diff_matrix": 1,
     "diff2_matrix": 2, "reinterp_matrix (from)": 1, "reinterp_matrix (to)": 1,
     "extension_matrix": 2, "diff2_bc_matrix": 2, "green_bc_matrix": 2,
-    "verify_left_inverse": 3, "verify_right_inverse": 4, "cc_weights": 1,
-    "consistent_gram_matrix": 1, "verify_d2_symmetry": 3,
+    "cc_weights": 1, "consistent_gram_matrix": 1,
     "NodeVector": 1, "GreenMatrix": 1, "solve_stripped": 2, "apply_green_matrix_free": 2,
 }
 RANGE_BUILDERS = DEGREE_BUILDERS | {
@@ -239,9 +234,10 @@ def test_degree_range_checks_live_in_the_core_guard():
                 assert phrase not in text, f"{path.name} checks a degree range: {phrase!r}"
 
 
-# the public functions that take raw arrays, each with a valid input and a
-# way to put a bad value into it; dct1 is left unchecked on purpose (it runs
-# on the matrix-free hot path, whose input is an already checked NodeVector)
+# the public functions and the GreenMatrix carrier that take raw arrays, each
+# with a valid input and a way to put a bad value into it; dct1 is left
+# unchecked on purpose (it runs on the matrix-free hot path, whose input is an
+# already checked NodeVector)
 def _poison(a, bad):
     a = np.array(a, dtype=np.float64)
     a.flat[a.size // 2] = bad
@@ -252,6 +248,7 @@ RAW_ARRAY_INPUTS = {
     "barycentric_weights_general":
         lambda bad: chebgreen.barycentric_weights_general(_poison(chebgreen.cgl_points(4), bad)),
     "dct1_naive": lambda bad: chebgreen.dct1_naive(_poison(np.ones(5), bad)),
+    "GreenMatrix": lambda bad: chebgreen.GreenMatrix(4, _poison(np.zeros((5, 5)), bad)),
 }
 
 
@@ -286,6 +283,20 @@ def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given
 # private kernels that only the tests call, as references; every other
 # module-level private function must be named somewhere in the package
 TEST_REFERENCES = {("core", "_coeff_to_node_values")}
+
+
+def test_every_verify_check_lives_in_cli():
+    # a check's deviation sits beside its degree range and tolerance in
+    # cli._CHECKS, and the panel-product helpers that only the checks use
+    # live there with them
+    cli = importlib.import_module("chebgreen.cli")
+    for name, (_, _, deviation, _) in cli._CHECKS.items():
+        assert deviation.__module__ == "chebgreen.cli", name
+    homes = {(path.stem, top.name) for path in MODULES
+             for top in ast.parse(path.read_text()).body
+             if isinstance(top, ast.FunctionDef)
+             and top.name in ("_multiply_into", "_identity_deviation")}
+    assert homes == {("cli", "_multiply_into"), ("cli", "_identity_deviation")}
 
 
 def test_no_private_function_is_left_without_a_caller():

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,7 +105,7 @@ def test_format_rows_matches_reference_on_random_matrices(shape):
 def test_green_non_finite_matrix_fails_cleanly(fmt, monkeypatch, capsys):
     G = green_matrix(4).entries.copy()
     G[1, 2] = np.nan
-    monkeypatch.setattr("chebgreen.cli.green_matrix", lambda n: SimpleNamespace(entries=G))
+    monkeypatch.setattr("chebgreen.cli.green_matrix", lambda n: GreenMatrix(n, G))
     assert main(["green", "--n", "4", "--format", fmt]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -327,7 +326,7 @@ def test_verify_fails_exactly_the_tabulated_checks_on_a_faulty_green_matrix(
     def faulty(N):
         return GreenMatrix(N, fault(green_matrix(N).entries))
 
-    # the CLI's own checks and the operators behind the inverse checks
+    # the CLI's own checks and green_bc_matrix, behind bc-inverse
     monkeypatch.setattr(cli, "green_matrix", faulty)
     monkeypatch.setattr(operators, "green_matrix", faulty)
     code = main(["verify", "--n", str(n)])
@@ -404,10 +403,10 @@ def test_panel_products_agree_with_direct_formulas(n):
     assert abs(cli._dev_bc_inverse(n) - formula) <= gap
     D2, eye = operators.diff2_matrix(n), np.eye(n - 1)
     formula = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - eye)))
-    assert abs(operators.verify_left_inverse(n) - formula) <= _rounding_gap(n, G, D2)
+    assert abs(cli._dev_left_inverse(n) - formula) <= _rounding_gap(n, G, D2)
     R_up, R_down = operators.reinterp_matrix(n - 2, n), operators.reinterp_matrix(n, n - 2)
     formula = float(np.max(np.abs(R_down @ (D2 @ (G @ R_up)) - eye)))
-    assert (abs(operators.verify_right_inverse(n) - formula)
+    assert (abs(cli._dev_right_inverse(n) - formula)
             <= _rounding_gap(n, R_down, D2, G, R_up))
 
 
@@ -452,15 +451,31 @@ def test_verify_below_minimum_degree_is_usage_error():
     assert exc.value.code == 2
 
 
+# the CLI is where each check's degree range is enforced: the deviations
+# themselves take any degree their builders do
+@pytest.mark.parametrize("name", [name for name, (lo, _, _, _) in cli._CHECKS.items()
+                                  if lo >= 2])
+def test_verify_check_below_its_least_degree_names_the_least(name, capsys):
+    lo = cli._CHECKS[name][0]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", str(lo - 1), "--check", name])
+    assert exc.value.code == 2
+    assert f"check {name} needs --n >= {lo}" in capsys.readouterr().err
+
+
+def test_verify_oracle_check_above_its_cap_names_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "11", "--check", "oracle"])
+    assert exc.value.code == 2
+    assert "check oracle is limited to --n <= 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", cli._CHECKS)
 def test_check_degree_limits_agree_with_their_deviations(name):
-    # the least n in _CHECKS is the least degree the deviation itself takes,
-    # and a cap is the deviation's own limit
+    # each deviation runs at the least n in _CHECKS, and a cap is the
+    # deviation's own limit
     lo, hi, deviation, _ = cli._CHECKS[name]
     assert np.isfinite(deviation(lo))
-    if lo >= 2:
-        with pytest.raises(ValueError):
-            deviation(lo - 1)
     if hi is not None:
         assert np.isfinite(deviation(hi))
         with pytest.raises(ValueError):

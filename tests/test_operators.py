@@ -1,4 +1,5 @@
-"""Differentiation, resampling, boundary-embedded matrices, inverse checks."""
+"""Differentiation, resampling, boundary-embedded matrices, and the verify
+checks that invert them."""
 
 import tracemalloc
 
@@ -17,9 +18,8 @@ from chebgreen import (
     green_matrix,
     reinterp_matrix,
     solve_stripped,
-    verify_left_inverse,
-    verify_right_inverse,
 )
+from chebgreen.cli import _dev_left_inverse, _dev_right_inverse
 from chebgreen.core import _cgl_weight_signs
 from chebgreen.operators import _diff2_rows
 
@@ -413,12 +413,12 @@ def test_bc_solver_honors_inhomogeneous_boundary_data():
 
 @pytest.mark.parametrize("N", [3, 8, 32])
 def test_left_inverse_deviation_is_small(N):
-    assert verify_left_inverse(N) < 1e-8
+    assert _dev_left_inverse(N) < 1e-8
 
 
 @pytest.mark.parametrize("N", [4, 8, 32])
 def test_right_inverse_deviation_is_small(N):
-    assert verify_right_inverse(N) < 1e-8
+    assert _dev_right_inverse(N) < 1e-8
 
 
 # the checks form their products in row panels written over a factor, the
@@ -431,15 +431,7 @@ def test_inverse_deviations_match_direct_products(N):
     D2 = diff2_matrix(N)
     eye = np.eye(N - 1)
     left = float(np.abs((G @ D2)[1:-1, 1:-1] - eye).max())
-    assert verify_left_inverse(N) == left
+    assert _dev_left_inverse(N) == left
     right = float(np.abs(reinterp_matrix(N, N - 2) @ D2 @ G @ reinterp_matrix(N - 2, N)
                          - eye).max())
-    assert abs(verify_right_inverse(N) - right) <= 0.1 * right
-
-
-def test_inverse_checks_reject_tiny_grids():
-    with pytest.raises(ValueError):
-        verify_left_inverse(2)
-    with pytest.raises(ValueError):
-        verify_right_inverse(3)
-
+    assert abs(_dev_right_inverse(N) - right) <= 0.1 * right

@@ -1,4 +1,5 @@
-"""Quadrature weights, the consistent inner product, and its symmetry check."""
+"""Quadrature weights, the consistent inner product, and verify's symmetry
+check in it."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from chebgreen import (
     consistent_gram_matrix,
     diff2_matrix,
     reinterp_matrix,
-    verify_d2_symmetry,
 )
+from chebgreen.cli import _dev_symmetry
 
 
 def test_weights_small_closed_forms():
@@ -118,7 +119,7 @@ def test_inner_product_is_symmetric_in_arguments():
 
 @pytest.mark.parametrize("N", [3, 8, 16, 32])
 def test_second_derivative_symmetry_deviation(N):
-    assert verify_d2_symmetry(N) < 1e-9
+    assert _dev_symmetry(N) < 1e-9
 
 
 @pytest.mark.parametrize("N", [64, 257, 512])
@@ -133,9 +134,4 @@ def test_symmetry_deviation_matches_direct_product(N):
     M = B.T @ (0.5 * (S + S.T) @ (diff2_matrix(N) @ B))
     norms = np.linalg.norm(B, axis=0)
     ref = float((np.abs(M - M.T) / np.outer(norms, norms)).max())
-    assert abs(verify_d2_symmetry(N) - ref) <= 0.1 * ref
-
-
-def test_symmetry_check_needs_degree_three():
-    with pytest.raises(ValueError):
-        verify_d2_symmetry(2)
+    assert abs(_dev_symmetry(N) - ref) <= 0.1 * ref
