@@ -1,7 +1,8 @@
 """Command-line front end: export, solve, verify.
 
 Every ``verify`` check lives here: its deviation function beside the
-``_CHECKS`` table that holds its degree range and tolerance.
+``_CHECKS`` table that holds its degree range and tolerance, and so do
+the bc-inverse operators ``diff2_bc_matrix`` and ``green_bc_matrix``.
 
 Exit codes: 0 on success, 1 when a verification deviation is non-finite
 or exceeds its recorded tolerance, an output path cannot be written or
@@ -16,8 +17,8 @@ import numpy as np
 
 from .core import NodeVector, cgl_points, _grid_degree
 from .green import green_matrix
-from .operators import (METHODS, diff2_bc_matrix, diff2_matrix, green_bc_matrix,
-                        reinterp_matrix, solve_bvp, _row_slices)
+from .operators import (METHODS, diff2_matrix, reinterp_matrix, solve_bvp,
+                        _barycentric_rows, _interior_weights)
 from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
 from .quadrature import cc_weights, consistent_gram_matrix
 
@@ -34,10 +35,12 @@ def _format_rows(M, cell, sep):
     significant digits, enough for exact round-trips) or "%r" (the
     shortest repr, as json writes it).  When M is centrosymmetric, as
     every Green matrix is, only the top half of the rows is formatted and
-    row N-i is written as row i's cells reversed.
+    row N-i is written as row i's cells reversed.  The test compares bits,
+    since -0.0 == 0.0 but the two are written differently.
     """
     n_rows, n_cols = M.shape
-    half = (n_rows + 1) // 2 if np.array_equal(M, M[::-1, ::-1]) else n_rows
+    bits = M.view(np.uint64)
+    half = (n_rows + 1) // 2 if np.array_equal(bits, bits[::-1, ::-1]) else n_rows
     template = sep.join([cell] * n_cols)
     rows = [template % tuple(row) for row in M[:half].tolist()]
     return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows - half])]
@@ -131,10 +134,25 @@ def _cmd_solve(args, parser):
 # ---------------------------------------------------------------------------
 # verify
 #
-# Each deviation takes a degree in its _CHECKS range, which _cmd_verify
-# enforces.  The product checks multiply in row panels through one buffer,
-# each panel written over the product's left factor, so at most two (n+1)^2
-# arrays and a panel are alive at a time.
+# Each deviation, and each bc-inverse operator, takes a degree in its
+# check's _CHECKS range, which _cmd_verify enforces.  The product checks
+# multiply in row panels through one buffer, each panel written over the
+# product's left factor, so at most two (n+1)^2 arrays and a panel are alive
+# at a time.
+
+
+# row panels of green_bc_matrix and the verify checks: a quarter of the m
+# rows, rounded up to a multiple of 24, a last single row joined to the
+# one before (numpy runs a one-row product as a vector product).  Each
+# product panel re-packs its right factor, so few tall panels are fastest
+# (`verify --check all` in process, median ms, one core of a 2-vCPU Xeon VM;
+# one panel / a quarter / an eighth / 96 / 48 rows): n = 512
+# 121/113/118/111/122, n = 1024 613/618/636/618/691, n = 2048
+# 3454/3571/3792/3921/4640.  On one BLAS thread the checks kept the one-shot
+# bits at all but one degree tried; with more they move by rounding.
+def _row_slices(m):
+    w = 24 * -(-m // 96)
+    return [slice(s, s + w if s + w < m - 1 else m) for s in range(0, m - 1, w)]
 
 
 def _multiply_into(A, B):
@@ -168,6 +186,45 @@ def _dev_centrosymmetry(n):
         dev = max(dev, float(np.abs(D, out=D).max()))
         del D  # before the next panel's D is made
     return dev
+
+
+# unprefixed: perfbench/tracer.py patches this pair by name in cli
+def diff2_bc_matrix(N):
+    """Second derivative with boundary rows replaced by unit rows.
+
+    Row 0 is e_0 and row N is e_N (they read off the boundary values); the
+    interior rows are those of the full second-derivative matrix.
+    """
+    A = diff2_matrix(N)
+    A[[0, -1]] = 0.0
+    A[0, 0] = 1.0
+    A[-1, -1] = 1.0
+    return A
+
+
+def green_bc_matrix(N):
+    """Green matrix with boundary columns carrying the harmonic extensions.
+
+    Column 0 is (x+1)/2 (equals 1 at the first node, 0 at the last), column
+    N is (1-x)/2, and the middle block is G.E: solve on interior data after
+    extension.  Together with :func:`diff2_bc_matrix` this forms a mutually
+    inverse pair.  The interior rows of E are the identity, so G.E is
+    formed as G's interior columns plus two rank-1 terms, in O(N^2) rather
+    than as a dense O(N^3) product, and only the two boundary rows of E are
+    built.  The terms go in row panels: G and B are the only full arrays.
+    """
+    x = cgl_points(N)
+    G = green_matrix(N).entries
+    e_first, e_last = _barycentric_rows(x[1:-1], _interior_weights(N), x[[0, -1]])
+    B = np.empty((N + 1, N + 1))
+    B[:, 0] = 0.5 * (x[0] + x)
+    B[:, -1] = -0.5 * (x[-1] + x)
+    for rows in _row_slices(N + 1):
+        mid = B[rows, 1:-1]
+        np.multiply(G[rows, :1], e_first, out=mid)
+        mid += G[rows, 1:-1]
+        mid += G[rows, -1:] * e_last
+    return B
 
 
 def _dev_bc_inverse(n):

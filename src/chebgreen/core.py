@@ -105,10 +105,10 @@ def _grid_degree(N, least=1):
     (a float such as 4.0 names no grid, even when it is whole), then
     ValueError naming both when it is below least, the smallest degree the
     caller's operator exists at."""
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise TypeError(f"grid degree must be an integer, got {N!r}") from None
+    # the types operator.index takes, less bool (it would read True as 1)
+    if isinstance(N, bool) or not hasattr(type(N), "__index__"):
+        raise TypeError(f"grid degree must be an integer, got {N!r}")
+    N = operator.index(N)
     if N < least:
         raise ValueError(f"grid degree must be >= {least}, got {N}")
     return N
@@ -117,6 +117,8 @@ def _grid_degree(N, least=1):
 def _basis_index(i, N):
     """i as an int in 0..N; TypeError for a fractional index, which names
     no basis function, ValueError when it is out of range."""
+    if isinstance(i, bool) or not hasattr(type(i), "__index__"):  # as in _grid_degree
+        raise TypeError(f"basis index must be an integer, got {i!r}")
     i = operator.index(i)
     if not 0 <= i <= N:
         raise ValueError(f"basis index {i} out of range for degree {N}")

@@ -1,5 +1,5 @@
-"""Differentiation, reinterpolation, boundary-embedded operator matrices,
-and ``solve_bvp``, the one entry point to the three solution methods.
+"""Differentiation and reinterpolation matrices, and ``solve_bvp``, the one
+entry point to the three solution methods.
 
 The differentiation matrix follows the barycentric form (Berrut & Trefethen,
 SIAM Review 2004) with the negative-row-sum diagonal.  The second-derivative
@@ -9,10 +9,7 @@ TOMS 2000); the stripped solve splits it by parity (Solomonoff, J. Comput.
 Phys. 1992).  Every resampling matrix is one barycentric evaluation of an
 interpolant at a set of points: ``reinterp_matrix`` evaluates the grid
 interpolant on another grid, and the extension E is the interpolant
-through the interior nodes evaluated at every node.  The boundary-embedded
-pair ``diff2_bc_matrix`` / ``green_bc_matrix`` extends the stripped second
-derivative and the Green matrix with boundary rows/columns so that the two
-square matrices are mutual inverses.
+through the interior nodes evaluated at every node.
 """
 
 import numpy as np
@@ -28,8 +25,6 @@ __all__ = [
     "solve_stripped",
     "reinterp_matrix",
     "extension_matrix",
-    "diff2_bc_matrix",
-    "green_bc_matrix",
     "solve_bvp",
 ]
 
@@ -189,60 +184,6 @@ def extension_matrix(N):
     N = _grid_degree(N, 2)
     x = cgl_points(N)
     return _barycentric_rows(x[1:-1], _interior_weights(N), x)
-
-
-def diff2_bc_matrix(N):
-    """Second derivative with boundary rows replaced by unit rows.
-
-    Row 0 is e_0 and row N is e_N (they read off the boundary values); the
-    interior rows are those of the full second-derivative matrix.
-    """
-    N = _grid_degree(N, 2)
-    A = diff2_matrix(N)
-    A[[0, -1]] = 0.0
-    A[0, 0] = 1.0
-    A[-1, -1] = 1.0
-    return A
-
-
-def green_bc_matrix(N):
-    """Green matrix with boundary columns carrying the harmonic extensions.
-
-    Column 0 is (x+1)/2 (equals 1 at the first node, 0 at the last), column
-    N is (1-x)/2, and the middle block is G.E: solve on interior data after
-    extension.  Together with :func:`diff2_bc_matrix` this forms a mutually
-    inverse pair.  The interior rows of E are the identity, so G.E is
-    formed as G's interior columns plus two rank-1 terms, in O(N^2) rather
-    than as a dense O(N^3) product, and only the two boundary rows of E are
-    built.  The terms go in row panels: G and B are the only full arrays.
-    """
-    N = _grid_degree(N, 2)
-    x = cgl_points(N)
-    G = green_matrix(N).entries
-    e_first, e_last = _barycentric_rows(x[1:-1], _interior_weights(N), x[[0, -1]])
-    B = np.empty((N + 1, N + 1))
-    B[:, 0] = 0.5 * (x[0] + x)
-    B[:, -1] = -0.5 * (x[-1] + x)
-    for rows in _row_slices(N + 1):
-        mid = B[rows, 1:-1]
-        np.multiply(G[rows, :1], e_first, out=mid)
-        mid += G[rows, 1:-1]
-        mid += G[rows, -1:] * e_last
-    return B
-
-
-# row panels of green_bc_matrix and the verify checks in cli: a quarter of
-# the m rows, rounded up to a multiple of 24, a last single row joined to the
-# one before (numpy runs a one-row product as a vector product).  Each
-# product panel re-packs its right factor, so few tall panels are fastest
-# (`verify --check all` in process, median ms, one core of a 2-vCPU Xeon VM;
-# one panel / a quarter / an eighth / 96 / 48 rows): n = 512
-# 121/113/118/111/122, n = 1024 613/618/636/618/691, n = 2048
-# 3454/3571/3792/3921/4640.  On one BLAS thread the checks kept the one-shot
-# bits at all but one degree tried; with more they move by rounding.
-def _row_slices(m):
-    w = 24 * -(-m // 96)
-    return [slice(s, s + w if s + w < m - 1 else m) for s in range(0, m - 1, w)]
 
 
 def solve_bvp(f, method):

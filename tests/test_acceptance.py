@@ -18,12 +18,11 @@ from chebgreen import (
     cgl_points,
     consistent_gram_matrix,
     dct1,
-    diff2_bc_matrix,
-    green_bc_matrix,
     green_matrix,
     solve_bvp,
 )
-from chebgreen.cli import _dev_left_inverse, _dev_right_inverse, _dev_symmetry
+from chebgreen.cli import (_dev_left_inverse, _dev_right_inverse, _dev_symmetry,
+                           diff2_bc_matrix, green_bc_matrix)
 from chebgreen.oracle import dct1_naive, green_matrix_dense_oracle
 
 _EPS = np.finfo(np.float64).eps

@@ -4,22 +4,21 @@ import ast
 import dataclasses
 import graphlib
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chebgreen
+import chebgreen.oracle
 
 PUBLIC = {
     "GreenMatrix", "METHODS", "NodeVector", "__version__",
-    "apply_green_matrix_free", "barycentric_weights_general",
-    "cc_weights", "cgl_points", "consistent_gram_matrix",
-    "dct1", "dct1_naive", "diff2_bc_matrix", "diff2_matrix",
-    "diff_matrix", "extension_matrix", "green_bc_matrix", "green_function_eval",
-    "green_matrix", "green_matrix_dense_oracle",
-    "lagrange_monomial_coeffs", "reinterp_matrix",
-    "solve_bvp", "solve_stripped",
+    "apply_green_matrix_free", "cc_weights", "cgl_points", "consistent_gram_matrix",
+    "dct1", "diff2_matrix", "diff_matrix", "extension_matrix", "green_function_eval",
+    "green_matrix", "reinterp_matrix", "solve_bvp", "solve_stripped",
 }
 
 
@@ -32,8 +31,7 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_each_public_name_comes_from_one_module():
-    modules = (chebgreen.core, chebgreen.green, chebgreen.operators,
-               chebgreen.oracle, chebgreen.quadrature)
+    modules = (chebgreen.core, chebgreen.green, chebgreen.operators, chebgreen.quadrature)
     for name in PUBLIC - {"__version__"}:
         (home,) = [m for m in modules if name in m.__all__]
         assert getattr(chebgreen, name) is getattr(home, name)
@@ -58,6 +56,19 @@ def _imports(path):
         else:
             continue
         yield enclosing.get(id(node)), {m.split(".")[0] for m in mods}
+
+
+def test_the_references_are_public_only_in_their_module():
+    # the slow exact references serve verification: chebgreen.oracle exports
+    # them, the package namespace does not, and importing it loads none of them
+    assert set(chebgreen.oracle.__all__) == {
+        "barycentric_weights_general", "lagrange_monomial_coeffs",
+        "green_matrix_dense_oracle", "dct1_naive"}
+    assert not set(chebgreen.oracle.__all__) & set(dir(chebgreen))
+    code = ("import sys, chebgreen; "
+            "print(sorted({'chebgreen.oracle', 'numpy.polynomial'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_module_level_imports_form_a_dag():
@@ -88,12 +99,12 @@ def test_only_core_defines_dataclasses():
 
 def test_paths_stay_independent_of_the_references_and_the_dct():
     # the oracle is the exact reference the assembly is checked against, so
-    # only the CLI's verify and the package namespace may import it; the
+    # only the CLI's verify may import it, not even the package namespace; the
     # dense path's primitives (calculus) use no transform, which keeps them
     # independent of the DCT-based matrix-free path
     importers = {path.stem for path in MODULES
                  for _, mods in _imports(path) if "oracle" in mods}
-    assert importers == {"cli", "__init__"}
+    assert importers == {"cli"}
     transforms = {"dct1", "_node_to_coeff_values", "_coeff_to_node_values"}
     tree = ast.parse((Path(chebgreen.__file__).parent / "calculus.py").read_text())
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
@@ -141,15 +152,13 @@ def test_solve_bvp_calls_each_method_through_its_patchable_attribute(method, mon
 DEGREE_BUILDERS = {
     "cgl_points": chebgreen.cgl_points,
     "green_matrix": chebgreen.green_matrix,
-    "green_matrix_dense_oracle": chebgreen.green_matrix_dense_oracle,
-    "lagrange_monomial_coeffs": lambda N: chebgreen.lagrange_monomial_coeffs(0, N),
+    "green_matrix_dense_oracle": chebgreen.oracle.green_matrix_dense_oracle,
+    "lagrange_monomial_coeffs": lambda N: chebgreen.oracle.lagrange_monomial_coeffs(0, N),
     "diff_matrix": chebgreen.diff_matrix,
     "diff2_matrix": chebgreen.diff2_matrix,
     "reinterp_matrix (from)": lambda N: chebgreen.reinterp_matrix(N, 4),
     "reinterp_matrix (to)": lambda N: chebgreen.reinterp_matrix(4, N),
     "extension_matrix": chebgreen.extension_matrix,
-    "diff2_bc_matrix": chebgreen.diff2_bc_matrix,
-    "green_bc_matrix": chebgreen.green_bc_matrix,
     "cc_weights": chebgreen.cc_weights,
     "consistent_gram_matrix": chebgreen.consistent_gram_matrix,
 }
@@ -160,7 +169,7 @@ LEAST_DEGREE = {
     "cgl_points": 1, "green_matrix": 1,
     "green_matrix_dense_oracle": 1, "lagrange_monomial_coeffs": 1, "diff_matrix": 1,
     "diff2_matrix": 2, "reinterp_matrix (from)": 1, "reinterp_matrix (to)": 1,
-    "extension_matrix": 2, "diff2_bc_matrix": 2, "green_bc_matrix": 2,
+    "extension_matrix": 2,
     "cc_weights": 1, "consistent_gram_matrix": 1,
     "NodeVector": 1, "GreenMatrix": 1, "solve_stripped": 2, "apply_green_matrix_free": 2,
 }
@@ -179,6 +188,8 @@ def test_non_integer_degree_is_a_type_error_naming_it(name):
     for bad in (4.0, np.float64(4.0), 4.5):
         with pytest.raises(TypeError, match=f"grid degree must be an integer, got .*{float(bad)!r}"):
             build(bad)
+    with pytest.raises(TypeError, match="grid degree must be an integer, got True$"):
+        build(True)  # though operator.index(True) is 1
     build(np.int64(4))  # numpy integers are integers
 
 
@@ -186,14 +197,14 @@ def test_non_integer_degree_is_a_type_error_naming_it(name):
 def test_fractional_degree_below_range_is_a_type_error(name):
     # the type is checked before the range, so a fraction below the smallest
     # degree is refused as a non-integer, not as out of range
-    for bad in (0.5, 1.5, 2.5, 3.5):
+    for bad in (0.5, 1.5, 2.5, 3.5, True):
         with pytest.raises(TypeError, match="grid degree must be an integer"):
             DEGREE_BUILDERS[name](bad)
 
 
 def test_node_vector_refuses_a_float_degree():
     values = np.zeros(5)
-    for bad in (4.0, np.float64(4.0)):
+    for bad in (4.0, np.float64(4.0), True):
         with pytest.raises(TypeError, match="grid degree must be an integer"):
             chebgreen.NodeVector(values, grid_degree=bad)
     f = chebgreen.NodeVector(values, grid_degree=np.int64(4))
@@ -202,7 +213,7 @@ def test_node_vector_refuses_a_float_degree():
 
 def test_green_matrix_refuses_a_float_degree():
     entries = np.zeros((5, 5))
-    for bad in (4.0, np.float64(4.0)):
+    for bad in (4.0, np.float64(4.0), True):
         with pytest.raises(TypeError, match="grid degree must be an integer"):
             chebgreen.GreenMatrix(bad, entries)
     G = chebgreen.GreenMatrix(np.int64(4), entries)
@@ -221,7 +232,7 @@ def test_lagrange_monomial_coeffs_names_a_negative_degree():
     # the degree is checked before the basis index, so a bad degree is not
     # reported as an index out of range
     with pytest.raises(ValueError, match="grid degree must be >= 1, got -3"):
-        chebgreen.lagrange_monomial_coeffs(0, -3)
+        chebgreen.oracle.lagrange_monomial_coeffs(0, -3)
 
 
 def test_degree_range_checks_live_in_the_core_guard():
@@ -246,8 +257,9 @@ def _poison(a, bad):
 
 RAW_ARRAY_INPUTS = {
     "barycentric_weights_general":
-        lambda bad: chebgreen.barycentric_weights_general(_poison(chebgreen.cgl_points(4), bad)),
-    "dct1_naive": lambda bad: chebgreen.dct1_naive(_poison(np.ones(5), bad)),
+        lambda bad: chebgreen.oracle.barycentric_weights_general(
+            _poison(chebgreen.cgl_points(4), bad)),
+    "dct1_naive": lambda bad: chebgreen.oracle.dct1_naive(_poison(np.ones(5), bad)),
     "GreenMatrix": lambda bad: chebgreen.GreenMatrix(4, _poison(np.zeros((5, 5)), bad)),
 }
 
@@ -285,18 +297,22 @@ def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given
 TEST_REFERENCES = {("core", "_coeff_to_node_values")}
 
 
+# functions that only the verify checks use
+CHECK_HELPERS = ("_multiply_into", "_identity_deviation", "_row_slices",
+                 "diff2_bc_matrix", "green_bc_matrix")
+
+
 def test_every_verify_check_lives_in_cli():
     # a check's deviation sits beside its degree range and tolerance in
-    # cli._CHECKS, and the panel-product helpers that only the checks use
-    # live there with them
+    # cli._CHECKS, and the panel-product helpers and the bc-inverse operators
+    # that only the checks use live there with them
     cli = importlib.import_module("chebgreen.cli")
     for name, (_, _, deviation, _) in cli._CHECKS.items():
         assert deviation.__module__ == "chebgreen.cli", name
     homes = {(path.stem, top.name) for path in MODULES
              for top in ast.parse(path.read_text()).body
-             if isinstance(top, ast.FunctionDef)
-             and top.name in ("_multiply_into", "_identity_deviation")}
-    assert homes == {("cli", "_multiply_into"), ("cli", "_identity_deviation")}
+             if isinstance(top, ast.FunctionDef) and top.name in CHECK_HELPERS}
+    assert homes == {("cli", name) for name in CHECK_HELPERS}
 
 
 def test_no_private_function_is_left_without_a_caller():

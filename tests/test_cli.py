@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chebgreen import (METHODS, GreenMatrix, NodeVector, cgl_points, diff2_bc_matrix,
-                       green_bc_matrix, green_matrix, solve_bvp)
+from chebgreen import METHODS, GreenMatrix, NodeVector, cgl_points, green_matrix, solve_bvp
 from chebgreen import cli, operators
-from chebgreen.cli import _format_rows, main
+from chebgreen.cli import _format_rows, diff2_bc_matrix, green_bc_matrix, main
 
 
 def _parse_csv_matrix(text):
@@ -95,7 +94,11 @@ def test_format_rows_matches_reference_on_random_matrices(shape):
     M[0, 0] = -0.0
     C = M + M[::-1, ::-1]  # centrosymmetric: formatted through the mirrored half
     assert np.array_equal(C, C[::-1, ::-1]) and not np.array_equal(M, M[::-1, ::-1])
-    for A in (M, C):
+    # centrosymmetric by value but not by bits: -0.0 mirrors 0.0
+    Z = C.copy()
+    Z[0, 0], Z[-1, -1] = 0.0, -0.0
+    signed_zeros = [Z, np.array([[0.0, 1.0], [1.0, -0.0]])]
+    for A in (M, C, *signed_zeros):
         assert "\n".join(_format_rows(A, "%.17g", ",")) + "\n" == _reference_csv(A)
         rows = [json.dumps(row, indent=2) for row in A.tolist()]
         assert _format_rows(A, "%r", ",\n  ") == [r[4:-2] for r in rows]
@@ -326,9 +329,8 @@ def test_verify_fails_exactly_the_tabulated_checks_on_a_faulty_green_matrix(
     def faulty(N):
         return GreenMatrix(N, fault(green_matrix(N).entries))
 
-    # the CLI's own checks and green_bc_matrix, behind bc-inverse
+    # every check, green_bc_matrix behind bc-inverse too, builds G through cli
     monkeypatch.setattr(cli, "green_matrix", faulty)
-    monkeypatch.setattr(operators, "green_matrix", faulty)
     code = main(["verify", "--n", str(n)])
     rows = _strict_json(capsys.readouterr().out)
     failed = {r["check"] for r in rows

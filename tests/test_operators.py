@@ -10,16 +10,14 @@ from numpy.polynomial import chebyshev as npcheb
 from chebgreen import (
     NodeVector,
     cgl_points,
-    diff2_bc_matrix,
     diff2_matrix,
     diff_matrix,
     extension_matrix,
-    green_bc_matrix,
     green_matrix,
     reinterp_matrix,
     solve_stripped,
 )
-from chebgreen.cli import _dev_left_inverse, _dev_right_inverse
+from chebgreen.cli import _dev_left_inverse, _dev_right_inverse, diff2_bc_matrix, green_bc_matrix
 from chebgreen.core import _cgl_weight_signs
 from chebgreen.operators import _diff2_rows
 

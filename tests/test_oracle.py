@@ -62,10 +62,10 @@ def test_lagrange_monomial_guards():
         lagrange_monomial_coeffs(3, 2)
 
 
-@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(1.0)])
+@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(1.0), True])
 def test_lagrange_monomial_rejects_non_integer_index(i):
     # an integral float names no basis function either, rather than being
-    # silently truncated
+    # silently truncated, nor does a bool, though operator.index(True) is 1
     with pytest.raises(TypeError):
         lagrange_monomial_coeffs(i, 4)
 
