@@ -11,6 +11,7 @@ memory runs out, 2 for usage errors.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,13 +47,24 @@ def _format_rows(M, cell, sep):
     return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows - half])]
 
 
+# the largest n for which numpy can describe an (n+1) x (n+1) float64 array;
+# above it numpy raises a ValueError before allocating, which the commands
+# would misreport
+_MAX_DEGREE = math.isqrt(np.iinfo(np.intp).max // 8) - 1
+
+
 def _degree(text):
-    """--n as a grid degree, through the library's guard; argparse reports
-    the error as "argument --n: <message>" and exits 2."""
+    """--n as a grid degree, through the library's guard and below the
+    largest matrix numpy can describe; argparse reports the error as
+    "argument --n: <message>" and exits 2."""
     try:
-        return _grid_degree(int(text))
+        n = _grid_degree(int(text))
     except ValueError as exc:  # from int() too, for text that is no integer
         raise argparse.ArgumentTypeError(exc) from None
+    if n > _MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"degree {n} is above {_MAX_DEGREE}, the largest "
+                                         "whose (n+1) x (n+1) matrix numpy can describe")
+    return n
 
 
 def _write_text(text, path):
@@ -126,7 +138,7 @@ def _cmd_solve(args, parser):
     except OSError as exc:
         print(f"error: cannot read {exc.filename}: {exc}", file=sys.stderr)
         return 1
-    y = solve_bvp(NodeVector(f, grid_degree=args.n), args.method)
+    y = solve_bvp(NodeVector(f), args.method)
     text = _format_rows(y.values[np.newaxis], "%.17g", "\n")[0] + "\n"
     return _write_text(text, args.out)
 

@@ -21,22 +21,22 @@ __all__ = [
 ]
 
 
-def _freeze(obj, name, ndim, degree=None):
+def _freeze(obj, name, ndim):
     """Store the named field of the frozen dataclass obj as a read-only
     contiguous float64 array.
 
-    Raises ValueError unless the array has ndim axes (degree + 1 entries
-    along each when a grid degree is given) and holds only finite values.
-    Complex values raise TypeError rather than lose their imaginary part in
-    the cast.
+    Raises ValueError unless the array has ndim axes of one common length,
+    whose grid degree (that length minus one) passes _grid_degree, and
+    holds only finite values.  Complex values raise TypeError rather than
+    lose their imaginary part in the cast.
     """
     where = f"{type(obj).__name__}.{name}"
     a = getattr(obj, name)
     _require_real(a, where)
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != ndim or (degree is not None and a.shape != (degree + 1,) * ndim):
-        want = f"{ndim}-d" if degree is None else f"{degree + 1} entries per axis, {ndim}-d"
-        raise ValueError(f"{where} needs {want}, got shape {a.shape}")
+    if a.ndim != ndim or len(set(a.shape)) != 1:
+        raise ValueError(f"{where} needs {ndim}-d, all axes of one length, got shape {a.shape}")
+    _grid_degree(a.shape[0] - 1)
     _require_finite(a, where)
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
@@ -66,38 +66,33 @@ def _require_type(v, cls, fn):
 class NodeVector:
     """Values of a function at all points of a degree-N CGL grid.
 
-    ``values[j]`` is the sample at ``cgl_points(N)[j]``.  The grid degree is
-    inferred from the length when not given explicitly.
+    ``values[j]`` is the sample at ``cgl_points(N)[j]``; the N + 1 values
+    state the grid degree N, which ``grid_degree`` reads off their count.
     """
 
     values: np.ndarray
-    grid_degree: int | None = None
 
     def __post_init__(self):
         _freeze(self, "values", ndim=1)
-        n = self.values.size
-        deg = _grid_degree(n - 1 if self.grid_degree is None else self.grid_degree)
-        if n != deg + 1:
-            raise ValueError(f"node vector needs grid_degree + 1 values, "
-                             f"got {n} values for degree {deg}")
-        object.__setattr__(self, "grid_degree", deg)
+
+    @property
+    def grid_degree(self):
+        return self.values.size - 1
 
 
 @dataclass(frozen=True)
 class GreenMatrix:
-    """Dense (N+1) x (N+1) discrete solution operator.
+    """Dense (N+1) x (N+1) discrete solution operator; its side states N.
 
     entries[k][i] is the response at node k to the i-th Lagrange basis
     function on the right-hand side.  Rows 0 and N are identically zero and
     entries[k][i] == entries[N-k][N-i].
     """
 
-    degree: int
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", _grid_degree(self.degree))
-        _freeze(self, "entries", ndim=2, degree=self.degree)
+        _freeze(self, "entries", ndim=2)
 
 
 def _grid_degree(N, least=1):

@@ -110,7 +110,7 @@ def green_matrix(N):
         # the middle row and column are their own mirror images; make that exact
         G[half, right] = G[half, left]
         G[:, half] = 0.5 * (G[:, half] + G[::-1, half])
-    return GreenMatrix(N, G)
+    return GreenMatrix(G)
 
 
 def apply_green_matrix_free(f):
@@ -143,4 +143,4 @@ def apply_green_matrix_free(f):
     y = core.dct1(w)
     y[0] = 0.0
     y[-1] = 0.0
-    return NodeVector(y, N)
+    return NodeVector(y)

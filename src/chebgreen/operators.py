@@ -133,7 +133,7 @@ def solve_stripped(f):
     y[up] = u_e[:h] + u_o
     y[mid] = u_e[h:]
     y[down] = u_e[:h] - u_o
-    return NodeVector(y, N)
+    return NodeVector(y)
 
 
 def reinterp_matrix(N_from, N_to):
@@ -196,7 +196,7 @@ def solve_bvp(f, method):
     _require_type(f, NodeVector, "solve_bvp")
     if method == "dense-green":
         y = green_matrix(f.grid_degree).entries @ f.values
-        return NodeVector(y, f.grid_degree)
+        return NodeVector(y)
     if method == "matrix-free":
         # looked up on green per call: the benchmark tracer (perfbench/tracer.py) patches it there
         return green.apply_green_matrix_free(f)

@@ -80,7 +80,7 @@ def green_matrix_dense_oracle(N):
             G[k, i] = 0.5 * (x[k] - 1.0) * _poly_integral(below, -1.0, x[k]) + 0.5 * (
                 x[k] + 1.0
             ) * _poly_integral(above, x[k], 1.0)
-    return GreenMatrix(N, G)
+    return GreenMatrix(G)
 
 
 def dct1_naive(v):

@@ -120,7 +120,7 @@ def test_criterion_06_fast_apply_scales_quasilinearly():
     sizes = [2**k for k in range(10, 17)]
     medians = []
     for N in sizes:
-        f = NodeVector(np.exp(cgl_points(N)), grid_degree=N)
+        f = NodeVector(np.exp(cgl_points(N)))
         apply_green_matrix_free(f)  # warm-up: grid and FFT plan caches
         samples = []
         for _ in range(5):

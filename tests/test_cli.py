@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import json
 import tracemalloc
 
@@ -108,7 +109,7 @@ def test_format_rows_matches_reference_on_random_matrices(shape):
 def test_green_non_finite_matrix_fails_cleanly(fmt, monkeypatch, capsys):
     G = green_matrix(4).entries.copy()
     G[1, 2] = np.nan
-    monkeypatch.setattr("chebgreen.cli.green_matrix", lambda n: GreenMatrix(n, G))
+    monkeypatch.setattr("chebgreen.cli.green_matrix", lambda n: GreenMatrix(G))
     assert main(["green", "--n", "4", "--format", fmt]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -127,6 +128,26 @@ def test_green_rejects_degree_zero(capsys):
             assert "argument --n: " in err, (argv, n)
             if n != "1.5":
                 assert f"grid degree must be >= 1, got {n}" in err, (argv, n)
+
+
+def test_absurd_degree_is_a_usage_error_naming_n(capsys):
+    # numpy cannot describe a matrix of this degree and would fail with an
+    # error naming another cause; every command refuses it while parsing
+    for argv in (["green"], ["solve", "--rhs", "one"], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--n", "100000000000000000000"])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "argument --n: degree 100000000000000000000 is above" in err, argv
+        assert "Traceback" not in err, argv
+
+
+def test_degree_ceiling_is_the_largest_square_numpy_can_describe():
+    # n + 1 = isqrt(max intp // 8) is the side of the largest float64 square
+    # numpy can describe (64-bit intp); parsing a degree allocates nothing
+    assert cli._degree("1073741822") == 1073741822
+    with pytest.raises(argparse.ArgumentTypeError, match="^degree 1073741823 is above 1073741822,"):
+        cli._degree("1073741823")
 
 
 def test_green_unwritable_path_fails_cleanly(capsys):
@@ -210,7 +231,7 @@ def test_solve_file_with_non_finite_value_is_usage_error(token, tmp_path):
 @pytest.mark.parametrize("n", [2, 3, 16, 33])
 def test_solve_output_is_byte_identical_to_reference(n, method, capsys):
     x = cgl_points(n)
-    y = solve_bvp(NodeVector(np.sin(x), grid_degree=n), method).values
+    y = solve_bvp(NodeVector(np.sin(x)), method).values
     assert main(["solve", "--n", str(n), "--rhs", "sin", "--method", method]) == 0
     assert capsys.readouterr().out == "\n".join(format(v, ".17g") for v in y) + "\n"
 
@@ -236,6 +257,20 @@ def test_solve_unknown_rhs_name_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--n", "3", "--rhs", "cosh"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_least_degree_per_method(method, capsys):
+    # dense-green runs from n = 1, where G is zero; the other methods need n >= 2
+    argv = ["solve", "--n", "1", "--rhs", "one", "--method", method]
+    if method == "dense-green":
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0\n0\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"method {method} needs --n >= 2" in capsys.readouterr().err
 
 
 def test_solve_unknown_method_is_usage_error():
@@ -327,7 +362,7 @@ FAULT_TABLE = {
 def test_verify_fails_exactly_the_tabulated_checks_on_a_faulty_green_matrix(
         fault, n, monkeypatch, capsys):
     def faulty(N):
-        return GreenMatrix(N, fault(green_matrix(N).entries))
+        return GreenMatrix(fault(green_matrix(N).entries))
 
     # every check, green_bc_matrix behind bc-inverse too, builds G through cli
     monkeypatch.setattr(cli, "green_matrix", faulty)

@@ -207,7 +207,7 @@ def test_green_matrix_rejects_degree_zero():
 
 def test_green_matrix_container_checks_shape():
     with pytest.raises(ValueError):
-        GreenMatrix(2, np.zeros((2, 3)))
+        GreenMatrix(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
