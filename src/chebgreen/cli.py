@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .core import NodeVector, cgl_points, _grid_degree
+from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree
 from .green import green_matrix
-from .operators import (METHODS, diff2_matrix, reinterp_matrix, solve_bvp,
-                        _barycentric_rows, _interior_weights)
+from .operators import (METHODS, solve_bvp, _barycentric_rows, _diagonal, _diff2_rows,
+                        _interior_weights)
 from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
-from .quadrature import cc_weights, consistent_gram_matrix
+from .quadrature import cc_weights, _gram_rows
 
 _EPS = np.finfo(np.float64).eps
 
@@ -147,38 +147,57 @@ def _cmd_solve(args, parser):
 # verify
 #
 # Each deviation, and each bc-inverse operator, takes a degree in its
-# check's _CHECKS range, which _cmd_verify enforces.  The product checks
-# multiply in row panels through one buffer, each panel written over the
-# product's left factor, so at most two (n+1)^2 arrays and a panel are alive
-# at a time.
+# check's _CHECKS range, which _cmd_verify enforces.  Every operator the
+# product checks multiply is centrosymmetric (A[r-1-i, c-1-j] = A[i, j] for
+# r x c), as the CGL grids are symmetric.  With Q the even or the odd basis
+# of a grid (node pairs e_k + e_{n-k} and a middle node, or e_k - e_{n-k}),
+# A.Q = Q.A_b, so a product splits into an even and an odd block product of
+# about half the size (Solomonoff, J. Comput. Phys. 1992): a quarter of the
+# multiply-adds.  Only the top rows of each factor but G are built, each
+# factor's blocks are dropped once multiplied, and the deviation is read
+# off the top rows of the product, which its bottom rows mirror.
 
 
-# row panels of green_bc_matrix and the verify checks: a quarter of the m
-# rows, rounded up to a multiple of 24, a last single row joined to the
-# one before (numpy runs a one-row product as a vector product).  Each
-# product panel re-packs its right factor, so few tall panels are fastest
-# (`verify --check all` in process, median ms, one core of a 2-vCPU Xeon VM;
-# one panel / a quarter / an eighth / 96 / 48 rows): n = 512
-# 121/113/118/111/122, n = 1024 613/618/636/618/691, n = 2048
-# 3454/3571/3792/3921/4640.  On one BLAS thread the checks kept the one-shot
-# bits at all but one degree tried; with more they move by rounding.
-def _row_slices(m):
-    w = 24 * -(-m // 96)
-    return [slice(s, s + w if s + w < m - 1 else m) for s in range(0, m - 1, w)]
+def _fold(A, rows):
+    # [even, odd] blocks of a centrosymmetric rows x c matrix from A, its top
+    # (rows + 1) // 2 rows: A.[I | J] on the c // 2 column pairs plus the
+    # middle column of an odd c, and the top rows // 2 rows of A.[I | -J]
+    c = A.shape[1]
+    q = c // 2
+    mirror = A[:, :c - q - 1:-1]
+    even = np.empty((len(A), c - q))
+    np.add(A[:, :q], mirror, out=even[:, :q])
+    even[:, q:] = A[:, q:c - q]
+    return [even, A[:rows // 2, :q] - mirror[:rows // 2]]
 
 
-def _multiply_into(A, B):
-    # A.B written over the first B.shape[1] columns of A, which it returns,
-    # a row panel at a time through one panel-sized buffer
-    panels, n = _row_slices(len(A)), B.shape[1]
-    buf = np.empty(max(s.stop - s.start for s in panels) * n)
-    for s in panels:
-        A[s, :n] = np.matmul(A[s], B, out=buf[:(s.stop - s.start) * n].reshape(-1, n))
-    return A[:, :n]
+def _unfold(even, odd, cols):
+    # the top rows of the centrosymmetric matrix with cols columns whose
+    # blocks _fold gives: (even +- odd) / 2 on each column pair (even / 2 on
+    # the middle row of an odd row count) and even's middle column
+    q, k = cols // 2, len(odd)
+    top = np.empty((len(even), cols))
+    left, right = top[:, :q], top[:, :cols - q - 1:-1]
+    left[:] = right[:] = even[:, :q]
+    left[:k] += odd
+    right[:k] -= odd
+    left *= 0.5
+    right *= 0.5
+    top[:, q:cols - q] = even[:, q:]
+    return top
+
+
+def _pair_weights(rows):
+    # [even, odd] diagonals of Q^T Q for a grid of rows nodes: 2 for a node
+    # pair, 1 for the middle node of an odd count
+    w = np.full(rows - rows // 2, 2.0)
+    w[rows // 2:] = 1.0
+    return [w, w[:rows // 2]]
 
 
 def _identity_deviation(P):
-    # max |P - I| of a square matrix, computed in place on P
+    # max |P - I| over a matrix with no more rows than columns, computed in
+    # place on P
     k = np.arange(len(P))
     P[k, k] -= 1.0
     return float(np.abs(P, out=P).max())
@@ -190,31 +209,29 @@ def _dev_oracle(n):
 
 
 def _dev_centrosymmetry(n):
-    # in row panels, each against its mirror rows, so no (n+1)^2 temporary
+    # exact, on the full G, whose top rows alone the product checks read.
+    # G - JGJ is odd under the mirror, so its top rows hold its largest entry
     G = green_matrix(n).entries
-    R, dev = G[::-1, ::-1], 0.0
-    for rows in _row_slices(n + 1):
-        D = G[rows] - R[rows]
-        dev = max(dev, float(np.abs(D, out=D).max()))
-        del D  # before the next panel's D is made
-    return dev
+    D = G[:n // 2 + 1] - G[::-1, ::-1][:n // 2 + 1]
+    return float(np.abs(D, out=D).max())
 
 
 # unprefixed: perfbench/tracer.py patches this pair by name in cli
-def diff2_bc_matrix(N):
+def diff2_bc_matrix(N, stop=None):
     """Second derivative with boundary rows replaced by unit rows.
 
     Row 0 is e_0 and row N is e_N (they read off the boundary values); the
-    interior rows are those of the full second-derivative matrix.
+    interior rows are those of the full second-derivative matrix.  Given
+    stop, only rows 0..stop-1 are built.
     """
-    A = diff2_matrix(N)
-    A[[0, -1]] = 0.0
-    A[0, 0] = 1.0
-    A[-1, -1] = 1.0
+    A = _diff2_rows(N, N + 1 if stop is None else stop)
+    ends = [i for i in (0, N) if i < len(A)]
+    A[ends] = 0.0
+    A[ends, ends] = 1.0
     return A
 
 
-def green_bc_matrix(N):
+def green_bc_matrix(N, stop=None):
     """Green matrix with boundary columns carrying the harmonic extensions.
 
     Column 0 is (x+1)/2 (equals 1 at the first node, 0 at the last), column
@@ -223,29 +240,39 @@ def green_bc_matrix(N):
     inverse pair.  The interior rows of E are the identity, so G.E is
     formed as G's interior columns plus two rank-1 terms, in O(N^2) rather
     than as a dense O(N^3) product, and only the two boundary rows of E are
-    built.  The terms go in row panels: G and B are the only full arrays.
+    built.  Given stop, only rows 0..stop-1 are built.
     """
     x = cgl_points(N)
-    G = green_matrix(N).entries
     e_first, e_last = _barycentric_rows(x[1:-1], _interior_weights(N), x[[0, -1]])
-    B = np.empty((N + 1, N + 1))
-    B[:, 0] = 0.5 * (x[0] + x)
-    B[:, -1] = -0.5 * (x[-1] + x)
-    for rows in _row_slices(N + 1):
-        mid = B[rows, 1:-1]
-        np.multiply(G[rows, :1], e_first, out=mid)
-        mid += G[rows, 1:-1]
-        mid += G[rows, -1:] * e_last
+    G = green_matrix(N).entries
+    G.flags.writeable = True  # the entries are G's own, and nothing else holds them
+    G, x_first, x_last, x = G[:stop], x[0], x[-1], x[:stop]
+    B = np.empty((len(G), N + 1))
+    B[:, 0] = 0.5 * (x_first + x)
+    B[:, -1] = -0.5 * (x_last + x)
+    mid = B[:, 1:-1]
+    np.multiply(G[:, :1], e_first, out=mid)
+    mid += G[:, 1:-1]
+    # G's interior columns are spent: the last rank-1 term goes there
+    mid += np.multiply(G[:, -1:], e_last, out=G[:, 1:-1])
     return B
 
 
 def _dev_bc_inverse(n):
-    # B before A: green_bc_matrix holds G and B at its peak, so building it
-    # first keeps at most two (n+1)^2 arrays alive.  A.B is written over A,
-    # which is rebuilt (in O(n^2)) for B.A, written over B
-    B = green_bc_matrix(n)
-    dev = _identity_deviation(_multiply_into(diff2_bc_matrix(n), B))
-    return max(dev, _identity_deviation(_multiply_into(B, diff2_bc_matrix(n))))
+    # max |A.B - I| and |B.A - I| from the parity blocks.  B before A:
+    # green_bc_matrix holds G and B's top rows at its peak.  Each block pair
+    # is multiplied both ways, then dropped
+    h = n // 2 + 1
+    B = _fold(green_bc_matrix(n, h), n + 1)
+    A = _fold(diff2_bc_matrix(n, h), n + 1)
+    AB, BA = [], []
+    while A:  # the even blocks, then the odd ones
+        a, b = A.pop(0), B.pop(0)
+        AB.append(a @ b)
+        BA.append(b @ a)
+        del a, b
+    dev = _identity_deviation(_unfold(*AB, n + 1))
+    return max(dev, _identity_deviation(_unfold(*BA, n + 1)))
 
 
 def _dev_cc_weights(n):
@@ -255,49 +282,75 @@ def _dev_cc_weights(n):
 
 def _dev_left_inverse(n):
     # max |G.D2 - I| over the interior rows and columns
-    G = green_matrix(n).entries
-    G.flags.writeable = True  # the entries are G's own, and nothing else holds them
-    return _identity_deviation(_multiply_into(G, diff2_matrix(n))[1:-1, 1:-1])
+    h = n // 2 + 1
+    G = _fold(green_matrix(n).entries[:h], n + 1)
+    P = [g @ d for g, d in zip(G, _fold(_diff2_rows(n, h), n + 1))]
+    del G
+    return _identity_deviation(_unfold(*P, n + 1)[1:, 1:-1])
 
 
 def _dev_right_inverse(n):
     # max |R_down.D2.G.R_up - I|: a degree-(n-2) node vector reinterpolated
     # up to degree n, mapped by D2.G there and restricted back.  Formed right
-    # to left, R_down.(D2.(G.R_up)), each factor dropped once used
-    M = green_matrix(n).entries
-    M.flags.writeable = True  # the entries are G's own, and nothing else holds them
-    M = _multiply_into(M, reinterp_matrix(n - 2, n))
-    M = _multiply_into(diff2_matrix(n), M)
-    return _identity_deviation(_multiply_into(reinterp_matrix(n, n - 2), M))
+    # to left, R_down.(D2.(G.R_up)), each factor's blocks dropped once used
+    h = n // 2 + 1
+    x, x_low = cgl_points(n), cgl_points(n - 2)
+    G = _fold(green_matrix(n).entries[:h], n + 1)
+    R_up = _fold(_barycentric_rows(x_low, _cgl_weight_signs(n - 2), x[:h]), n + 1)
+    P = [g @ r for g, r in zip(G, R_up)]
+    del G, R_up
+    P = [d @ p for d, p in zip(_fold(_diff2_rows(n, h), n + 1), P)]
+    R_down = _fold(_barycentric_rows(x, _cgl_weight_signs(n), x_low[:h - 1]), n - 1)
+    P = [r @ p for r, p in zip(R_down, P)]
+    return _identity_deviation(_unfold(*P, n - 1))
 
 
-def _boundary_basis(n):
-    # node values of p_m = (1 - x^2) T_m, m = 0..n-2, one column per m;
-    # T_m at node j is cos(m j pi / n)
-    x = cgl_points(n)
-    B = np.outer(np.arange(n + 1) * (np.pi / n), np.arange(n - 1))
+def _boundary_basis(n, parity):
+    # the even (parity 0) or odd (1) block of the node values of
+    # p_m = (1 - x^2) T_m, m = 0..n-2, one column per m (T_m at node j is
+    # cos(m j pi / n)).  p_m has parity (-1)^m: the even m on the top
+    # (n + 2) // 2 nodes, the odd m, which vanish at a middle node, on the
+    # top (n + 1) // 2
+    rows = (n + 2 - parity) // 2
+    x = cgl_points(n)[:rows]
+    B = np.outer(np.arange(rows) * (np.pi / n), np.arange(parity, n - 1, 2))
     np.cos(B, out=B)
     B *= (1.0 - x * x)[:, None]
     return B
+
+
+def _gram_blocks(n):
+    # [even, odd] blocks Q^T S Q of the consistent Gram matrix
+    # S = diag(d) + X^T X (quadrature.consistent_gram_matrix).  The n rows
+    # of X sit at the odd points of the degree-2n grid, which mirror among
+    # themselves, so X.Q = Q'.X_b with Q' their own basis and
+    # Q^T X^T X Q = X_b^T (Q'^T Q') X_b: the top rows of X are scaled by the
+    # square roots of their pair weights and folded, and each block runs as
+    # a symmetric rank-k update
+    d, X = _gram_rows(n, (n + 1) // 2)
+    X *= np.sqrt(_pair_weights(n)[0])[:, None]
+    S = []
+    for w, Y in zip(_pair_weights(n + 1), _fold(X, n)):
+        S.append(Y.T @ Y)
+        _diagonal(S[-1])[:] += w * d[:len(w)]
+    return S
 
 
 def _dev_symmetry(n):
     # max |<S D2 p, q> - <S p, D2 q>| / (|p| |q|) over the basis of degree <= n
     # polynomials vanishing at the boundary, in the consistent inner product
     # of S.  M = B^T D2^T S B, the transpose of B^T S D2 B (S is symmetric),
-    # is formed right to left from the Gram matrix, each product written over
-    # its left factor (S.B over S, then over D2); B is rebuilt for the last
-    # product
-    M = _multiply_into(consistent_gram_matrix(n), _boundary_basis(n))
-    M = _multiply_into(diff2_matrix(n).T, M)
-    B = _boundary_basis(n)
-    norms = np.sqrt(np.einsum("ij,ij->j", B, B))
-    M = _multiply_into(B.T, M)
-    # the antisymmetric part in row panels, each against its mirror columns
+    # pairs p and q of one parity only: with B = Q.B_b and D2.Q = Q.D2_b its
+    # block is (D2_b B_b)^T (Q^T S Q) B_b
+    S = _gram_blocks(n)
+    D2 = _fold(_diff2_rows(n, n // 2 + 1), n + 1)
     dev = 0.0
-    for rows in _row_slices(n - 1):
-        A = M[rows] - M[:, rows].T
-        A /= np.multiply.outer(norms[rows], norms)
+    for parity, w in enumerate(_pair_weights(n + 1)):
+        B = _boundary_basis(n, parity)
+        norms = np.sqrt(np.einsum("i,ij,ij->j", w, B, B))
+        M = (D2.pop(0) @ B).T @ (S.pop(0) @ B)
+        A = M - M.T
+        A /= np.multiply.outer(norms, norms)
         dev = max(dev, float(np.abs(A, out=A).max()))
     return dev
 

@@ -54,12 +54,20 @@ def consistent_gram_matrix(N):
     O(N^3) per build.
     """
     N = _grid_degree(N)
-    w = cc_weights(2 * N)
     # S before X, so that X, freed first, goes back to the top of the heap
     # rather than leave a hole too small for the next (N+1)^2 array
     S = np.empty((N + 1, N + 1))
-    X = _barycentric_rows(cgl_points(N), _cgl_weight_signs(N), cgl_points(2 * N)[1::2])
-    X *= np.sqrt(w[1::2])[:, None]
+    d, X = _gram_rows(N, N)
     np.matmul(X.T, X, out=S)
-    _diagonal(S)[:] += w[::2]
+    _diagonal(S)[:] += d
     return S
+
+
+def _gram_rows(N, stop):
+    # d and rows 0..stop-1 of X in S = diag(d) + X^T X: d holds the weights
+    # of the degree-2N rule at its even nodes, X the odd rows of the
+    # reinterpolation, each scaled by the square root of its weight
+    w = cc_weights(2 * N)
+    X = _barycentric_rows(cgl_points(N), _cgl_weight_signs(N), cgl_points(2 * N)[1:2 * stop:2])
+    X *= np.sqrt(w[1:2 * stop:2])[:, None]
+    return w[::2], X

@@ -292,13 +292,13 @@ TEST_REFERENCES = {("core", "_coeff_to_node_values")}
 
 
 # functions that only the verify checks use
-CHECK_HELPERS = ("_multiply_into", "_identity_deviation", "_row_slices",
-                 "diff2_bc_matrix", "green_bc_matrix")
+CHECK_HELPERS = ("_fold", "_unfold", "_pair_weights", "_identity_deviation",
+                 "_boundary_basis", "_gram_blocks", "diff2_bc_matrix", "green_bc_matrix")
 
 
 def test_every_verify_check_lives_in_cli():
     # a check's deviation sits beside its degree range and tolerance in
-    # cli._CHECKS, and the panel-product helpers and the bc-inverse operators
+    # cli._CHECKS, and the parity-block helpers and the bc-inverse operators
     # that only the checks use live there with them
     cli = importlib.import_module("chebgreen.cli")
     for name, (_, _, deviation, _) in cli._CHECKS.items():

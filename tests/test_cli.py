@@ -10,6 +10,7 @@ import pytest
 from chebgreen import METHODS, GreenMatrix, NodeVector, cgl_points, green_matrix, solve_bvp
 from chebgreen import cli, operators
 from chebgreen.cli import _format_rows, diff2_bc_matrix, green_bc_matrix, main
+from chebgreen.quadrature import consistent_gram_matrix
 
 
 def _parse_csv_matrix(text):
@@ -345,9 +346,20 @@ def _entry_fault(G):
     return G
 
 
+def _unmirrored_fault(G):
+    # one entry in the bottom half, which the product checks never read
+    # (they multiply the parity blocks of G's top rows), its mirror left alone
+    n = len(G) - 1
+    k, i = n - n // 3, n // 4
+    G = G.copy()
+    G[k, i] += 1e-9 * np.abs(G).max()
+    return G
+
+
 # the checks each fault fails; with no failed check verify exits 0.  Above
 # n = 10 no check sees a uniform relative error in G this small: the
-# inverse tolerances grow like n^3 eps and the oracle stops at n = 10
+# inverse tolerances grow like n^3 eps and the oracle stops at n = 10.  A
+# fault that breaks the mirror fails the exact centrosymmetry check
 FAULT_TABLE = {
     (_scale_fault, 8): {"bc-inverse", "left-inverse", "oracle", "right-inverse"},
     (_scale_fault, 64): set(),
@@ -355,6 +367,9 @@ FAULT_TABLE = {
     (_entry_fault, 8): {"bc-inverse", "left-inverse", "oracle", "right-inverse"},
     (_entry_fault, 64): {"bc-inverse", "left-inverse", "right-inverse"},
     (_entry_fault, 256): {"left-inverse", "right-inverse"},
+    (_unmirrored_fault, 8): {"centrosymmetry", "oracle"},
+    (_unmirrored_fault, 64): {"centrosymmetry"},
+    (_unmirrored_fault, 256): {"centrosymmetry"},
 }
 
 
@@ -387,7 +402,9 @@ def test_verify_all_checks_hold_across_degrees(n, capsys):
         assert np.isfinite(r["deviation"]) and r["deviation"] <= r["tolerance"], r
 
 
-# at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does
+# at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does.
+# Centrosymmetry runs no product and keeps the formula's bits; bc-inverse
+# multiplies parity blocks, so it is held to the rounding of the products
 @pytest.mark.parametrize("n", [3, 64, 257, 512])
 def test_in_place_deviations_equal_direct_formulas_bitwise(n):
     G = green_matrix(n).entries
@@ -395,15 +412,12 @@ def test_in_place_deviations_equal_direct_formulas_bitwise(n):
     A = diff2_bc_matrix(n)
     B = green_bc_matrix(n)
     eye = np.eye(n + 1)
-    assert cli._dev_bc_inverse(n) == max(float(np.max(np.abs(A @ B - eye))),
-                                         float(np.max(np.abs(B @ A - eye))))
+    formula = max(float(np.max(np.abs(A @ B - eye))), float(np.max(np.abs(B @ A - eye))))
+    gap = max(_rounding_gap(n, A, B), _rounding_gap(n, B, A))
+    assert abs(cli._dev_bc_inverse(n) - formula) <= gap
 
 
-# the degrees where a row panel of the verify checks ends: their row count
-# (n + 1, or n - 1 for R_down) one below, at and one past a multiple of the
-# panel height (a quarter of the rows, rounded up to a multiple of 24), a
-# last single row joined to the panel before it (n = 24, 96), and not near
-# a multiple
+# degrees of both parities, odd and even block sizes, from 22 to 1024
 PANEL_EDGE_DEGREES = [22, 23, 24, 25, 26, 62, 63, 64, 95, 96, 97, 98, 99, 190, 191, 300, 1024]
 
 
@@ -418,11 +432,99 @@ def _rounding_gap(n, *factors):
     return 2 * (len(factors) - 1) * (n + 1) * np.finfo(float).eps * float(scale.max())
 
 
+def _centrosymmetric(rng, rows, cols):
+    # bitwise: a + b == b + a in floating point
+    A = rng.standard_normal((rows, cols))
+    return A + A[::-1, ::-1]
+
+
+def _fold_reference(A):
+    # the parity blocks of the full centrosymmetric A, entry by entry
+    r, c = A.shape
+    even = np.empty(((r + 1) // 2, (c + 1) // 2))
+    odd = np.empty((r // 2, c // 2))
+    for i in range(len(even)):
+        for j in range(even.shape[1]):
+            even[i, j] = A[i, j] + A[i, c - 1 - j] if j < c // 2 else A[i, j]
+    for i in range(len(odd)):
+        for j in range(odd.shape[1]):
+            odd[i, j] = A[i, j] - A[i, c - 1 - j]
+    return even, odd
+
+
+def _unfold_reference(even, odd, cols):
+    top = np.empty((len(even), cols))
+    for i in range(len(top)):
+        for j in range(cols):
+            m = min(j, cols - 1 - j)
+            if m == cols // 2:  # the middle column of an odd count
+                top[i, j] = even[i, m]
+            elif i >= len(odd):  # the middle row of an odd count
+                top[i, j] = even[i, m] * 0.5
+            elif j == m:
+                top[i, j] = (even[i, m] + odd[i, m]) * 0.5
+            else:
+                top[i, j] = (even[i, m] - odd[i, m]) * 0.5
+    return top
+
+
+FOLD_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (8, 8), (9, 9), (2, 3), (3, 2),
+               (3, 4), (4, 3), (4, 5), (5, 4), (5, 3), (3, 5), (6, 8), (9, 7), (1, 4)]
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
+def test_fold_and_unfold_equal_index_formulas_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    rows, cols = shape
+    A = _centrosymmetric(rng, rows, cols)
+    top = A[:(rows + 1) // 2].copy()
+    even, odd = cli._fold(top, rows)
+    ref_even, ref_odd = _fold_reference(A)
+    assert even.tobytes() == ref_even.tobytes() and odd.tobytes() == ref_odd.tobytes()
+    assert np.array_equal(top, A[:(rows + 1) // 2])  # the top rows are left as they were
+    # unfold any pair of blocks, not only a fold's: that is what a product gives
+    even, odd = rng.standard_normal(even.shape), rng.standard_normal(odd.shape)
+    assert cli._unfold(even, odd, cols).tobytes() == _unfold_reference(even, odd, cols).tobytes()
+    np.testing.assert_allclose(cli._unfold(*cli._fold(top, rows), cols), top, rtol=0,
+                               atol=4 * np.finfo(float).eps * np.abs(A).max())
+
+
+@pytest.mark.parametrize("rows, inner, cols", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 3, 4),
+                                               (4, 6, 5), (7, 5, 9), (64, 65, 63)])
+def test_block_products_unfold_to_the_product(rows, inner, cols):
+    # the even and odd block products are the product's own blocks
+    rng = np.random.default_rng(rows * inner * cols)
+    A, B = _centrosymmetric(rng, rows, inner), _centrosymmetric(rng, inner, cols)
+    blocks = [a @ b for a, b in zip(cli._fold(A[:(rows + 1) // 2], rows),
+                                    cli._fold(B[:(inner + 1) // 2], inner))]
+    np.testing.assert_allclose(cli._unfold(*blocks, cols), (A @ B)[:(rows + 1) // 2],
+                               rtol=0, atol=_rounding_gap(inner, A, B))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17])
+def test_gram_and_basis_blocks_are_the_parity_blocks(n):
+    # Q^T S Q from the folded odd rows against the full Gram matrix, with Q
+    # built by index (node pairs j and n - j, the middle node alone), and
+    # the basis blocks against the full basis's top rows of one parity
+    S = consistent_gram_matrix(n)
+    for sign, w, S_b in zip((1.0, -1.0), cli._pair_weights(n + 1), cli._gram_blocks(n)):
+        Q = np.zeros((n + 1, len(w)))
+        for j in range(len(w)):
+            Q[n - j, j] = sign
+            Q[j, j] = 1.0
+        np.testing.assert_array_equal(Q.T @ Q, np.diag(w))
+        np.testing.assert_allclose(S_b, Q.T @ S @ Q, rtol=0, atol=8 * n * np.finfo(float).eps)
+    x = cgl_points(n)
+    B = (1.0 - x * x)[:, None] * np.cos(np.outer(np.arange(n + 1) * (np.pi / n), np.arange(n - 1)))
+    for parity in (0, 1):
+        top = B[:(n + 2 - parity) // 2, parity::2]
+        assert cli._boundary_basis(n, parity).tobytes() == np.ascontiguousarray(top).tobytes()
+
+
 # Each inverse check against its formula with one-shot products, in the
-# same order.  A row panel's product keeps the one-shot product's bits on
-# one BLAS thread; with more, OpenBLAS may round the last columns of the two
-# differently, so the checks are held to the rounding of the products.
-# Centrosymmetry and green_bc_matrix run no product and stay bitwise.
+# same order.  The checks multiply parity blocks, so they are held to the
+# rounding of the products.  Centrosymmetry and green_bc_matrix run no
+# product and stay bitwise.
 @pytest.mark.parametrize("n", PANEL_EDGE_DEGREES)
 def test_panel_products_agree_with_direct_formulas(n):
     G = green_matrix(n).entries
@@ -465,21 +567,23 @@ def test_verify_check_working_set_stays_within_four_matrices(name):
     assert peak <= 4 * 8 * (n + 1) ** 2
 
 
-# two (n+1)^2 arrays and a panel a quarter of the rows high at n = 1024
+# 2.3 (n+1)^2 doubles at n = 256 and 1024: the parity-block checks hold G and
+# half-size blocks, about 1.5 (n+1)^2 at n = 1024, and at n = 256 up to 1.9,
+# where green_matrix's own build peaks
 @pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
                                   if hi is None or hi >= 1024])
 def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name):
-    n = 1024
     deviation = cli._CHECKS[name][2]
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        deviation(n)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.3 * 8 * (n + 1) ** 2
+    for n in (256, 1024):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            deviation(n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 8 * (n + 1) ** 2, n
 
 
 def test_verify_below_minimum_degree_is_usage_error():
