@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree
 from .green import green_matrix
-from .operators import (METHODS, solve_bvp, _barycentric_rows, _diagonal, _diff2_rows,
+from .operators import (METHODS, solve_bvp, _barycentric_rows, _diagonal, _diff2_rows, _fold,
                         _interior_weights)
 from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
 from .quadrature import cc_weights, _gram_rows
@@ -153,38 +153,10 @@ def _cmd_solve(args, parser):
 # of a grid (node pairs e_k + e_{n-k} and a middle node, or e_k - e_{n-k}),
 # A.Q = Q.A_b, so a product splits into an even and an odd block product of
 # about half the size (Solomonoff, J. Comput. Phys. 1992): a quarter of the
-# multiply-adds.  Only the top rows of each factor but G are built, each
-# factor's blocks are dropped once multiplied, and the deviation is read
-# off the top rows of the product, which its bottom rows mirror.
-
-
-def _fold(A, rows):
-    # [even, odd] blocks of a centrosymmetric rows x c matrix from A, its top
-    # (rows + 1) // 2 rows: A.[I | J] on the c // 2 column pairs plus the
-    # middle column of an odd c, and the top rows // 2 rows of A.[I | -J]
-    c = A.shape[1]
-    q = c // 2
-    mirror = A[:, :c - q - 1:-1]
-    even = np.empty((len(A), c - q))
-    np.add(A[:, :q], mirror, out=even[:, :q])
-    even[:, q:] = A[:, q:c - q]
-    return [even, A[:rows // 2, :q] - mirror[:rows // 2]]
-
-
-def _unfold(even, odd, cols):
-    # the top rows of the centrosymmetric matrix with cols columns whose
-    # blocks _fold gives: (even +- odd) / 2 on each column pair (even / 2 on
-    # the middle row of an odd row count) and even's middle column
-    q, k = cols // 2, len(odd)
-    top = np.empty((len(even), cols))
-    left, right = top[:, :q], top[:, :cols - q - 1:-1]
-    left[:] = right[:] = even[:, :q]
-    left[:k] += odd
-    right[:k] -= odd
-    left *= 0.5
-    right *= 0.5
-    top[:, q:cols - q] = even[:, q:]
-    return top
+# multiply-adds.  Only the top rows of each factor but G are built and
+# folded (operators._fold, which the stripped solve shares), each factor's
+# blocks are dropped once multiplied, and the deviation is read off the
+# product's two blocks.
 
 
 def _pair_weights(rows):
@@ -195,12 +167,21 @@ def _pair_weights(rows):
     return [w, w[:rows // 2]]
 
 
-def _identity_deviation(P):
-    # max |P - I| over a matrix with no more rows than columns, computed in
-    # place on P
-    k = np.arange(len(P))
-    P[k, k] -= 1.0
-    return float(np.abs(P, out=P).max())
+def _identity_deviation(even, odd):
+    # max |P - I| over the centrosymmetric P with square [even, odd] blocks,
+    # in place on them.  I's blocks are identities; on a column pair P - I
+    # holds (a + b) / 2 and (a - b) / 2, a and b the blocks' entries minus I,
+    # the larger in magnitude (|a| + |b|) / 2, with P's own bits off the
+    # diagonal as rounding is monotone.  odd lacks a middle row (a / 2 there)
+    # and a middle column (a)
+    for B in (even, odd):
+        k = np.arange(len(B))
+        B[k, k] -= 1.0
+        np.abs(B, out=B)
+    q = odd.shape[1]
+    even[:len(odd), :q] += odd
+    even[:, :q] *= 0.5
+    return float(even.max())
 
 
 def _dev_oracle(n):
@@ -271,8 +252,7 @@ def _dev_bc_inverse(n):
         AB.append(a @ b)
         BA.append(b @ a)
         del a, b
-    dev = _identity_deviation(_unfold(*AB, n + 1))
-    return max(dev, _identity_deviation(_unfold(*BA, n + 1)))
+    return max(_identity_deviation(*AB), _identity_deviation(*BA))
 
 
 def _dev_cc_weights(n):
@@ -281,12 +261,13 @@ def _dev_cc_weights(n):
 
 
 def _dev_left_inverse(n):
-    # max |G.D2 - I| over the interior rows and columns
+    # max |G.D2 - I| over the interior rows and columns: the blocks without
+    # row 0 and the boundary column pair
     h = n // 2 + 1
     G = _fold(green_matrix(n).entries[:h], n + 1)
     P = [g @ d for g, d in zip(G, _fold(_diff2_rows(n, h), n + 1))]
     del G
-    return _identity_deviation(_unfold(*P, n + 1)[1:, 1:-1])
+    return _identity_deviation(*(p[1:, 1:] for p in P))
 
 
 def _dev_right_inverse(n):
@@ -302,7 +283,7 @@ def _dev_right_inverse(n):
     P = [d @ p for d, p in zip(_fold(_diff2_rows(n, h), n + 1), P)]
     R_down = _fold(_barycentric_rows(x, _cgl_weight_signs(n), x_low[:h - 1]), n - 1)
     P = [r @ p for r, p in zip(R_down, P)]
-    return _identity_deviation(_unfold(*P, n - 1))
+    return _identity_deviation(*P)
 
 
 def _boundary_basis(n, parity):

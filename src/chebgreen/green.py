@@ -1,4 +1,4 @@
-"""The Green function of y'' with zero Dirichlet data and its discretization.
+"""The discretization of the Green function of y'' with zero Dirichlet data.
 
 ``green_matrix(N)`` is the dense solution operator on the degree-N grid:
 applied to node values of f it returns node values of the solution of
@@ -18,7 +18,6 @@ from .calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_po
                        _primitive_tables)
 
 __all__ = [
-    "green_function_eval",
     "green_matrix",
     "apply_green_matrix_free",
 ]
@@ -34,15 +33,6 @@ __all__ = [
 # per-layer call counts comparable with earlier traces.  Any block above 32
 # would also need its own threshold for the one-column-per-call path below.
 _BLOCK = 32
-
-
-def green_function_eval(x, xi):
-    """Green function of the problem: piecewise-bilinear, continuous, zero at x = +-1."""
-    if not (-1.0 <= x <= 1.0 and -1.0 <= xi <= 1.0):
-        raise ValueError("both arguments must lie in [-1, 1]")
-    if x <= xi:
-        return 0.5 * (x + 1.0) * (xi - 1.0)
-    return 0.5 * (x - 1.0) * (xi + 1.0)
 
 
 def green_matrix(N):

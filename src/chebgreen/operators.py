@@ -102,6 +102,20 @@ def diff2_matrix(N):
     return _diff2_rows(N, N + 1)
 
 
+def _fold(A, rows):
+    # [even, odd] blocks of a centrosymmetric rows x c matrix from A, its top
+    # (rows + 1) // 2 rows: A.[I | J] on the c // 2 column pairs plus the
+    # middle column of an odd c, and the top rows // 2 rows of A.[I | -J].
+    # The stripped solve's two systems and cli's verify products share it
+    c = A.shape[1]
+    q = c // 2
+    mirror = A[:, :c - q - 1:-1]
+    even = np.empty((len(A), c - q))
+    np.add(A[:, :q], mirror, out=even[:, :q])
+    even[:, q:] = A[:, q:c - q]
+    return [even, A[:rows // 2, :q] - mirror[:rows // 2]]
+
+
 def solve_stripped(f):
     """Collocation solve of y'' = f with zero Dirichlet data.
 
@@ -121,11 +135,7 @@ def solve_stripped(f):
     h = (N - 1) // 2
     # nodes 1..h, their mirrors N-1..N-h, and the middle node N/2 if N is even
     up, down, mid = slice(1, h + 1), slice(N - 1, N - h - 1, -1), slice(h + 1, N - h)
-    A = _diff2_rows(N, N // 2 + 1)[1:]
-    even = np.empty((len(A), len(A)))
-    np.add(A[:, up], A[:, down], out=even[:, :h])
-    even[:, h:] = A[:, mid]
-    odd = A[:h, up] - A[:h, down]
+    even, odd = _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1)
     v = f.values
     u_e = np.linalg.solve(even, np.concatenate((0.5 * (v[up] + v[down]), v[mid])))
     u_o = np.linalg.solve(odd, 0.5 * (v[up] - v[down]))

@@ -1,11 +1,12 @@
 """Slow, exact reference paths used by the tests and by ``verify --check oracle``.
 
-Everything here trades speed for transparency: barycentric weights by the
-defining product, Lagrange bases expanded into monomials, Green-matrix
-entries by direct piecewise integration of polynomials, and the DCT as a
-literal cosine sum.  Monomial expansion destroys double-precision accuracy
-as the degree grows, so the oracles refuse degrees where they would stop
-being trustworthy.
+Everything here trades speed for transparency: the continuous Green
+function in closed form, barycentric weights by the defining product,
+Lagrange bases expanded into monomials, Green-matrix entries by direct
+piecewise integration of polynomials, and the DCT as a literal cosine
+sum.  Monomial expansion destroys double-precision accuracy as the degree
+grows, so the oracles refuse degrees where they would stop being
+trustworthy.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "lagrange_monomial_coeffs",
     "green_matrix_dense_oracle",
     "dct1_naive",
+    "green_function_eval",
 ]
 
 _MAX_GENERAL_POINTS = 40  # product magnitudes leave the safe range beyond this
@@ -52,6 +54,16 @@ def lagrange_monomial_coeffs(i, N):
     numer = P.polyfromroots(roots)
     denom = np.prod(x[i] - roots)
     return numer / denom
+
+
+def green_function_eval(x, xi):
+    """Green function g(x, xi) of y'' with zero Dirichlet data, the kernel the
+    Green matrix integrates: piecewise-bilinear, continuous, zero at x = +-1."""
+    if not (-1.0 <= x <= 1.0 and -1.0 <= xi <= 1.0):
+        raise ValueError("both arguments must lie in [-1, 1]")
+    if x <= xi:
+        return 0.5 * (x + 1.0) * (xi - 1.0)
+    return 0.5 * (x - 1.0) * (xi + 1.0)
 
 
 def _poly_integral(coeffs, a, b):

@@ -10,6 +10,8 @@ import pytest
 from chebgreen import METHODS, GreenMatrix, NodeVector, cgl_points, green_matrix, solve_bvp
 from chebgreen import cli, operators
 from chebgreen.cli import _format_rows, diff2_bc_matrix, green_bc_matrix, main
+from chebgreen.core import _cgl_weight_signs
+from chebgreen.operators import _barycentric_rows, _diff2_rows, _fold
 from chebgreen.quadrature import consistent_gram_matrix
 
 
@@ -468,6 +470,22 @@ def _unfold_reference(even, odd, cols):
     return top
 
 
+def _unfold(even, odd, cols):
+    # _unfold_reference in slices, fast enough for the degree sweep: the
+    # top rows are (even +- odd) / 2 on each column pair (even / 2 on the
+    # middle row of an odd row count) and even's middle column
+    q, k = cols // 2, len(odd)
+    top = np.empty((len(even), cols))
+    left, right = top[:, :q], top[:, :cols - q - 1:-1]
+    left[:] = right[:] = even[:, :q]
+    left[:k] += odd
+    right[:k] -= odd
+    left *= 0.5
+    right *= 0.5
+    top[:, q:cols - q] = even[:, q:]
+    return top
+
+
 FOLD_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (8, 8), (9, 9), (2, 3), (3, 2),
                (3, 4), (4, 3), (4, 5), (5, 4), (5, 3), (3, 5), (6, 8), (9, 7), (1, 4)]
 
@@ -478,15 +496,24 @@ def test_fold_and_unfold_equal_index_formulas_bitwise(shape):
     rows, cols = shape
     A = _centrosymmetric(rng, rows, cols)
     top = A[:(rows + 1) // 2].copy()
-    even, odd = cli._fold(top, rows)
+    even, odd = _fold(top, rows)
     ref_even, ref_odd = _fold_reference(A)
     assert even.tobytes() == ref_even.tobytes() and odd.tobytes() == ref_odd.tobytes()
     assert np.array_equal(top, A[:(rows + 1) // 2])  # the top rows are left as they were
     # unfold any pair of blocks, not only a fold's: that is what a product gives
     even, odd = rng.standard_normal(even.shape), rng.standard_normal(odd.shape)
-    assert cli._unfold(even, odd, cols).tobytes() == _unfold_reference(even, odd, cols).tobytes()
-    np.testing.assert_allclose(cli._unfold(*cli._fold(top, rows), cols), top, rtol=0,
+    assert _unfold(even, odd, cols).tobytes() == _unfold_reference(even, odd, cols).tobytes()
+    np.testing.assert_allclose(_unfold_reference(*_fold(top, rows), cols), top, rtol=0,
                                atol=4 * np.finfo(float).eps * np.abs(A).max())
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 16, 17, 64, 65])
+def test_fold_of_the_stripped_rows_view_equals_the_index_formulas_bitwise(N):
+    # the stripped solve folds a strided view: D2's top rows without row 0
+    # and without the boundary columns
+    even, odd = _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1)
+    ref_even, ref_odd = _fold_reference(operators.diff2_matrix(N)[1:-1, 1:-1])
+    assert even.tobytes() == ref_even.tobytes() and odd.tobytes() == ref_odd.tobytes()
 
 
 @pytest.mark.parametrize("rows, inner, cols", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 3, 4),
@@ -495,10 +522,68 @@ def test_block_products_unfold_to_the_product(rows, inner, cols):
     # the even and odd block products are the product's own blocks
     rng = np.random.default_rng(rows * inner * cols)
     A, B = _centrosymmetric(rng, rows, inner), _centrosymmetric(rng, inner, cols)
-    blocks = [a @ b for a, b in zip(cli._fold(A[:(rows + 1) // 2], rows),
-                                    cli._fold(B[:(inner + 1) // 2], inner))]
-    np.testing.assert_allclose(cli._unfold(*blocks, cols), (A @ B)[:(rows + 1) // 2],
+    blocks = [a @ b for a, b in zip(_fold(A[:(rows + 1) // 2], rows),
+                                    _fold(B[:(inner + 1) // 2], inner))]
+    np.testing.assert_allclose(_unfold_reference(*blocks, cols), (A @ B)[:(rows + 1) // 2],
                                rtol=0, atol=_rounding_gap(inner, A, B))
+
+
+def _unfolded_deviation(blocks, cols, interior=False):
+    # max |P - I| over the top rows of P unfolded from its blocks, and with
+    # interior over those rows' [1:, 1:-1]
+    top = _unfold(*blocks, cols)
+    if interior:
+        top = top[1:, 1:-1]
+    k = np.arange(len(top))
+    top[k, k] -= 1.0
+    return float(np.abs(top).max())
+
+
+@pytest.mark.parametrize("shape", [s for s in FOLD_SHAPES if s[0] == s[1]], ids=str)
+def test_identity_deviation_equals_the_unfolded_product_minus_identity(shape):
+    # on near-identity blocks, as the inverse checks give them: within eps / 2
+    # of the unfolded formula, which subtracts 1 after the pair sum rather
+    # than before it, and bitwise where its largest entry is off the
+    # diagonal by more than that over every diagonal one
+    size, half_eps = shape[0], np.finfo(float).eps / 2
+    rng = np.random.default_rng(size)
+    for scale in (1e-15, 1e-9, 1e-3, 0.1):
+        for _ in range(20):
+            even, odd = (np.eye(k) + scale * rng.standard_normal((k, k))
+                         for k in ((size + 1) // 2, size // 2))
+            P = np.abs(_unfold_reference(even, odd, size) - np.eye(size)[:(size + 1) // 2])
+            ref = float(P.max())
+            got = cli._identity_deviation(even, odd)
+            assert abs(got - ref) <= half_eps
+            diagonal = np.diagonal(P).copy()
+            np.fill_diagonal(P, 0.0)
+            if P.max() > diagonal.max() + half_eps:
+                assert got == ref
+
+
+@pytest.mark.parametrize("n", [n for n in VERIFY_SWEEP if n >= 2])
+def test_inverse_deviations_equal_their_unfolded_block_products(n):
+    # each inverse check against max |P - I| over its product's top rows,
+    # unfolded from the same block products, formed here as the check forms
+    # them: the two differ only on the diagonal, by at most eps / 2
+    h, half_eps = n // 2 + 1, np.finfo(float).eps / 2
+    A, B = _fold(diff2_bc_matrix(n, h), n + 1), _fold(green_bc_matrix(n, h), n + 1)
+    formula = max(_unfolded_deviation([a @ b for a, b in zip(A, B)], n + 1),
+                  _unfolded_deviation([b @ a for a, b in zip(A, B)], n + 1))
+    assert abs(cli._dev_bc_inverse(n) - formula) <= half_eps
+    if n < 3:
+        return
+    G = _fold(green_matrix(n).entries[:h], n + 1)
+    D2 = _fold(_diff2_rows(n, h), n + 1)
+    formula = _unfolded_deviation([g @ d for g, d in zip(G, D2)], n + 1, interior=True)
+    assert abs(cli._dev_left_inverse(n) - formula) <= half_eps
+    if n < 4:
+        return
+    x, x_low = cgl_points(n), cgl_points(n - 2)
+    R_up = _fold(_barycentric_rows(x_low, _cgl_weight_signs(n - 2), x[:h]), n + 1)
+    R_down = _fold(_barycentric_rows(x, _cgl_weight_signs(n), x_low[:h - 1]), n - 1)
+    P = [r @ (d @ (g @ u)) for r, d, g, u in zip(R_down, D2, G, R_up)]
+    assert abs(cli._dev_right_inverse(n) - _unfolded_deviation(P, n - 1)) <= half_eps
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17])

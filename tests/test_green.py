@@ -12,7 +12,6 @@ from chebgreen import (
     GreenMatrix,
     NodeVector,
     apply_green_matrix_free,
-    green_function_eval,
     green_matrix,
     solve_bvp,
 )
@@ -20,7 +19,7 @@ from chebgreen import core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
                                 _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
-from chebgreen.oracle import green_matrix_dense_oracle
+from chebgreen.oracle import green_function_eval, green_matrix_dense_oracle
 
 
 def test_kernel_pointwise_values():
