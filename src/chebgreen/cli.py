@@ -34,17 +34,15 @@ def _format_rows(M, cell, sep):
 
     cell is a printf directive applied to every float: "%.17g" (17
     significant digits, enough for exact round-trips) or "%r" (the
-    shortest repr, as json writes it).  When M is centrosymmetric, as
-    every Green matrix is, only the top half of the rows is formatted and
-    row N-i is written as row i's cells reversed.  The test compares bits,
-    since -0.0 == 0.0 but the two are written differently.
+    shortest repr, as json writes it).  M must be centrosymmetric bit for
+    bit, as green_matrix's mirrored half-columns make every Green matrix
+    (-0.0 and 0.0 are written differently): only the top half of the rows
+    is formatted, and row N-i is written as row i's cells reversed.
     """
     n_rows, n_cols = M.shape
-    bits = M.view(np.uint64)
-    half = (n_rows + 1) // 2 if np.array_equal(bits, bits[::-1, ::-1]) else n_rows
     template = sep.join([cell] * n_cols)
-    rows = [template % tuple(row) for row in M[:half].tolist()]
-    return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows - half])]
+    rows = [template % tuple(row) for row in M[:(n_rows + 1) // 2].tolist()]
+    return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows // 2])]
 
 
 # the largest n for which numpy can describe an (n+1) x (n+1) float64 array;
@@ -92,10 +90,8 @@ def _cmd_green(args, parser):
         print(f"error: the degree-{args.n} Green matrix has non-finite entries",
               file=sys.stderr)
         return 1
-    ordering = "descending"
-    if args.ascending:
-        G = G[::-1, ::-1]
-        ordering = "ascending"
+    # G is centrosymmetric bit for bit, so the ascending order is its own bytes
+    ordering = "ascending" if args.ascending else "descending"
     if args.fmt == "csv":
         text = "\n".join(_format_rows(G, "%.17g", ",")) + "\n"
     else:
@@ -139,7 +135,7 @@ def _cmd_solve(args, parser):
         print(f"error: cannot read {exc.filename}: {exc}", file=sys.stderr)
         return 1
     y = solve_bvp(NodeVector(f), args.method)
-    text = _format_rows(y.values[np.newaxis], "%.17g", "\n")[0] + "\n"
+    text = "".join("%.17g\n" % v for v in y.values.tolist())
     return _write_text(text, args.out)
 
 

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import graphlib
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -67,7 +68,10 @@ def test_the_references_are_public_only_in_their_module():
     assert not set(chebgreen.oracle.__all__) & set(dir(chebgreen))
     code = ("import sys, chebgreen; "
             "print(sorted({'chebgreen.oracle', 'numpy.polynomial'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child sees the test process's path, src/ included when pytest put it there
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
     assert out.stdout == "[]\n"
 
 

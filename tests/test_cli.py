@@ -89,20 +89,31 @@ def test_green_output_is_byte_identical_to_reference(n, fmt, ascending, tmp_path
     target = tmp_path / f"g.{fmt}"
     assert main(argv + ["--out", str(target)]) == 0
     assert target.read_bytes() == expected.encode()
+    # G is centrosymmetric bit for bit: the orderings share their entries'
+    # bytes, and the JSON differs only in its "ordering" line
+    other = tmp_path / f"other.{fmt}"
+    flip = [a for a in argv if a != "--ascending"] + ([] if ascending else ["--ascending"])
+    assert main(flip + ["--out", str(other)]) == 0
+    mine, theirs = target.read_text().split("\n"), other.read_text().split("\n")
+    assert len(mine) == len(theirs)
+    differing = [(a, b) for a, b in zip(mine, theirs) if a != b]
+    labels = ('  "ordering": "descending",', '  "ordering": "ascending",')
+    assert differing == ([] if fmt == "csv" else [labels[::-1] if ascending else labels])
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (7, 5), (8, 8)])
 def test_format_rows_matches_reference_on_random_matrices(shape):
+    # _format_rows writes the bottom rows as the top ones mirrored, so it
+    # takes only matrices that equal their double flip bit for bit
     rng = np.random.default_rng(sum(shape))
     M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-    M[0, 0] = -0.0
-    C = M + M[::-1, ::-1]  # centrosymmetric: formatted through the mirrored half
-    assert np.array_equal(C, C[::-1, ::-1]) and not np.array_equal(M, M[::-1, ::-1])
-    # centrosymmetric by value but not by bits: -0.0 mirrors 0.0
+    C = M + M[::-1, ::-1]
+    # signed zeros that mirror bit for bit
     Z = C.copy()
-    Z[0, 0], Z[-1, -1] = 0.0, -0.0
-    signed_zeros = [Z, np.array([[0.0, 1.0], [1.0, -0.0]])]
-    for A in (M, C, *signed_zeros):
+    Z[0, 0] = Z[-1, -1] = -0.0
+    for A in (C, Z, np.array([[-0.0, 0.0, 1.0], [1.0, 0.0, -0.0]])):
+        bits = A.view(np.uint64)
+        assert np.array_equal(bits, bits[::-1, ::-1])
         assert "\n".join(_format_rows(A, "%.17g", ",")) + "\n" == _reference_csv(A)
         rows = [json.dumps(row, indent=2) for row in A.tolist()]
         assert _format_rows(A, "%r", ",\n  ") == [r[4:-2] for r in rows]
