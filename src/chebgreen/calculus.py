@@ -42,12 +42,11 @@ def _antiderivative_raw(c):
     return out
 
 
-def _lagrange_primitive_values(i, N, tables=None):
-    """Node values (coarse grid) of the primitive of the i-th Lagrange basis
-    polynomial, before any integration constant is fixed.
-
-    For an array of k basis indices the result is a (k, N+1) block, row r
-    for index i[r], with the same bits as the per-index calls.
+def _lagrange_primitive_values(idx, N, tables):
+    """Node values (coarse grid) of the primitives of the Lagrange basis
+    polynomials l_i for the half-column indices 0 <= i <= N/2 in the 1-d
+    array idx, before any integration constant is fixed: a (k, N+1) block,
+    row r for index idx[r].
 
     No transform runs per index.  With theta = pi/N and w_i = 1/2 at
     i = 0, N and 1 elsewhere, l_i has the Chebyshev coefficients
@@ -61,42 +60,37 @@ def _lagrange_primitive_values(i, N, tables=None):
     one table read along a Toeplitz (i+k) and a Hankel (i-k) diagonal.  S
     is odd with period 2N, so one real FFT of 1/j gives all of it.  The
     coefficients at T_0, T_{N-1} (holding the folded T_{N+1}) and T_N add
-    three rank-1 terms.  Rows with i > N/2 come from the mirror identity
-    h(N-i) = -h(i)[::-1] applied to computed rows, so the symmetry holds
-    bit for bit and the table only spans m = -N/2 .. 3N/2.
+    three rank-1 terms.  As i <= N/2, the table only spans
+    m = -N/2 .. 3N/2; :func:`.green.green_matrix` mirrors the other
+    half-columns.
 
-    ``tables`` is ``_primitive_tables(N)``, built here when not given, so
-    that several calls at one degree can share one.
+    ``tables`` is ``_primitive_tables(N)``, which several calls at one
+    degree share.
     """
-    i = np.asarray(i)
-    rows = np.atleast_1d(i)
-    j = np.minimum(rows, N - rows)
     half = N // 2
-    cosines, sines, windows = _primitive_tables(N) if tables is None else tables
-    h = windows[half + j]  # a copy: the rows are gathered
-    h -= windows[half - j]
-    weight = np.where(j == 0, 1.0 / N, 2.0 / N)  # (2/N) w_i
-    h *= (0.5 * weight * sines[j])[:, None]
+    cosines, sines, windows = tables
+    h = windows[half + idx]  # a copy: the rows are gathered
+    h -= windows[half - idx]
+    weight = np.where(idx == 0, 1.0 / N, 2.0 / N)  # (2/N) w_i
+    h *= (0.5 * weight * sines[idx])[:, None]
     # the rank-1 terms at T_0, T_{N-1} and T_N, from c_m = (2/N) w_i
     # cos(i m theta), the coefficient of l_i without its w_m; the
     # antiderivative takes c_0 at this full value.  At N = 1 the T_{N-1}
     # term is the fold alone; at N = 1 and 2 the sine sum is empty.
-    parity = np.where(j % 2 == 0, 1.0, -1.0)
-    c_1 = weight * cosines[j]
+    parity = np.where(idx % 2 == 0, 1.0, -1.0)
+    c_1 = weight * cosines[idx]
     c_n = weight * parity  # c_N before its w_N = 1/2
     p_0 = c_1 / (8.0 if N == 1 else 4.0)  # w_1 c_1 / 4; T_1 is T_N at N = 1
     p_n = parity * c_1 / (2.0 * N)  # c_{N-1} / (2N)
     p_nm1 = 0.5 * c_n / (2.0 * (N + 1))  # the folded T_{N+1}, w_N c_N / (2(N+1))
     if N >= 2:  # (c_{N-2} - w_N c_N) / (2(N-1))
-        p_nm1 += (parity * weight * cosines[2 * j] - 0.5 * c_n) / (2.0 * (N - 1))
+        p_nm1 += (parity * weight * cosines[2 * idx] - 0.5 * c_n) / (2.0 * (N - 1))
     node_sign = np.ones(N + 1)  # (-1)^k
     node_sign[1::2] = -1.0
     h += p_nm1[:, None] * (node_sign * cosines)
     h += p_n[:, None] * node_sign
     h += p_0[:, None]
-    far = rows > N - rows
-    h[far] = -h[far, ::-1]
-    return h.reshape(i.shape + (N + 1,))
+    return h
 
 
 def _primitive_tables(N):

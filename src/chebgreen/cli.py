@@ -5,13 +5,14 @@ Every ``verify`` check lives here: its deviation function beside the
 the bc-inverse operators ``diff2_bc_matrix`` and ``green_bc_matrix``.
 
 Exit codes: 0 on success, 1 when a verification deviation is non-finite
-or exceeds its recorded tolerance, an output path cannot be written or
-memory runs out, 2 for usage errors.
+or exceeds its recorded tolerance, the output (a path or stdout) cannot
+be written or memory runs out, 2 for usage errors.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -67,13 +68,20 @@ def _degree(text):
 
 def _write_text(text, path):
     """Write to path, or stdout when path is None.  Returns an exit code."""
-    if path is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
     except OSError as exc:
+        if path is None:
+            # the unwritten text stays buffered: the interpreter's flush at
+            # exit would fail on it again, print two more lines and exit 120
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            path = "<stdout>"
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -375,8 +383,8 @@ def _cmd_verify(args, parser):
         # strict JSON has no NaN or Infinity: a non-finite deviation is null
         rows.append({"check": name, "n": args.n,
                      "deviation": dev if finite else None, "tolerance": tol})
-    sys.stdout.write(json.dumps(rows, indent=2, allow_nan=False) + "\n")
-    return 0 if ok else 1
+    code = _write_text(json.dumps(rows, indent=2, allow_nan=False) + "\n", None)
+    return code or (0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------

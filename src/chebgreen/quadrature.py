@@ -54,11 +54,8 @@ def consistent_gram_matrix(N):
     O(N^3) per build.
     """
     N = _grid_degree(N)
-    # S before X, so that X, freed first, goes back to the top of the heap
-    # rather than leave a hole too small for the next (N+1)^2 array
-    S = np.empty((N + 1, N + 1))
     d, X = _gram_rows(N, N)
-    np.matmul(X.T, X, out=S)
+    S = X.T @ X
     _diagonal(S)[:] += d
     return S
 

@@ -2,7 +2,9 @@
 
 import argparse
 import json
-import tracemalloc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +170,27 @@ def test_green_unwritable_path_fails_cleanly(capsys):
     rc = main(["green", "--n", "3", "--out", "/nonexistent-dir/g.csv"])
     assert rc == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [
+    ["green", "--n", "8"],
+    ["solve", "--n", "8", "--rhs", "exp"],
+    ["verify", "--n", "8"],
+], ids=lambda argv: argv[0])
+def test_unwritable_stdout_fails_cleanly(argv):
+    # every write to /dev/full fails: the command reports it in one line,
+    # and the interpreter's flush at exit finds nothing left to write.  The
+    # child's stdout is buffered, as it is by default
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-m", "chebgreen.cli", *argv], stdout=full,
+                             stderr=subprocess.PIPE, text=True, env=env)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>: "), lines
 
 
 # ---------------------------------------------------------------------------
@@ -645,41 +668,15 @@ def test_panel_products_agree_with_direct_formulas(n):
             <= _rounding_gap(n, R_down, D2, G, R_up))
 
 
-# every check that runs at n = 256 (oracle stops at n = 10)
-@pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
-                                  if hi is None or hi >= 256])
-def test_verify_check_working_set_stays_within_four_matrices(name):
-    # each deviation holds at most about three (n+1)^2 arrays at a time
-    n = 256
-    deviation = cli._CHECKS[name][2]
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        deviation(n)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 8 * (n + 1) ** 2
-
-
 # 2.3 (n+1)^2 doubles at n = 256 and 1024: the parity-block checks hold G and
 # half-size blocks, about 1.5 (n+1)^2 at n = 1024, and at n = 256 up to 1.9,
 # where green_matrix's own build peaks
 @pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
                                   if hi is None or hi >= 1024])
-def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name):
+def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name, traced_peak):
     deviation = cli._CHECKS[name][2]
     for n in (256, 1024):
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            deviation(n)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.3 * 8 * (n + 1) ** 2, n
+        assert traced_peak(deviation, n) <= 2.3 * 8 * (n + 1) ** 2, n
 
 
 def test_verify_below_minimum_degree_is_usage_error():

@@ -1,7 +1,6 @@
 """The kernel, the assembled Green matrix, and the three solve paths."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +92,7 @@ def _green_matrix_per_column(N):
     for i in range(half + 1):
         pref = (1.0 if i % 2 == 0 else -1.0) * (0.5 if i == 0 else 1.0) / (4.0 * N)
         # (x - x_i) H_i - P_i, then minus the line through its end values
-        col = _lagrange_primitive_values(i, N) * (x - x[i])
+        col = _lagrange_primitive_values(np.array([i]), N, _primitive_tables(N))[0] * (x - x[i])
         col -= pref * q
         col -= col[0]
         col -= col[-1] * fall
@@ -124,9 +123,10 @@ def test_green_matrix_columns_match_public_primitives(N):
     G = green_matrix(N).entries
     x = cgl_points(N)
     tol = 1e-14 * np.max(np.abs(G))
-    scale, q = _node_poly_factors(np.arange(N + 1), N, _primitive_tables(N)[0])
-    for i in range(N + 1):
-        h = _lagrange_primitive_values(i, N)
+    tables = _primitive_tables(N)
+    scale, q = _node_poly_factors(np.arange(N + 1), N, tables[0])
+    for i in range(N // 2 + 1):
+        h = _lagrange_primitive_values(np.array([i]), N, tables)[0]
         p = scale[i] * q
         col = 0.5 * (x + 1.0) * (p[0] - p + (x[i] - 1.0) * (h[0] - h))
         col += 0.5 * (x - 1.0) * (p - p[-1] + (x[i] + 1.0) * (h - h[-1]))
@@ -174,20 +174,12 @@ def test_green_matrix_matches_extended_precision_reference(N):
     assert np.max(np.abs(G - ref)) <= 8 * eps * np.max(np.abs(G))
 
 
-def test_green_matrix_mirror_needs_no_half_matrix_temporary():
+def test_green_matrix_mirror_needs_no_half_matrix_temporary(traced_peak):
     # G itself is one (N+1)^2 array; copying the mirrored half through a
     # temporary would add half of another
     N = 1024
     green_matrix(N)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        green_matrix(N)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * 8 * (N + 1) ** 2
+    assert traced_peak(green_matrix, N) <= 1.3 * 8 * (N + 1) ** 2
 
 
 @pytest.mark.parametrize("N", list(range(1, 13)) + [64, 65])

@@ -1,8 +1,6 @@
 """Differentiation, resampling, boundary-embedded matrices, and the verify
 checks that invert them."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
@@ -139,18 +137,10 @@ def test_diff2_rows_in_panels_equal_one_shot_build_bitwise(N):
         assert _diff2_rows(N, stop).tobytes() == _diff2_rows_one_shot(N, stop).tobytes()
 
 
-def test_diff2_matrix_peak_memory_stays_near_its_output():
+def test_diff2_matrix_peak_memory_stays_near_its_output(traced_peak):
     # the row panels' temporaries are small next to the (N+1)^2 output
     N = 1024
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        diff2_matrix(N)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * 8 * (N + 1) ** 2
+    assert traced_peak(diff2_matrix, N) <= 1.3 * 8 * (N + 1) ** 2
 
 
 @pytest.mark.parametrize("N", _DIRECT_DEGREES)
@@ -204,19 +194,11 @@ def test_solve_stripped_keeps_parity_bitwise(N, shape, sign):
 
 
 @pytest.mark.parametrize("N", [512, 513])
-def test_solve_stripped_peak_memory_stays_near_one_matrix(N):
+def test_solve_stripped_peak_memory_stays_near_one_matrix(N, traced_peak):
     # the split builds only the top half of the D2 rows; that half and the
     # two parity blocks are the peak, about one (N+1)^2 matrix
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        solve_stripped(f)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * (N + 1) ** 2 * 8
+    assert traced_peak(solve_stripped, f) <= 1.5 * (N + 1) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +420,6 @@ def test_bc_solver_honors_inhomogeneous_boundary_data():
 
 # ---------------------------------------------------------------------------
 # inverse diagnostics
-
-
-@pytest.mark.parametrize("N", [3, 8, 32])
-def test_left_inverse_deviation_is_small(N):
-    assert _dev_left_inverse(N) < 1e-8
-
-
-@pytest.mark.parametrize("N", [4, 8, 32])
-def test_right_inverse_deviation_is_small(N):
-    assert _dev_right_inverse(N) < 1e-8
 
 
 # the checks multiply the even and odd parity blocks of their factors, the
