@@ -193,6 +193,16 @@ def test_unwritable_stdout_fails_cleanly(argv):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write <stdout>: "), lines
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # verify's oracle takes its polynomial arithmetic from numpy's core
+    # routines, so no CLI start pays for importing numpy.polynomial
+    code = "import sys, chebgreen.cli; print('numpy.polynomial' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # solve
 

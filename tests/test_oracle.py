@@ -47,7 +47,7 @@ def test_lagrange_monomial_small_grid():
     np.testing.assert_allclose(lagrange_monomial_coeffs(0, 2), [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("N", [1, 4, 8])
+@pytest.mark.parametrize("N", [1, 4, 8, 12])  # 12: the monomial cap
 def test_lagrange_monomial_kronecker_property(N):
     V = np.vander(cgl_points(N), N + 1, increasing=True)
     for i in range(N + 1):
