@@ -30,20 +30,206 @@ _EPS = np.finfo(np.float64).eps
 _RHS = {"one": np.ones_like, "x": lambda x: x, "exp": np.exp, "sin": np.sin}
 
 
-def _format_rows(M, cell, sep):
-    """Format each row of the 2-d array M as its cells joined by sep.
+# ---------------------------------------------------------------------------
+# cell formatting
+#
+# A cell is the %.17g of a float (17 significant digits, enough for exact
+# round-trips) or its repr (the shortest digits that round-trip, as json
+# writes them), in _WIDTH bytes whose unused ones are 0, anywhere in the
+# cell.  A numpy kernel writes every cell with 0 < |x| < 1, a 2-digit
+# exponent and a mantissa other than a power of two's (whose ulp below is
+# half the one above).  With E the decimal exponent and p = 16 - E,
+# V = |x| 10^p lies in [10^16, 10^17), and its nearest integer N holds the
+# 17 digits.  V is formed as a double-double: |x| times the hi + lo pair of
+# 10^p, the product hi |x| split exactly into ph + pl (Dekker, Numer. Math.
+# 1971), so V = ph + s with s = pl + lo |x|, and ph an integer (V > 2^53).
+# repr takes the fewest digits k whose rounding q_k of V lies within H,
+# half an ulp of |x| scaled by 10^p; a rounding to more digits is no
+# farther, so k is tested from 16 down on the cells that still pass (the
+# test of Adams's Ryu, PLDI 2018).  Python's own formatter writes every
+# cell the kernel declines: those outside its range, those where log10 put
+# E one off, and those whose rounding or round-trip test lies within
+# _MARGIN of a tie or of H.
 
-    cell is a printf directive applied to every float: "%.17g" (17
-    significant digits, enough for exact round-trips) or "%r" (the
-    shortest repr, as json writes it).  M must be centrosymmetric bit for
-    bit, as green_matrix's mirrored half-columns make every Green matrix
-    (-0.0 and 0.0 are written differently): only the top half of the rows
-    is formatted, and row N-i is written as row i's cells reversed.
+# the longest %.17g or repr of a finite double, as "-2.2250738585072014e-308"
+_WIDTH = 24
+# 2^6 times the 2^-46 that bounds the error of the rounding and round-trip
+# tests: s is within 2^-47 of V - ph (2^-106 V each from lo and from lo |x|,
+# V < 2^57, and 2^-48 from rounding s, |s| < 32), and H and the gap to q_k
+# round by less than 2^-49 each
+_MARGIN = 2.0 ** -40
+_MANTISSA = np.uint64(2**52 - 1)
+# 10^p, p = 0..116, rounded to a double and its rest rounded again, from
+# Python's exact integers
+_TEN_HI = np.array([float(10**p) for p in range(117)])
+_TEN_LO = np.array([float(10**p - int(float(10**p))) for p in range(117)])
+
+
+def _ascii(words):
+    return np.frombuffer(b"".join(words), np.uint32)
+
+
+def _quads():
+    # the 4 digits of g = 0..9999 as one word each, then again with their
+    # trailing zeros as 0 bytes
+    digits = 48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    stripped = digits.copy()
+    stripped[np.logical_and.accumulate(digits[:, ::-1] == 48, 1)[:, ::-1]] = 0
+    return np.concatenate([digits, stripped]).view(np.uint32).ravel()
+
+
+_QUADS = _quads()
+# a cell's first word, indexed 20 sign + 2 lead digit + point: 0, "-" or 0,
+# the lead digit, "." or 0
+_LEADS = _ascii(bytes([0, 45 * s, 48 + c, 46 * p]) for s in (0, 1) for c in range(10)
+                for p in (0, 1))
+# the second word of a fixed-point cell, indexed 10 k + first digit, of the
+# value's exponent -k = -1..-4: the k - 1 zeros after "0." and that digit
+_ZEROS = _ascii((b"0" * (k - 1)).ljust(3, b"\0") + bytes([48 + c])
+                for k in range(5) for c in range(10))
+# the last word of a scientific cell, indexed k: "e-" and k in 2 digits
+_EXPONENTS = _ascii(b"e-%02d" % k for k in range(100))
+
+
+def _split(v):
+    # v = hi + lo, each half of v's bits (Dekker's split, 2^27 + 1)
+    t = 134217729.0 * v
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _shortest(N, d, H, ok):
+    # N rounded to the fewest digits that round-trip, zeros in place of the
+    # dropped ones; the cells within _MARGIN of a tie or of H leave ok
+    M = N.copy()
+    live = np.flatnonzero(ok)
+    for j in range(1, 17):
+        P = 10**j
+        n, e, h = N[live], d[live], H[live]
+        q = n // P
+        R = n - q * P
+        t = (R - P // 2) + e  # V's rest past the rounding point
+        up = t > 0
+        gap = np.where(up, (P - R) - e, R + e)  # |V - q_k 10^j|
+        near = (np.abs(t) < _MARGIN) | (np.abs(gap - h) < _MARGIN)
+        ok[live[near]] = False
+        fits = (gap < h) & ~near
+        live = live[fits]
+        M[live] = (q[fits] + up[fits]) * P
+        if not live.size:
+            break
+    return M
+
+
+def _format_cells(x, shortest, out):
+    """Write the %.17g, or if shortest the repr, of each float of the
+    contiguous array x into out, of shape x.shape + (_WIDTH,).
+
+    Returns how many cells Python's formatter wrote.
     """
-    n_rows, n_cols = M.shape
-    template = sep.join([cell] * n_cols)
-    rows = [template % tuple(row) for row in M[:(n_rows + 1) // 2].tolist()]
-    return rows + [sep.join(r.split(sep)[::-1]) for r in reversed(rows[:n_rows // 2])]
+    x = x.reshape(-1)
+    cells = out.reshape(-1, _WIDTH)
+    a = np.abs(x)
+    ok = (a < 1.0) & (a >= 1e-99) & (x.view(np.uint64) & _MANTISSA != 0)
+    a[~ok] = 0.5  # a harmless stand-in for the declined cells
+    E = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _TEN_HI[16 - E], _TEN_LO[16 - E]
+    ph = a * hi
+    a1, a2 = _split(a)
+    h1, h2 = _split(hi)
+    s = (((a1 * h1 - ph) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo
+    r = np.rint(s)
+    d = s - r  # V - N
+    N = ph.astype(np.int64) + r.astype(np.int64)
+    # N outside (10^16, 10^17) also marks log10's misses by one
+    ok &= (N > 10**16) & (N < 10**17) & (E >= -99) & (np.abs(np.abs(d) - 0.5) > _MARGIN)
+    if shortest:
+        N = _shortest(N, d, np.ldexp(hi, np.frexp(a)[1] - 54), ok)
+    # the value is 0.d0 g1 g2 g3 g4 x 10^(1-k), or d0.g1g2g3g4 e-k: a lead
+    # digit and four groups of four, trailing zeros dropped
+    carry = N == 10**17  # repr's rounding up to the next power of ten
+    N = np.where(ok & ~carry, N, 10**16)
+    k = np.where(ok, -E - carry, 1)
+    upper = N // 10**8
+    lower = N - upper * 10**8
+    d0 = upper // 10**8
+    upper -= d0 * 10**8
+    g1, g3 = upper // 10**4, lower // 10**4
+    groups = [g1, upper - g1 * 10**4, g3, lower - g3 * 10**4]
+    # each group's word, its trailing zeros dropped where no digit follows
+    tail = True
+    for i in (3, 2, 1, 0):
+        g = groups[i]
+        groups[i] = _QUADS[g + 10**4 * tail]
+        tail = tail & (g == 0)
+    fixed = k <= 4
+    words = [_LEADS[20 * (x < 0) + 2 * np.where(fixed, 0, d0) + (fixed | ~tail)],
+             _ZEROS[10 * np.minimum(k, 4) + d0], *groups, _EXPONENTS[k]]
+    w = cells.view(np.uint32)
+    w[:, 0] = words[0]
+    for i in range(1, 6):  # fixed point moves the digits one word right
+        w[:, i] = np.where(fixed, words[i], words[i + 1])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        cell = repr if shortest else "{:.17g}".format
+        text = "".join(cell(v).ljust(_WIDTH, "\0") for v in x[bad].tolist())
+        cells[bad] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _WIDTH)
+    return bad.size
+
+
+# per format: the bytes between two cells of a row, after a row, and after
+# the last row
+_FRAMES = {"csv": (",", "\n", "\n"),
+           "json": (",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]\n}\n")}
+# cells per panel, for the kernel's temporaries and for each written chunk
+_PANEL = 2**13
+
+
+class _MatrixText:
+    """The bytes of head and the rows of M in a format of _FRAMES, made
+    panel by panel as they are iterated.
+
+    M must be centrosymmetric bit for bit, as green_matrix's mirrored
+    half-columns make every Green matrix (-0.0 and 0.0 are written
+    differently): the cells of the top half of its rows are formatted once,
+    and row N-i is written as row i's cells reversed.  M is not kept.
+    """
+
+    def __init__(self, M, fmt, head):
+        self.head = head.encode()
+        self.sep, self.end, self.last = (np.frombuffer(t.encode(), np.uint8) for t in _FRAMES[fmt])
+        self.n_rows, n_cols = M.shape
+        self.step = max(1, _PANEL // n_cols)  # rows per panel
+        self.cells = np.empty(((self.n_rows + 1) // 2, n_cols, _WIDTH), np.uint8)
+        for i in range(0, len(self.cells), self.step):
+            out = self.cells[i:i + self.step]
+            _format_cells(M[i:i + len(out)], fmt == "json", out)
+
+    def __len__(self):
+        # the byte count, which perfbench/tracer.py reads as the bytes written
+        row = np.count_nonzero(self.cells, axis=(1, 2))
+        framing = (self.cells.shape[1] - 1) * len(self.sep) + len(self.end)
+        return (len(self.head) + int(row.sum() + row[:self.n_rows // 2].sum())
+                + self.n_rows * framing - len(self.end) + len(self.last))
+
+    def __iter__(self):
+        yield self.head
+        cells, step = self.cells, self.step
+        h, n_cols, width = cells.shape
+        panels = ([cells[i:i + step] for i in range(0, h, step)]
+                  + [cells[max(i - step, 0):i][::-1, ::-1]
+                     for i in range(self.n_rows // 2, 0, -step)])
+        # a row of cells, each followed by sep (but the last), then end
+        frame = np.zeros((min(step, h), n_cols + 1, width + len(self.sep)), np.uint8)
+        frame[:, :-2, width:] = self.sep
+        frame[:, -1, :len(self.end)] = self.end
+        for block in panels:
+            P = frame[:len(block)]
+            P[:, :-1, :width] = block
+            if block is panels[-1]:
+                P[-1, -1] = 0
+                P[-1, -1, :len(self.last)] = self.last
+            yield P[P != 0]
 
 
 # the largest n for which numpy can describe an (n+1) x (n+1) float64 array;
@@ -66,19 +252,21 @@ def _degree(text):
     return n
 
 
-def _write_text(text, path):
-    """Write to path, or stdout when path is None.  Returns an exit code."""
+def _write_text(data, path):
+    """Write data, bytes or an iterable of bytes-like chunks, to path, or to
+    stdout when path is None.  Returns an exit code."""
+    chunks = [data] if isinstance(data, bytes) else data
     try:
         if path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            sys.stdout.buffer.writelines(chunks)
+            sys.stdout.buffer.flush()
         else:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
         if path is None:
-            # the unwritten text stays buffered: the interpreter's flush at
-            # exit would fail on it again, print two more lines and exit 120
+            # the unwritten bytes stay buffered: the interpreter's flush at
+            # exit would fail on them again, print two more lines and exit 120
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
             path = "<stdout>"
@@ -99,15 +287,14 @@ def _cmd_green(args, parser):
               file=sys.stderr)
         return 1
     # G is centrosymmetric bit for bit, so the ascending order is its own bytes
-    ordering = "ascending" if args.ascending else "descending"
-    if args.fmt == "csv":
-        text = "\n".join(_format_rows(G, "%.17g", ",")) + "\n"
-    else:
+    head = ""
+    if args.fmt == "json":
         # the bytes json.dumps(payload, indent=2) writes, laid out directly
+        ordering = "ascending" if args.ascending else "descending"
         head = json.dumps({"degree": args.n, "ordering": ordering}, indent=2)[:-2]
-        rows = _format_rows(G, "%r", ",\n      ")
-        text = (head + ',\n  "entries": [\n    [\n      '
-                + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}\n")
+        head += ',\n  "entries": [\n    [\n      '
+    text = _MatrixText(G, args.fmt, head)
+    del G  # the top half's cells are all the export still needs
     return _write_text(text, args.out)
 
 
@@ -144,7 +331,7 @@ def _cmd_solve(args, parser):
         return 1
     y = solve_bvp(NodeVector(f), args.method)
     text = "".join("%.17g\n" % v for v in y.values.tolist())
-    return _write_text(text, args.out)
+    return _write_text(text.encode(), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +570,7 @@ def _cmd_verify(args, parser):
         # strict JSON has no NaN or Infinity: a non-finite deviation is null
         rows.append({"check": name, "n": args.n,
                      "deviation": dev if finite else None, "tolerance": tol})
-    code = _write_text(json.dumps(rows, indent=2, allow_nan=False) + "\n", None)
+    code = _write_text((json.dumps(rows, indent=2, allow_nan=False) + "\n").encode(), None)
     return code or (0 if ok else 1)
 
 

@@ -8,10 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chebgreen import METHODS, GreenMatrix, NodeVector, cgl_points, green_matrix, solve_bvp
 from chebgreen import cli, operators
-from chebgreen.cli import _format_rows, diff2_bc_matrix, green_bc_matrix, main
+from chebgreen.cli import _WIDTH, _MatrixText, _format_cells, diff2_bc_matrix, green_bc_matrix, main
 from chebgreen.core import _cgl_weight_signs
 from chebgreen.operators import _barycentric_rows, _diff2_rows, _fold
 from chebgreen.quadrature import consistent_gram_matrix
@@ -76,7 +77,7 @@ def test_green_ascending_flag_reverses_both_axes(capsys):
 
 @pytest.mark.parametrize("ascending", [False, True])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n", list(range(1, 13)) + [63, 64])
+@pytest.mark.parametrize("n", list(range(1, 13)) + [63, 64, 127, 128, 129, 255, 256, 257, 1025])
 def test_green_output_is_byte_identical_to_reference(n, fmt, ascending, tmp_path, capsys):
     G = green_matrix(n).entries
     if ascending:
@@ -105,7 +106,7 @@ def test_green_output_is_byte_identical_to_reference(n, fmt, ascending, tmp_path
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (7, 5), (8, 8)])
 def test_format_rows_matches_reference_on_random_matrices(shape):
-    # _format_rows writes the bottom rows as the top ones mirrored, so it
+    # _MatrixText writes the bottom rows as the top ones mirrored, so it
     # takes only matrices that equal their double flip bit for bit
     rng = np.random.default_rng(sum(shape))
     M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
@@ -116,9 +117,59 @@ def test_format_rows_matches_reference_on_random_matrices(shape):
     for A in (C, Z, np.array([[-0.0, 0.0, 1.0], [1.0, 0.0, -0.0]])):
         bits = A.view(np.uint64)
         assert np.array_equal(bits, bits[::-1, ::-1])
-        assert "\n".join(_format_rows(A, "%.17g", ",")) + "\n" == _reference_csv(A)
-        rows = [json.dumps(row, indent=2) for row in A.tolist()]
-        assert _format_rows(A, "%r", ",\n  ") == [r[4:-2] for r in rows]
+        assert b"".join(_MatrixText(A, "csv", "")) == _reference_csv(A).encode()
+        # the JSON layout with a head as _cmd_green writes it
+        head = json.dumps({"degree": 0, "ordering": "x"}, indent=2)[:-2]
+        head += ',\n  "entries": [\n    [\n      '
+        text = _MatrixText(A, "json", head)
+        assert b"".join(text) == _reference_json(0, "x", A).encode()
+        assert len(text) == len(_reference_json(0, "x", A))
+
+
+def _assert_cells_match_python(values):
+    # each cell, its 0 bytes dropped, against the per-float formula
+    x = np.array(values, dtype=np.float64)
+    out = np.empty(x.shape + (_WIDTH,), np.uint8)
+    for shortest, cell in ((False, lambda v: format(v, ".17g")), (True, repr)):
+        _format_cells(x, shortest, out)
+        assert [bytes(c[c != 0]).decode() for c in out] == [cell(v) for v in values]
+
+
+def _edge_values():
+    tens = [10.0 ** -k for k in range(1, 41)]
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 2.2250738585072014e-308]
+    values += [2.0 ** -k for k in range(1, 201)]
+    values += [float(v) for t in tens for v in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))]
+    # 17-digit roundings that carry into the next decade, and repr's
+    values += [9.9999999999999995e-05, 0.99999999999999989, 9.999999999999999e-06,
+               0.00099999999999999999, 0.099999999999999992, 9.9999999999999991e-21]
+    # the fixed/scientific switch between 1e-4 (fixed) and 1e-5 (scientific)
+    values += [1e-4, 9.99999e-05, 1.00001e-4, 1e-5, 9.99999e-06, 1.00001e-05, 0.00012345, 1.2345e-05]
+    values += [1.2345678901234567e-100, 3e-100, 1e-99, 9.999999999999999e-100,
+               1.2345678901234567e-300, 1e-300]
+    values += [1.0, 1.5, 123.456, 1e15, 1e16, 1.2345678901234567e16, 1e22, 1e300, 1.7976931348623157e308]
+    return values + [-v for v in values]
+
+
+def test_cell_kernel_matches_python_on_edge_values():
+    _assert_cells_match_python(_edge_values())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50)
+       | st.lists(st.floats(1e-99, 1.0, exclude_max=True), min_size=1, max_size=50))
+def test_cell_kernel_matches_python_on_drawn_floats(values):
+    _assert_cells_match_python(values + [-v for v in values])
+
+
+@pytest.mark.parametrize("n", [64, 257, 1024])
+def test_cell_kernel_declines_few_green_cells(n):
+    # the top half's zero row, and a power of two or a tie now and then: a
+    # slide into Python's formatter shows here first
+    G = green_matrix(n).entries[:(n + 2) // 2]
+    for shortest in (False, True):
+        out = np.empty(G.shape + (_WIDTH,), np.uint8)
+        assert _format_cells(G, shortest, out) <= n + 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -195,12 +246,36 @@ def test_unwritable_stdout_fails_cleanly(argv):
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
     # verify's oracle takes its polynomial arithmetic from numpy's core
-    # routines, so no CLI start pays for importing numpy.polynomial
-    code = "import sys, chebgreen.cli; print('numpy.polynomial' in sys.modules)"
+    # routines, and the cell kernel its powers of ten from Python's integers,
+    # so no CLI start pays for importing numpy.polynomial, fractions or decimal
+    code = ("import sys, chebgreen.cli; "
+            "print(sorted({'numpy.polynomial', 'fractions', 'decimal'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_green_out_on_a_full_device_fails_mid_stream():
+    # the export is written in panels: opening /dev/full succeeds, a panel's
+    # write fails with more left to make, and the command reports it in one line
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "chebgreen.cli", "green", "--n", "300",
+                          "--out", "/dev/full"], capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: "), lines
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_green_export_working_set_is_g_the_top_cells_and_a_panel(fmt, tmp_path, traced_peak):
+    # G, the top half's cells (about 1.5 (n+1)^2 doubles) and one panel; an
+    # export that builds its whole text peaks at 7 (CSV) to 12.4 (JSON)
+    n = 1024
+    argv = ["green", "--n", str(n), "--format", fmt, "--out", str(tmp_path / f"g.{fmt}")]
+    assert traced_peak(main, argv) <= 3 * 8 * (n + 1) ** 2
 
 
 # ---------------------------------------------------------------------------
