@@ -9,13 +9,17 @@ matrix-free apply in :mod:`.green` pads, antidifferentiates and folds
 between two transforms at the grid's own length N+1.  The Lagrange
 primitives here need no transform per basis function: their coefficients
 are closed-form sines, and a product-to-sum identity turns their node
-values into Toeplitz and Hankel reads of one table of sine sums plus three
-rank-1 terms (the structure of Townsend, Webb & Olver, "Fast polynomial
-transforms based on Toeplitz and Hankel matrices", *Math. Comp.* 2018).
-The node-polynomial primitive needs no transform either: by the same
-aliasing its node values are a closed form in the cosines of that table.
-The module is private: its unchecked kernels take arguments that
-:mod:`.green` has already checked.
+values into a Toeplitz and a Hankel read of one table of sine sums, scaled
+per index, plus three terms that are rank-1 in the node index (the
+structure of Townsend, Webb & Olver, "Fast polynomial transforms based on
+Toeplitz and Hankel matrices", *Math. Comp.* 2018).  A block of indices
+reads the table as two strided windows; the rank-1 terms come as one
+small coefficient matrix and three node rows, which :mod:`.green` folds
+with the rest of each column into one rank-7 product.  The
+node-polynomial primitive needs no transform either: by the same aliasing
+its node values are a closed form in the cosines of that table.  The
+module is private: its unchecked kernels take arguments that :mod:`.green`
+has already checked.
 """
 
 import numpy as np
@@ -42,11 +46,11 @@ def _antiderivative_raw(c):
     return out
 
 
-def _lagrange_primitive_values(idx, N, tables):
-    """Node values (coarse grid) of the primitives of the Lagrange basis
-    polynomials l_i for the half-column indices 0 <= i <= N/2 in the 1-d
-    array idx, before any integration constant is fixed: a (k, N+1) block,
-    row r for index idx[r].
+def _lagrange_primitive_values(cols, N, tables):
+    """The sine-sum part of the node values (coarse grid) of the primitives
+    of the Lagrange basis polynomials l_i, for the half-column indices
+    0 <= i <= N/2 in the slice cols: a (k, N+1) block, row r for index
+    cols.start + r.  ``_lagrange_primitive_terms`` gives the rest.
 
     No transform runs per index.  With theta = pi/N and w_i = 1/2 at
     i = 0, N and 1 elsewhere, l_i has the Chebyshev coefficients
@@ -57,58 +61,77 @@ def _lagrange_primitive_values(idx, N, tables):
         (w_i sin(i theta)/N) [S(i+k) + S(i-k)],
         S(m) = sum_{j=1}^{N-2} sin(j m theta)/j,
 
-    one table read along a Toeplitz (i+k) and a Hankel (i-k) diagonal.  S
-    is odd with period 2N, so one real FFT of 1/j gives all of it.  The
-    coefficients at T_0, T_{N-1} (holding the folded T_{N+1}) and T_N add
-    three rank-1 terms.  As i <= N/2, the table only spans
-    m = -N/2 .. 3N/2; :func:`.green.green_matrix` mirrors the other
-    half-columns.
+    one table read along a Toeplitz (i+k) and a Hankel (i-k) diagonal; the
+    block is the bracket.  S is odd with period 2N, so one real FFT of 1/j
+    gives all of it.  As i <= N/2, the table only spans m = -N/2 .. 3N/2;
+    :func:`.green.green_matrix` mirrors the other half-columns.
 
     ``tables`` is ``_primitive_tables(N)``, which several calls at one
     degree share.
     """
     half = N // 2
-    cosines, sines, windows = tables
-    h = windows[half + idx]  # a copy: the rows are gathered
-    h -= windows[half - idx]
+    windows = tables[2]
+    # rows half + i and, reversed, half - i: two strided views, no gather
+    return (windows[half + cols.start : half + cols.stop]
+            - windows[half - cols.stop + 1 : half - cols.start + 1][::-1])
+
+
+def _lagrange_primitive_terms(N, tables):
+    """``(scale, coef, rows)``: the rest of the Lagrange primitives.
+
+    For each half-column index i = 0..N/2, the primitive of l_i at node k
+    is ``scale[i] * D[i, k] + (coef @ rows)[i, k]``, D the block of
+    ``_lagrange_primitive_values``.  scale is w_i sin(i theta)/N.  The
+    three rows are (-1)^k cos(k theta), (-1)^k and 1, the node values of
+    T_{N-1} (holding the folded T_{N+1}), T_N and T_0, and coef holds
+    their coefficients, one row per index.
+    """
+    half = N // 2
+    cosines, sines, _ = tables
+    idx = np.arange(half + 1)
     weight = np.where(idx == 0, 1.0 / N, 2.0 / N)  # (2/N) w_i
-    h *= (0.5 * weight * sines[idx])[:, None]
-    # the rank-1 terms at T_0, T_{N-1} and T_N, from c_m = (2/N) w_i
-    # cos(i m theta), the coefficient of l_i without its w_m; the
-    # antiderivative takes c_0 at this full value.  At N = 1 the T_{N-1}
-    # term is the fold alone; at N = 1 and 2 the sine sum is empty.
+    scale = 0.5 * weight * sines[: half + 1]
+    # from c_m = (2/N) w_i cos(i m theta), the coefficient of l_i without
+    # its w_m; the antiderivative takes c_0 at this full value.  At N = 1
+    # the T_{N-1} term is the fold alone; at N = 1 and 2 the sine sum is
+    # empty.
     parity = np.where(idx % 2 == 0, 1.0, -1.0)
-    c_1 = weight * cosines[idx]
+    c_1 = weight * cosines[: half + 1]
     c_n = weight * parity  # c_N before its w_N = 1/2
-    p_0 = c_1 / (8.0 if N == 1 else 4.0)  # w_1 c_1 / 4; T_1 is T_N at N = 1
-    p_n = parity * c_1 / (2.0 * N)  # c_{N-1} / (2N)
     p_nm1 = 0.5 * c_n / (2.0 * (N + 1))  # the folded T_{N+1}, w_N c_N / (2(N+1))
     if N >= 2:  # (c_{N-2} - w_N c_N) / (2(N-1))
         p_nm1 += (parity * weight * cosines[2 * idx] - 0.5 * c_n) / (2.0 * (N - 1))
-    node_sign = np.ones(N + 1)  # (-1)^k
-    node_sign[1::2] = -1.0
-    h += p_nm1[:, None] * (node_sign * cosines)
-    h += p_n[:, None] * node_sign
-    h += p_0[:, None]
-    return h
+    p_n = parity * c_1 / (2.0 * N)  # c_{N-1} / (2N)
+    p_0 = c_1 / (8.0 if N == 1 else 4.0)  # w_1 c_1 / 4; T_1 is T_N at N = 1
+    coef = np.stack([p_nm1, p_n, p_0], axis=1)
+    rows = np.ones((3, N + 1))
+    rows[1, 1::2] = -1.0  # (-1)^k
+    rows[0] = rows[1] * cosines
+    return scale, coef, rows
 
 
 def _primitive_tables(N):
     """``(cosines, sines, windows)``, the tables of ``_lagrange_primitive_values``.
 
-    One real FFT of length 2N fills them.  Of a unit impulse it gives the
+    Two real FFTs of length 2N fill them.  Of a unit impulse one gives the
     FFT's own roots of unity, cos and sin of k theta for k = 0..N, with
-    cos(pi/3) = 1/2 exactly at N = 3 (np.cos(np.pi / 3) is an ulp high); of
-    1/j, j = 1..N-2, it gives S(0..N).  The window table runs over
+    cos(pi/3) = 1/2 exactly at N = 3 (np.cos(np.pi / 3) is an ulp high).
+    Of 1/j, j = 1..N-2, the other gives S(0..N).  It runs in long double
+    and rounds once: a double FFT's S is a few ulps off, which put G 9.5
+    eps max|G| from an extended-precision reference at N = 511 and 14 at
+    N = 383, against 3.3 and 4.7 from this table.  (numpy before 2.0
+    transforms long double input in double.)  The window table runs over
     m = -N/2 .. N + N/2 by oddness and periodicity, and S(i+k),
     S(i-k) = -S(k-i) are its windows.
     """
     half = N // 2
-    signal = np.zeros((2, 2 * N))
-    signal[0, 1] = 1.0
-    signal[1, 1 : N - 1] = 1.0 / np.arange(1, N - 1)
-    spectra = np.fft.rfft(signal)
-    cosines, sines, s = spectra[0].real, -spectra[0].imag, -spectra[1].imag
+    impulse = np.zeros(2 * N)
+    impulse[1] = 1.0
+    roots = np.fft.rfft(impulse)
+    cosines, sines = roots.real, -roots.imag
+    harmonic = np.zeros(2 * N, dtype=np.longdouble)
+    harmonic[1 : N - 1] = 1 / np.arange(1, N - 1, dtype=np.longdouble)
+    s = -np.fft.rfft(harmonic).imag.astype(np.float64)
     table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
     windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
     return cosines, sines, windows

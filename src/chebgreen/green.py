@@ -14,24 +14,25 @@ import numpy as np
 
 from . import core
 from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _require_type, _scale_ends
-from .calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
-                       _primitive_tables)
+from .calculus import (_antiderivative_raw, _lagrange_primitive_terms,
+                       _lagrange_primitive_values, _node_poly_factors, _primitive_tables)
 
 __all__ = [
     "green_matrix",
     "apply_green_matrix_free",
 ]
 
-# half-columns per block in green_matrix.  The blocks run no transform, only
-# elementwise passes.  Timed over blocks of 32/48/64 on the chord-form
-# assembly (median build time over 7 interleaved rounds, two processes, one
-# core of a 2-vCPU Xeon VM, the one-column path kept at N <= 62):
-# N = 64 0.14/0.10-0.11/0.10 ms, N = 256 0.50-0.51/0.43-0.44/0.42-0.44 ms,
-# N = 1024 5.5/5.4-5.5/5.3-5.4 ms, N = 2048 21.9-22.3/22.2-22.7/24.1-24.5 ms.
-# Over the degrees the solve workload builds (64, 256 twice, 1024 per
-# round) a larger block saves about 0.2 ms; 32 stays, which keeps the
-# per-layer call counts comparable with earlier traces.  Any block above 32
-# would also need its own threshold for the one-column-per-call path below.
+# half-columns per block in green_matrix.  Each block is one sine-sum read,
+# one scaling and one rank-7 product.  Timed over blocks of 32/64/128
+# (median build time over 9 interleaved rounds, one process per block size
+# and round, one BLAS thread on a 2-vCPU Xeon VM, the one-column path kept
+# at N <= 62): N = 64 0.34/0.29/0.32 ms, N = 256 0.74/0.71/1.37 ms,
+# N = 1024 5.9/6.0/6.2 ms, N = 2048 28.3/29.4/31.1 ms; the fastest rounds
+# 0.19/0.18/0.19, 0.48/0.42/0.91, 4.3/4.6/5.3 and 21.3/23.0/24.5 ms.  64
+# stays within the rounds' spread of 32 and 128 is slower, so 32 stays.
+# Any block above 32 would also need its own threshold for the
+# one-column-per-call path below, or the N = 64 build the solve workload
+# runs would go one column per call.
 _BLOCK = 32
 
 
@@ -51,43 +52,66 @@ def green_matrix(N):
     same assembly.
     """
     N = _grid_degree(N)
-
     x = cgl_points(N)
-    # the chord's weight on the end value at x = -1: exactly 0 at x = 1 and
-    # 1 at x = -1, so both end rows come out +0.0
-    fall = 0.5 * (1.0 - x)
-
+    half = N // 2
+    xi = x[: half + 1, None]
+    tables = _primitive_tables(N)
+    scale, lag_coef, lag_rows = _lagrange_primitive_terms(N, tables)
     # primitive of the node polynomial: one closed form in the cosines of
     # the sine tables, shared by all columns and scaled per column by the
-    # cancelled weight.  It is taken from x = -1: the line removal below
-    # makes any constant exact in theory, but with the bare q the rounding
-    # moves G(3)[1, 1] to -0.24999999999999997 from -0.25
-    half = N // 2
+    # cancelled weight.  It is taken from x = -1: the chord makes any
+    # constant exact in theory, but with the bare q the rounding moves
+    # G(3)[1, 1] to -0.24999999999999997 from -0.25
     idx = np.arange(half + 1)
-    tables = _primitive_tables(N)
     pref, q = _node_poly_factors(idx, N, tables[0])
     q -= q[-1]
 
-    # the primitives come in blocks of half-columns, each block a (columns
-    # x N+1) array read from one set of sine and cosine tables built here,
-    # and the chord form is applied to the block in place, so a block holds
-    # the bits of the column-by-column loop.  A build whose
-    # half-columns fit in one block (N <= 2 * _BLOCK - 2) goes one column per
-    # call instead: the benchmark harness's self-check
-    # (perfbench/selfcheck.py) counts N/2 + 1 primitive calls for an N = 16
-    # build.  No benchmark workload builds below N = 64.
-    # Blocks are faster here too (N = 16: 0.42 ms in two blocks of 8 against
-    # 0.95 ms, one core of a 2-vCPU Xeon VM).
+    # column i before its chord is scale_i D_i (x - x_i) + coef_i @ nodes,
+    # D_i the sine-sum row: (x - x_i) times the primitive's three rank-1
+    # terms gives six node rows, x r and r for each row r, and the
+    # node-polynomial primitive a seventh; rows 4 and 5 are x and 1
+    nodes = np.empty((7, N + 1))
+    nodes[0:6:2] = x * lag_rows
+    nodes[1:6:2] = lag_rows
+    nodes[6] = q
+    coef = np.empty((half + 1, 7))
+    coef[:, 0:6:2] = lag_coef
+    coef[:, 1:6:2] = -xi * lag_coef
+    coef[:, 6] = -pref
+    # the chord, the line through the column's two end values, goes into
+    # the coefficients of x and 1.  The end values take O(N), as the sine
+    # sums at k = 0 and N are single table entries.  They are formed term
+    # by term, the primitive first and then times x - x_i: taken from the
+    # product's rows instead, they move G(3)[1, 1] off -0.25
+    ends = [0, N]
+    h = tables[2][half + idx[:, None], ends] - tables[2][half - idx[:, None], ends]
+    h *= scale[:, None]
+    for j in range(3):
+        h += lag_coef[:, j, None] * lag_rows[j, ends]
+    u = h * (x[ends] - xi) - pref[:, None] * q[ends]
+    coef[:, 4] -= 0.5 * (u[:, 0] - u[:, 1])
+    coef[:, 5] -= 0.5 * (u[:, 0] + u[:, 1])
+
+    # the columns come in blocks of half-columns, each block a (columns x
+    # N+1) array: one read of the sine-sum windows, one scaling and one
+    # rank-7 product.  A build whose half-columns fit in one block
+    # (N <= 2 * _BLOCK - 2) reads the sine sums one column per call: the
+    # benchmark harness's self-check (perfbench/selfcheck.py) counts N/2 + 1
+    # primitive calls for an N = 16 build.  No benchmark workload builds
+    # below N = 64.  That branch still runs the product as one block, up
+    # front: numpy takes a one-row product to a matrix-vector kernel that
+    # rounds differently, so G's bits would depend on the branch.
     G = np.empty((N + 1, N + 1))
     step = 1 if half + 1 <= _BLOCK else _BLOCK
+    low = coef @ nodes if step == 1 else None
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
-        v = _lagrange_primitive_values(idx[cols], N, tables=tables)
-        v *= x - x[cols, None]
-        v -= pref[cols, None] * q
-        v -= v[:, :1]
-        v -= v[:, -1:] * fall
+        v = _lagrange_primitive_values(cols, N, tables)
+        v *= scale[cols, None] * (x - xi[cols])
+        v += low[cols] if step == 1 else coef[cols] @ nodes
         G[:, cols] = v.T
+    # the chord leaves round-off at the ends; both end rows are exact zeros
+    G[ends, : half + 1] = 0.0
     # the rest are mirror images, G[:, i] = G[::-1, N - i], copied over
     # disjoint row ranges: views with overlapping memory bounds would make
     # numpy copy the source half through a temporary

@@ -8,8 +8,8 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from chebgreen import cgl_points
-from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
-                                _primitive_tables)
+from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
+                                _lagrange_primitive_values, _node_poly_factors, _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values
 from chebgreen.oracle import barycentric_weights_general
 
@@ -57,20 +57,39 @@ def test_antiderivative_rows_match_one_dimensional_calls_bitwise(n):
     assert _same_bits(_antiderivative_raw(C), np.stack([_antiderivative_raw(c) for c in C]))
 
 
-@pytest.mark.parametrize("N", [3, 4, 7, 64, 257])
+def _lagrange_primitive(idx, N, tables):
+    """Node values of the Lagrange primitives for the half-column indices
+    in idx, rebuilt from the kernel's parts: each index's sine-sum row
+    times its scale, then the three rank-1 terms added in turn."""
+    scale, coef, rows = _lagrange_primitive_terms(N, tables)
+    h = np.concatenate([_lagrange_primitive_values(slice(i, i + 1), N, tables) for i in idx])
+    h *= scale[idx, None]
+    for j in range(3):
+        h += coef[idx, j, None] * rows[j]
+    return h
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 64, 257])
 def test_lagrange_primitive_block_matches_per_index_calls_bitwise(N):
+    # the block's two strided window reads hold the bits of a row-by-row
+    # gather of S(i+k) + S(i-k), one call per index
     tables = _primitive_tables(N)
-    for idx in (np.arange(N // 2 + 1), np.array([N // 2, 0, 1])):
-        block = _lagrange_primitive_values(idx, N, tables)
-        per_index = [_lagrange_primitive_values(np.array([i]), N, tables) for i in idx]
+    half = N // 2
+    windows = tables[2]
+    for cols in (slice(0, half + 1), slice(half // 2, half + 1), slice(half, half + 1), slice(0, 1)):
+        block = _lagrange_primitive_values(cols, N, tables)
+        per_index = [_lagrange_primitive_values(slice(i, i + 1), N, tables)
+                     for i in range(cols.start, cols.stop)]
         assert _same_bits(block, np.concatenate(per_index))
+        idx = np.arange(cols.start, cols.stop)
+        assert _same_bits(block, windows[half + idx] - windows[half - idx])
 
 
 def test_lagrange_primitive_matches_extended_precision_direct_sum():
     # reference in long double: the coefficients (2/N) w_i w_j cos(pi i j/N),
     # the antiderivative recurrence with T_{N+1} folded onto T_{N-1}, and the
     # cosine sum at the nodes, all without a transform; measured worst case
-    # 2.1 ulps of the block's maximum
+    # 1.4 ulps of the block's maximum (2.1 with the sine sums from a double FFT)
     if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
         pytest.skip("long double is no wider than double on this platform")
     N = 1024
@@ -89,13 +108,13 @@ def test_lagrange_primitive_matches_extended_precision_direct_sum():
     p[:, 2:] = (c[:, 1 : N + 1] - c[:, 3:]) / (2 * k)
     p[:, N - 1] += p[:, N + 1]
     ref = p[:, : N + 1] @ cosines[np.multiply.outer(m, m) % (2 * N)]
-    got = _lagrange_primitive_values(rows, N, _primitive_tables(N))
+    got = _lagrange_primitive(rows, N, _primitive_tables(N))
     eps = np.finfo(np.float64).eps
     assert np.abs(got - ref).max() <= 4 * eps * np.abs(ref).max()
 
 
 def _fine_grid_primitive_values(i, N):
-    """Reference for _lagrange_primitive_values without the fold: transform
+    """Reference for _lagrange_primitive without the fold: transform
     the unit vectors, antidifferentiate on 2N + 2 coefficients, evaluate on
     the degree-2N grid and keep its even-index nodes, the degree-N grid."""
     e = np.equal.outer(i, np.arange(N + 1)).astype(np.float64)
@@ -106,13 +125,13 @@ def _fine_grid_primitive_values(i, N):
 
 @pytest.mark.parametrize("N", list(range(1, 13)) + [63, 64, 65, 256, 1024, 2048])
 def test_lagrange_primitive_fold_matches_fine_grid_reference(N):
-    # every half-column index, in blocks of 64; measured worst case 4.4 ulps
+    # every half-column index, in blocks of 64; measured worst case 3.8 ulps
     # at N = 2048
     eps = np.finfo(np.float64).eps
     tables = _primitive_tables(N)
     for start in range(0, N // 2 + 1, 64):
         idx = np.arange(start, min(start + 64, N // 2 + 1))
-        got = _lagrange_primitive_values(idx, N, tables)
+        got = _lagrange_primitive(idx, N, tables)
         ref = _fine_grid_primitive_values(idx, N)
         assert np.abs(got - ref).max() <= 8 * eps * np.abs(ref).max(), start
 
@@ -124,7 +143,7 @@ def test_lagrange_primitive_fold_matches_fine_grid_reference(N):
 def _lagrange_integrals(i, N):
     """(up, down): the integral of l_i over [-1, x_k], vanishing at the last
     node, and over [x_k, 1], vanishing at the first."""
-    p = _lagrange_primitive_values(np.array([i]), N, _primitive_tables(N))[0]
+    p = _lagrange_primitive(np.array([i]), N, _primitive_tables(N))[0]
     return p - p[-1], p[0] - p
 
 

@@ -15,8 +15,8 @@ from chebgreen import (
     solve_bvp,
 )
 from chebgreen import core, green
-from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_values, _node_poly_factors,
-                                _primitive_tables)
+from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
+                                _lagrange_primitive_values, _node_poly_factors, _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
 from chebgreen.oracle import green_function_eval, green_matrix_dense_oracle
 
@@ -68,8 +68,9 @@ def test_green_matrix_matches_dense_reference(N):
 def test_green_matrix_structure(N):
     G = green_matrix(N).entries
     assert G.shape == (N + 1, N + 1)
-    np.testing.assert_array_equal(G[0], np.zeros(N + 1))
-    np.testing.assert_array_equal(G[N], np.zeros(N + 1))
+    # +0.0 bit for bit: assert_array_equal lets -0.0 through, and the export
+    # writes -0.0 differently
+    assert np.all(G[[0, N]].view(np.uint64) == 0)
     # centrosymmetry holds bit for bit by construction (-0.0 mirrors only
     # -0.0), which the CLI's export writes its mirrored half from
     bits = G.view(np.uint64)
@@ -84,21 +85,40 @@ def test_green_matrix_interior_diagonal_negative(N):
 
 
 def _green_matrix_per_column(N):
-    """Column-by-column chord-form assembly from the 1-d Lagrange and node-polynomial primitives."""
+    """Column-by-column chord-form assembly: for each half-column i, the
+    sine-sum row of the Lagrange primitive scaled by scale_i (x - x_i), plus
+    row i of the rank-7 product, whose coefficients carry the primitive's
+    rank-1 terms times (x - x_i), the node-polynomial primitive and the
+    chord through the column's end values."""
     x = cgl_points(N)
-    fall = 0.5 * (1.0 - x)
-    _, q = _node_poly_factors(0, N, _primitive_tables(N)[0])
-    q = q - q[-1]
-    G = np.empty((N + 1, N + 1))
     half = N // 2
+    tables = _primitive_tables(N)
+    scale, lag_coef, lag_rows = _lagrange_primitive_terms(N, tables)
+    _, q = _node_poly_factors(0, N, tables[0])
+    q = q - q[-1]
+    r_nm1, r_n, one = lag_rows
+    nodes = np.stack([x * r_nm1, r_nm1, x * r_n, r_n, x, one, q])
+    coef = np.empty((half + 1, 7))
     for i in range(half + 1):
+        p_nm1, p_n, p_0 = lag_coef[i]
         pref = (1.0 if i % 2 == 0 else -1.0) * (0.5 if i == 0 else 1.0) / (4.0 * N)
-        # (x - x_i) H_i - P_i, then minus the line through its end values
-        col = _lagrange_primitive_values(np.array([i]), N, _primitive_tables(N))[0] * (x - x[i])
-        col -= pref * q
-        col -= col[0]
-        col -= col[-1] * fall
+        # the column's end values, formed as the whole column would be
+        d = _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        h = d[[0, N]] * scale[i] + p_nm1 * r_nm1[[0, N]] + p_n * r_n[[0, N]] + p_0
+        u0, un = h * (x[[0, N]] - x[i]) - pref * q[[0, N]]
+        coef[i] = [p_nm1, -x[i] * p_nm1, p_n, -x[i] * p_n,
+                   p_0 - 0.5 * (u0 - un), -x[i] * p_0 - 0.5 * (u0 + un), -pref]
+    # numpy runs a one-row product as a matrix-vector kernel, which rounds
+    # differently, so the product takes the assembly's row blocks
+    low = np.concatenate([coef[s : s + green._BLOCK] @ nodes
+                          for s in range(0, half + 1, green._BLOCK)])
+    G = np.empty((N + 1, N + 1))
+    for i in range(half + 1):
+        col = _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        col *= scale[i] * (x - x[i])
+        col += low[i]
         G[:, i] = col
+    G[[0, N], : half + 1] = 0.0
     if N % 2 == 0:
         G[:, half] = 0.5 * (G[:, half] + G[::-1, half])
     for i in range(half + 1, N + 1):
@@ -107,8 +127,8 @@ def _green_matrix_per_column(N):
 
 
 # N = 63 and 64 put N/2 + 1 half-columns at and one past the assembly block.
-# The reference builds the sine tables afresh in every call; green_matrix
-# builds them once and passes them to each block.
+# The reference builds the sine tables once and reads one column per call;
+# green_matrix reads a block of columns per call.
 @pytest.mark.parametrize("N", list(range(1, 13)) + [16, 31, 32, 33, 62, 63, 64, 65, 66,
                                                      256, 257, 1024, 2048])
 def test_green_matrix_equals_per_column_assembly_bitwise(N):
@@ -119,16 +139,18 @@ def test_green_matrix_equals_per_column_assembly_bitwise(N):
 
 @pytest.mark.parametrize("N", [3, 8, 33, 64, 65])
 def test_green_matrix_columns_match_public_primitives(N):
-    # column i from the Lagrange primitive and the node-polynomial
-    # primitive, both anchored at both ends: a form of the column that
-    # takes no chord off
+    # column i from the Lagrange primitive, rebuilt from the kernel's
+    # parts, and the node-polynomial primitive, both anchored at both ends:
+    # a form of the column that takes no chord off
     G = green_matrix(N).entries
     x = cgl_points(N)
     tol = 1e-14 * np.max(np.abs(G))
     tables = _primitive_tables(N)
     scale, q = _node_poly_factors(np.arange(N + 1), N, tables[0])
+    lag_scale, lag_coef, lag_rows = _lagrange_primitive_terms(N, tables)
     for i in range(N // 2 + 1):
-        h = _lagrange_primitive_values(np.array([i]), N, tables)[0]
+        h = lag_scale[i] * _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        h += lag_coef[i] @ lag_rows
         p = scale[i] * q
         col = 0.5 * (x + 1.0) * (p[0] - p + (x[i] - 1.0) * (h[0] - h))
         col += 0.5 * (x - 1.0) * (p - p[-1] + (x[i] + 1.0) * (h - h[-1]))
@@ -164,9 +186,10 @@ def _green_matrix_longdouble(N):
     return y.T
 
 
-@pytest.mark.parametrize("N", list(range(2, 13)) + [33, 64, 65, 128, 256])
+@pytest.mark.parametrize("N", list(range(2, 13)) + [33, 64, 65, 128, 256, 511, 512])
 def test_green_matrix_matches_extended_precision_reference(N):
-    # measured at most 3.8 eps max|G| up to N = 128 and 5.1 at N = 256; a
+    # measured at most 2.5 eps max|G| up to N = 128 and 3.3 at N = 256, 511
+    # and 512 (9.5 at N = 511 with the sine sums from a double FFT); a
     # (1 + 1e-9) G scale fault fails at every N
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("long double is not an extended type on this platform")
