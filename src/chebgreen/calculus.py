@@ -13,13 +13,15 @@ values into a Toeplitz and a Hankel read of one table of sine sums, scaled
 per index, plus three terms that are rank-1 in the node index (the
 structure of Townsend, Webb & Olver, "Fast polynomial transforms based on
 Toeplitz and Hankel matrices", *Math. Comp.* 2018).  A block of indices
-reads the table as two strided windows; the rank-1 terms come as one
-small coefficient matrix and three node rows, which :mod:`.green` folds
-with the rest of each column into one rank-7 product.  The
-node-polynomial primitive needs no transform either: by the same aliasing
-its node values are a closed form in the cosines of that table.  The
-module is private: its unchecked kernels take arguments that :mod:`.green`
-has already checked.
+reads the table as two strided windows.  The node-polynomial primitive
+needs no transform either.  By the same aliasing, at node k the values of
+T_{N+-1}, T_{N+-2} and T_N are sigma_k x_k, sigma_k (2 x_k^2 - 1) and
+sigma_k, with sigma_k = (-1)^k.  So the rank-1 terms times (x - x_i) and
+the node-polynomial primitive all lie in the span of five node rows,
+sigma x^2, sigma x, sigma, x and 1.  This module gives their
+coefficients, one row per index, and :mod:`.green` runs them as one
+rank-5 product per block.  The module is private: its unchecked kernels
+take arguments that :mod:`.green` has already checked.
 """
 
 import numpy as np
@@ -76,15 +78,21 @@ def _lagrange_primitive_values(cols, N, tables):
             - windows[half - cols.stop + 1 : half - cols.start + 1][::-1])
 
 
-def _lagrange_primitive_terms(N, tables):
-    """``(scale, coef, rows)``: the rest of the Lagrange primitives.
+def _lagrange_primitive_terms(N, tables, x):
+    """``(scale, coef, rows)``: the rest of the Lagrange primitives, and the
+    rank-5 part of the Green matrix's columns.
 
-    For each half-column index i = 0..N/2, the primitive of l_i at node k
-    is ``scale[i] * D[i, k] + (coef @ rows)[i, k]``, D the block of
-    ``_lagrange_primitive_values``.  scale is w_i sin(i theta)/N.  The
-    three rows are (-1)^k cos(k theta), (-1)^k and 1, the node values of
-    T_{N-1} (holding the folded T_{N+1}), T_N and T_0, and coef holds
-    their coefficients, one row per index.
+    rows holds the five node rows sigma x^2, sigma x, sigma, x and 1, with
+    sigma_k = (-1)^k and x the grid's points.  For each half-column index
+    i = 0..N/2, the primitive H_i of l_i is
+    ``scale[i] * D[i] + p_{N-1} sigma x + p_N sigma + p_0`` at the nodes, D
+    the block of ``_lagrange_primitive_values``; its three rank-1 terms are
+    T_{N-1} (holding the folded T_{N+1}), T_N and T_0.  scale is
+    w_i sin(i theta)/N.  Row i of coef holds (alpha, beta, gamma, p_0,
+    p_{N-1}, p_N, P_i(-1)), with P_i the primitive of the weighted node
+    polynomial: (x - x_i) (H_i - scale[i] D[i]) - P_i is
+    alpha sigma x^2 + beta sigma x + gamma sigma + p_0 x - x_i p_0, and
+    P_i(-1) is the value of P_i at x = -1.
     """
     half = N // 2
     cosines, sines, _ = tables
@@ -103,10 +111,24 @@ def _lagrange_primitive_terms(N, tables):
         p_nm1 += (parity * weight * cosines[2 * idx] - 0.5 * c_n) / (2.0 * (N - 1))
     p_n = parity * c_1 / (2.0 * N)  # c_{N-1} / (2N)
     p_0 = c_1 / (8.0 if N == 1 else 4.0)  # w_1 c_1 / 4; T_1 is T_N at N = 1
-    coef = np.stack([p_nm1, p_n, p_0], axis=1)
-    rows = np.ones((3, N + 1))
-    rows[1, 1::2] = -1.0  # (-1)^k
-    rows[0] = rows[1] * cosines
+    # P_i is pref_i (T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2)), pref_i the
+    # CGL weight of index i (+-1, halved at the ends) over 4N.  At the nodes
+    # T_{N+-2} = sigma (2 x^2 - 1) and T_N = sigma, so P_i is
+    # pref_i (2a sigma x^2 - (a + 2/N) sigma), a = 1/(N+2) + 1/(N-2), and
+    # P_i(-1) = pref_i (-1)^N (a - 2/N).  At N = 2 the T_{N-2}/(N-2) term
+    # stands for a constant, which the chord removes; at N = 1,
+    # T_{-1} = T_1
+    a = 1.0 / (N + 2) + (0.0 if N == 2 else 1.0 / (N - 2))
+    pref = _cgl_weight_signs(N)[: half + 1] / (4.0 * N)
+    xi = x[: half + 1]
+    coef = np.stack([p_nm1 - 2.0 * a * pref, p_n - xi * p_nm1,
+                     pref * (a + 2.0 / N) - xi * p_n, p_0, p_nm1, p_n,
+                     pref * ((-1.0) ** N * (a - 2.0 / N))], axis=1)
+    rows = np.ones((5, N + 1))
+    rows[2, 1::2] = -1.0
+    rows[1] = rows[2] * x
+    rows[0] = rows[1] * x
+    rows[3] = x
     return scale, coef, rows
 
 
@@ -135,25 +157,3 @@ def _primitive_tables(N):
     table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
     windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
     return cosines, sines, windows
-
-
-def _node_poly_factors(i, N, cosines):
-    """Factors of the anchor-free node-polynomial primitive.
-
-    Returns ``(scale, q)``: q holds the node values of
-    T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2), shared by every index, and
-    scale is the unscaled CGL weight of index i (``core._cgl_weight_signs``,
-    +-1 halved at the endpoints) over 4N; an array of indices gives an
-    array of scales.  The primitive for index i is scale * q.
-
-    At the nodes T_{N+-2}(x_k) = (-1)^k cos(2k pi/N) and T_N(x_k) = (-1)^k,
-    so q_k = (-1)^k [cos(2k pi/N) (1/(N+2) + 1/(N-2)) - 2/N], with
-    cos(m pi/N), m = 0..N, read from ``cosines`` (the first table of
-    ``_primitive_tables(N)``).  At N = 2 the T_{N-2}/(N-2) term stands for
-    a constant, which anchoring removes; at N = 1, T_{-1} = T_1.
-    """
-    k = np.arange(N + 1)
-    c = 0.0 if N == 2 else 1.0 / (N - 2)
-    q = cosines[np.minimum(2 * k, 2 * N - 2 * k)] * (1.0 / (N + 2) + c) - 2.0 / N
-    q[1::2] = -q[1::2]
-    return _cgl_weight_signs(N)[i] / (4.0 * N), q

@@ -15,7 +15,7 @@ import numpy as np
 from . import core
 from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _require_type, _scale_ends
 from .calculus import (_antiderivative_raw, _lagrange_primitive_terms,
-                       _lagrange_primitive_values, _node_poly_factors, _primitive_tables)
+                       _lagrange_primitive_values, _primitive_tables)
 
 __all__ = [
     "green_matrix",
@@ -23,16 +23,13 @@ __all__ = [
 ]
 
 # half-columns per block in green_matrix.  Each block is one sine-sum read,
-# one scaling and one rank-7 product.  Timed over blocks of 32/64/128
-# (median build time over 9 interleaved rounds, one process per block size
-# and round, one BLAS thread on a 2-vCPU Xeon VM, the one-column path kept
-# at N <= 62): N = 64 0.34/0.29/0.32 ms, N = 256 0.74/0.71/1.37 ms,
-# N = 1024 5.9/6.0/6.2 ms, N = 2048 28.3/29.4/31.1 ms; the fastest rounds
-# 0.19/0.18/0.19, 0.48/0.42/0.91, 4.3/4.6/5.3 and 21.3/23.0/24.5 ms.  64
-# stays within the rounds' spread of 32 and 128 is slower, so 32 stays.
-# Any block above 32 would also need its own threshold for the
-# one-column-per-call path below, or the N = 64 build the solve workload
-# runs would go one column per call.
+# one scaling and one rank-5 product.  Timed over blocks of 32/64/128
+# (median over 9 interleaved rounds of the best of 5 builds in one
+# process, one BLAS thread on a 2-vCPU Xeon VM): N = 256 0.69/0.64/0.64
+# ms, N = 1024 5.4/5.3/5.8 ms, N = 2048 32.8/32.9/32.3 ms, within a few
+# percent of each other.  Any block above 32 would also need its own
+# threshold for the one-column-per-call path below, or the N = 64 build
+# the solve workload runs would go one column per call, so 32 stays.
 _BLOCK = 32
 
 
@@ -56,51 +53,46 @@ def green_matrix(N):
     half = N // 2
     xi = x[: half + 1, None]
     tables = _primitive_tables(N)
-    scale, lag_coef, lag_rows = _lagrange_primitive_terms(N, tables)
-    # primitive of the node polynomial: one closed form in the cosines of
-    # the sine tables, shared by all columns and scaled per column by the
-    # cancelled weight.  It is taken from x = -1: the chord makes any
-    # constant exact in theory, but with the bare q the rounding moves
-    # G(3)[1, 1] to -0.24999999999999997 from -0.25
-    idx = np.arange(half + 1)
-    pref, q = _node_poly_factors(idx, N, tables[0])
-    q -= q[-1]
-
+    scale, terms, nodes = _lagrange_primitive_terms(N, tables, x)
+    p_0, p_nm1, p_n, anchor = terms[:, 3:].T
     # column i before its chord is scale_i D_i (x - x_i) + coef_i @ nodes,
-    # D_i the sine-sum row: (x - x_i) times the primitive's three rank-1
-    # terms gives six node rows, x r and r for each row r, and the
-    # node-polynomial primitive a seventh; rows 4 and 5 are x and 1
-    nodes = np.empty((7, N + 1))
-    nodes[0:6:2] = x * lag_rows
-    nodes[1:6:2] = lag_rows
-    nodes[6] = q
-    coef = np.empty((half + 1, 7))
-    coef[:, 0:6:2] = lag_coef
-    coef[:, 1:6:2] = -xi * lag_coef
-    coef[:, 6] = -pref
+    # D_i the sine-sum row, over the five node rows sigma x^2, sigma x,
+    # sigma, x and 1: by the aliasing at the nodes, (x - x_i) times the
+    # primitive's rank-1 terms and the node-polynomial primitive P_i both
+    # lie in their span.  P_i is taken from x = -1: the chord makes any
+    # constant exact in theory, but without the anchor the rounding moves
+    # G(3)[1, 1] off -0.25
+    coef = np.empty((half + 1, 5))
+    coef[:, :4] = terms[:, :4]
+    coef[:, 4] = anchor - xi[:, 0] * p_0
     # the chord, the line through the column's two end values, goes into
     # the coefficients of x and 1.  The end values take O(N), as the sine
     # sums at k = 0 and N are single table entries.  They are formed term
     # by term, the primitive first and then times x - x_i: taken from the
     # product's rows instead, they move G(3)[1, 1] off -0.25
+    idx = np.arange(half + 1)
     ends = [0, N]
     h = tables[2][half + idx[:, None], ends] - tables[2][half - idx[:, None], ends]
     h *= scale[:, None]
-    for j in range(3):
-        h += lag_coef[:, j, None] * lag_rows[j, ends]
-    u = h * (x[ends] - xi) - pref[:, None] * q[ends]
-    coef[:, 4] -= 0.5 * (u[:, 0] - u[:, 1])
-    coef[:, 5] -= 0.5 * (u[:, 0] + u[:, 1])
+    h += p_nm1[:, None] * nodes[1, ends]
+    h += p_n[:, None] * nodes[2, ends]
+    h += p_0[:, None]
+    u = h * (x[ends] - xi)
+    if N % 2:  # P_i(1) - P_i(-1) is -2 P_i(-1) at odd N, 0 at even N
+        u[:, 0] += 2.0 * anchor
+    coef[:, 3] -= 0.5 * (u[:, 0] - u[:, 1])
+    coef[:, 4] -= 0.5 * (u[:, 0] + u[:, 1])
 
     # the columns come in blocks of half-columns, each block a (columns x
     # N+1) array: one read of the sine-sum windows, one scaling and one
-    # rank-7 product.  A build whose half-columns fit in one block
-    # (N <= 2 * _BLOCK - 2) reads the sine sums one column per call: the
-    # benchmark harness's self-check (perfbench/selfcheck.py) counts N/2 + 1
-    # primitive calls for an N = 16 build.  No benchmark workload builds
-    # below N = 64.  That branch still runs the product as one block, up
-    # front: numpy takes a one-row product to a matrix-vector kernel that
-    # rounds differently, so G's bits would depend on the branch.
+    # rank-5 product over the node rows.  A build whose half-columns fit in
+    # one block (N <= 2 * _BLOCK - 2) reads the sine sums one column per
+    # call: the benchmark harness's self-check (perfbench/selfcheck.py)
+    # counts N/2 + 1 primitive calls for an N = 16 build.  No benchmark
+    # workload builds below N = 64.  That branch still runs the product as
+    # one block, up front: numpy takes a one-row product to a matrix-vector
+    # kernel that rounds differently, so G's bits would depend on the
+    # branch.
     G = np.empty((N + 1, N + 1))
     step = 1 if half + 1 <= _BLOCK else _BLOCK
     low = coef @ nodes if step == 1 else None

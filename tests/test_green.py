@@ -16,7 +16,7 @@ from chebgreen import (
 )
 from chebgreen import core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
-                                _lagrange_primitive_values, _node_poly_factors, _primitive_tables)
+                                _lagrange_primitive_values, _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
 from chebgreen.oracle import green_function_eval, green_matrix_dense_oracle
 
@@ -87,27 +87,25 @@ def test_green_matrix_interior_diagonal_negative(N):
 def _green_matrix_per_column(N):
     """Column-by-column chord-form assembly: for each half-column i, the
     sine-sum row of the Lagrange primitive scaled by scale_i (x - x_i), plus
-    row i of the rank-7 product, whose coefficients carry the primitive's
-    rank-1 terms times (x - x_i), the node-polynomial primitive and the
-    chord through the column's end values."""
+    row i of the rank-5 product over the node rows sigma x^2, sigma x,
+    sigma, x and 1, whose coefficients carry the primitive's rank-1 terms
+    times (x - x_i), the node-polynomial primitive taken from x = -1 and
+    the chord through the column's end values."""
     x = cgl_points(N)
     half = N // 2
     tables = _primitive_tables(N)
-    scale, lag_coef, lag_rows = _lagrange_primitive_terms(N, tables)
-    _, q = _node_poly_factors(0, N, tables[0])
-    q = q - q[-1]
-    r_nm1, r_n, one = lag_rows
-    nodes = np.stack([x * r_nm1, r_nm1, x * r_n, r_n, x, one, q])
-    coef = np.empty((half + 1, 7))
+    scale, terms, nodes = _lagrange_primitive_terms(N, tables, x)
+    coef = np.empty((half + 1, 5))
     for i in range(half + 1):
-        p_nm1, p_n, p_0 = lag_coef[i]
-        pref = (1.0 if i % 2 == 0 else -1.0) * (0.5 if i == 0 else 1.0) / (4.0 * N)
+        alpha, beta, gamma, p_0, p_nm1, p_n, p_end = terms[i]
         # the column's end values, formed as the whole column would be
         d = _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
-        h = d[[0, N]] * scale[i] + p_nm1 * r_nm1[[0, N]] + p_n * r_n[[0, N]] + p_0
-        u0, un = h * (x[[0, N]] - x[i]) - pref * q[[0, N]]
-        coef[i] = [p_nm1, -x[i] * p_nm1, p_n, -x[i] * p_n,
-                   p_0 - 0.5 * (u0 - un), -x[i] * p_0 - 0.5 * (u0 + un), -pref]
+        h = d[[0, N]] * scale[i] + p_nm1 * nodes[1, [0, N]] + p_n * nodes[2, [0, N]] + p_0
+        u0, un = h * (x[[0, N]] - x[i])
+        if N % 2:  # P_i(1) - P_i(-1)
+            u0 += 2.0 * p_end
+        coef[i] = [alpha, beta, gamma, p_0 - 0.5 * (u0 - un),
+                   (p_end - x[i] * p_0) - 0.5 * (u0 + un)]
     # numpy runs a one-row product as a matrix-vector kernel, which rounds
     # differently, so the product takes the assembly's row blocks
     low = np.concatenate([coef[s : s + green._BLOCK] @ nodes
@@ -140,18 +138,25 @@ def test_green_matrix_equals_per_column_assembly_bitwise(N):
 @pytest.mark.parametrize("N", [3, 8, 33, 64, 65])
 def test_green_matrix_columns_match_public_primitives(N):
     # column i from the Lagrange primitive, rebuilt from the kernel's
-    # parts, and the node-polynomial primitive, both anchored at both ends:
-    # a form of the column that takes no chord off
+    # parts, and the node-polynomial primitive, evaluated on the degree-2N
+    # grid with one transform, both anchored at both ends: a form of the
+    # column that takes no chord off
     G = green_matrix(N).entries
     x = cgl_points(N)
     tol = 1e-14 * np.max(np.abs(G))
     tables = _primitive_tables(N)
-    scale, q = _node_poly_factors(np.arange(N + 1), N, tables[0])
-    lag_scale, lag_coef, lag_rows = _lagrange_primitive_terms(N, tables)
+    # T_{N+2}/(N+2) - 2 T_N/N + T_{N-2}/(N-2), times the unscaled CGL
+    # weight over 4N per column
+    base = np.zeros(2 * N + 1)
+    base[N - 2] = 1.0 / (N - 2)
+    base[N] = -2.0 / N
+    base[N + 2] = 1.0 / (N + 2)
+    q = _coeff_to_node_values(base)[::2]
+    scale, coef, rows = _lagrange_primitive_terms(N, tables, x)
     for i in range(N // 2 + 1):
-        h = lag_scale[i] * _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
-        h += lag_coef[i] @ lag_rows
-        p = scale[i] * q
+        h = scale[i] * _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        h += coef[i, 4] * rows[1] + coef[i, 5] * rows[2] + coef[i, 3]
+        p = (-1.0) ** i * (0.5 if i == 0 else 1.0) / (4.0 * N) * q
         col = 0.5 * (x + 1.0) * (p[0] - p + (x[i] - 1.0) * (h[0] - h))
         col += 0.5 * (x - 1.0) * (p - p[-1] + (x[i] + 1.0) * (h - h[-1]))
         assert np.max(np.abs(G[:, i] - col)) <= tol, i
@@ -186,11 +191,12 @@ def _green_matrix_longdouble(N):
     return y.T
 
 
-@pytest.mark.parametrize("N", list(range(2, 13)) + [33, 64, 65, 128, 256, 511, 512])
+@pytest.mark.parametrize("N", list(range(2, 13)) + [33, 64, 65, 128, 256, 383, 509, 511, 512])
 def test_green_matrix_matches_extended_precision_reference(N):
-    # measured at most 2.5 eps max|G| up to N = 128 and 3.3 at N = 256, 511
-    # and 512 (9.5 at N = 511 with the sine sums from a double FFT); a
-    # (1 + 1e-9) G scale fault fails at every N
+    # measured at most 2.4 eps max|G| up to N = 128, 3.3 at N = 256, 511
+    # and 512, 4.4 at N = 383 and 5.8 at N = 509 (9.5 at N = 511 with the
+    # sine sums from a double FFT); a (1 + 1e-9) G scale fault fails at
+    # every N
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("long double is not an extended type on this platform")
     G = green_matrix(N).entries
