@@ -4,7 +4,9 @@
 applied to node values of f it returns node values of the solution of
 y'' = p, y(-1) = y(1) = 0, where p interpolates f.  The matrix inherits the
 structure of the continuous kernel: its first and last rows vanish and it is
-centrosymmetric.  ``apply_green_matrix_free`` produces the same vector in
+centrosymmetric.  The dense-green solve applies it from the same factors
+without assembling it, in O(N^2) time and O(N _BLOCK) memory.
+``apply_green_matrix_free`` produces the same vector in
 O(N log N) without forming the matrix: two DCTs of length N+1 with the
 antidifferentiation and the boundary conditions in coefficient space
 between them.
@@ -22,33 +24,23 @@ __all__ = [
     "apply_green_matrix_free",
 ]
 
-# half-columns per block in green_matrix.  Each block is one sine-sum read,
-# one scaling and one rank-5 product.  Timed over blocks of 32/64/128
-# (median over 9 interleaved rounds of the best of 5 builds in one
-# process, one BLAS thread on a 2-vCPU Xeon VM): N = 256 0.69/0.64/0.64
-# ms, N = 1024 5.4/5.3/5.8 ms, N = 2048 32.8/32.9/32.3 ms, within a few
-# percent of each other.  Any block above 32 would also need its own
-# threshold for the one-column-per-call path below, or the N = 64 build
-# the solve workload runs would go one column per call, so 32 stays.
+# half-columns per block in green_matrix and in the dense apply.  Each
+# block is one sine-sum read; green_matrix scales it and adds a rank-5
+# product, the apply multiplies it by four weighted rows.  Builds timed
+# over blocks of 32/64/128 (median over 9 interleaved rounds of the best
+# of 5 builds in one process, one BLAS thread on a 2-vCPU Xeon VM):
+# N = 256 0.69/0.64/0.64 ms, N = 1024 5.4/5.3/5.8 ms, N = 2048
+# 32.8/32.9/32.3 ms, within a few percent of each other.  Any block above
+# 32 would also need its own threshold for the one-column-per-call path
+# below, or the N = 64 build the solve workload runs would go one column
+# per call, so 32 stays.
 _BLOCK = 32
 
 
-def green_matrix(N):
-    """Assemble the discrete Green matrix for the degree-N grid.
-
-    Column i holds node values of the solution of y'' = l_i, y(+-1) = 0.
-    With H_i a primitive of l_i and P_i one of the weighted node polynomial
-    (x - x_i) l_i, the function (x - x_i) H_i - P_i has second derivative
-    l_i; it is the column once the line through its end values is taken
-    off (the chord form).  The integration constants of H_i and P_i only
-    add a line, so neither primitive needs anchoring.
-
-    Only the first half of the columns is assembled; the rest are mirror
-    images (the matrix is centrosymmetric, and filling by reflection makes
-    that exact rather than a round-off casualty).  Every N >= 1 runs the
-    same assembly.
-    """
-    N = _grid_degree(N)
+def _green_factors(N):
+    # the set-up of one build, shared by green_matrix and the dense apply:
+    # the sine-sum tables, the per-column scale, the rank-5 coefficients
+    # with their chord, the five node rows and the grid's points
     x = cgl_points(N)
     half = N // 2
     xi = x[: half + 1, None]
@@ -82,6 +74,29 @@ def green_matrix(N):
         u[:, 0] += 2.0 * anchor
     coef[:, 3] -= 0.5 * (u[:, 0] - u[:, 1])
     coef[:, 4] -= 0.5 * (u[:, 0] + u[:, 1])
+    return tables, scale, coef, nodes, x
+
+
+def green_matrix(N):
+    """Assemble the discrete Green matrix for the degree-N grid.
+
+    Column i holds node values of the solution of y'' = l_i, y(+-1) = 0.
+    With H_i a primitive of l_i and P_i one of the weighted node polynomial
+    (x - x_i) l_i, the function (x - x_i) H_i - P_i has second derivative
+    l_i; it is the column once the line through its end values is taken
+    off (the chord form).  The integration constants of H_i and P_i only
+    add a line, so neither primitive needs anchoring.
+
+    Only the first half of the columns is assembled; the rest are mirror
+    images (the matrix is centrosymmetric, and filling by reflection makes
+    that exact rather than a round-off casualty).  Every N >= 1 runs the
+    same assembly.
+    """
+    N = _grid_degree(N)
+    tables, scale, coef, nodes, x = _green_factors(N)
+    half = N // 2
+    xi = x[: half + 1, None]
+    ends = [0, N]
 
     # the columns come in blocks of half-columns, each block a (columns x
     # N+1) array: one read of the sine-sum windows, one scaling and one
@@ -117,6 +132,44 @@ def green_matrix(N):
         G[half, right] = G[half, left]
         G[:, half] = 0.5 * (G[:, half] + G[::-1, half])
     return GreenMatrix(G)
+
+
+def _apply_green_dense(f):
+    """Apply the Green matrix to f from the factors ``green_matrix``
+    assembles it from, without an (N+1)^2 array.
+
+    Same contract as ``green_matrix(N).entries @ f.values``.  Column N - i
+    is column i reversed, so with F the 2 x (N/2 + 1) block [f_i; f_{N-i}]
+    and y2 = sum_i F[:, i] column_i over the half-columns, G f is y2[0]
+    plus y2[1] reversed.  The middle value of an even N goes into both
+    rows halved, as green_matrix averages the middle column with its
+    mirror.  Half-column i is scale_i (x - x_i) D_i + coef_i @ nodes, so
+    with a = F scale, y2 = x (a @ D) - (a x_i) @ D + (F @ coef) @ nodes.
+    The two sine-sum products run as one (4 x block) @ (block x N+1)
+    product per block of _BLOCK half-columns, on the same table read that
+    green_matrix makes.  Both end values are written as exact zeros.
+    O(N^2) time and O(N _BLOCK) memory.
+    """
+    N = f.grid_degree
+    tables, scale, coef, nodes, x = _green_factors(N)
+    half = N // 2
+    v = f.values
+    F = np.stack([v[: half + 1], v[::-1][: half + 1]])
+    if N % 2 == 0:
+        F[:, half] *= 0.5
+    a = F * scale
+    W = np.concatenate([a, a * x[: half + 1]])
+    acc = np.zeros((4, N + 1))
+    for start in range(0, half + 1, _BLOCK):
+        cols = slice(start, min(start + _BLOCK, half + 1))
+        acc += W[:, cols] @ _lagrange_primitive_values(cols, N, tables)
+    y2 = x * acc[:2]
+    y2 -= acc[2:]
+    y2 += (F @ coef) @ nodes
+    y = y2[0] + y2[1, ::-1]
+    y[0] = 0.0
+    y[-1] = 0.0
+    return NodeVector(y)
 
 
 def apply_green_matrix_free(f):

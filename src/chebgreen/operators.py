@@ -16,7 +16,9 @@ import numpy as np
 
 from . import green
 from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_type
-from .green import green_matrix
+# not called here: the benchmark tracer (perfbench/tracer.py) wraps
+# operators.green_matrix when it installs, and raises if the name is missing
+from .green import green_matrix  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -72,21 +74,23 @@ def diff_matrix(N):
 _PANEL = 64
 
 
+def _diff2_panel(x, lam, start, out):
+    # rows start..start+len(out)-1 of the second-derivative matrix, in place
+    # on out, which _diff_rows fills with the reciprocal differences:
+    # 2 D_ij (D_ii - 1/(x_i - x_j)) off the diagonal, the negated row sum on it
+    D, d, P = _diff_rows(x, lam, start, start + len(out), out=out)
+    np.subtract(d[:, None], P, out=P)
+    P *= D
+    P *= 2.0  # zero on the diagonal, where D is zero
+    np.negative(P.sum(axis=1), out=_diagonal(P, start))
+
+
 def _diff2_rows(N, stop):
-    # rows 0..stop-1 of the second-derivative matrix, _PANEL rows at a time in
-    # place on the output rows that _diff_rows fills with the reciprocal
-    # differences: 2 D_ij (D_ii - 1/(x_i - x_j)) off the diagonal, the
-    # negated row sum on it
+    # rows 0..stop-1 of the second-derivative matrix, _PANEL rows at a time
     x, lam = cgl_points(N), _cgl_weight_signs(N)
     D2 = np.empty((stop, N + 1))
     for start in range(0, stop, _PANEL):
-        end = min(start + _PANEL, stop)
-        D, d, P = _diff_rows(x, lam, start, end, out=D2[start:end])
-        np.subtract(d[:, None], P, out=P)
-        P *= D
-        del D  # before the next panel's D is made
-        P *= 2.0  # zero on the diagonal, where D is zero
-        np.negative(P.sum(axis=1), out=_diagonal(P, start))
+        _diff2_panel(x, lam, start, D2[start:start + _PANEL])
     return D2
 
 
@@ -106,14 +110,43 @@ def _fold(A, rows):
     # [even, odd] blocks of a centrosymmetric rows x c matrix from A, its top
     # (rows + 1) // 2 rows: A.[I | J] on the c // 2 column pairs plus the
     # middle column of an odd c, and the top rows // 2 rows of A.[I | -J].
-    # The stripped solve's two systems and cli's verify products share it
+    # The verify products use it; the stripped solve folds its panels with
+    # _fold_into, the same arithmetic row by row
+    c = A.shape[1]
+    even = np.empty((len(A), c - c // 2))
+    odd = np.empty((rows // 2, c // 2))
+    _fold_into(A, even, odd)
+    return [even, odd]
+
+
+def _fold_into(A, even, odd):
+    # _fold's blocks written into even, one row per row of A, and odd, one
+    # row per row of A's first len(odd); every entry is one add, subtract or
+    # copy of A's own entries, so a fold in row panels has the same bits
     c = A.shape[1]
     q = c // 2
     mirror = A[:, :c - q - 1:-1]
-    even = np.empty((len(A), c - q))
     np.add(A[:, :q], mirror, out=even[:, :q])
     even[:, q:] = A[:, q:c - q]
-    return [even, A[:rows // 2, :q] - mirror[:rows // 2]]
+    np.subtract(A[:len(odd), :q], mirror[:len(odd)], out=odd)
+
+
+def _stripped_blocks(N):
+    # the stripped solve's [even, odd] blocks, the bits of
+    # _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1): D2 rows 1..N//2
+    # without their end columns, folded a panel at a time into one buffer,
+    # so no half of D2 is held and the largest array is allocated once
+    h, m = (N - 1) // 2, N // 2
+    blocks = np.empty(m * m + h * h)
+    even, odd = blocks[:m * m].reshape(m, m), blocks[m * m:].reshape(h, h)
+    x, lam = cgl_points(N), _cgl_weight_signs(N)
+    panel = np.empty((min(_PANEL, m), N + 1))
+    for start in range(1, m + 1, _PANEL):
+        rows = panel[:m + 1 - start]
+        _diff2_panel(x, lam, start, rows)
+        r = slice(start - 1, start - 1 + len(rows))
+        _fold_into(rows[:, 1:-1], even[r], odd[r])
+    return even, odd
 
 
 def solve_stripped(f):
@@ -135,7 +168,7 @@ def solve_stripped(f):
     h = (N - 1) // 2
     # nodes 1..h, their mirrors N-1..N-h, and the middle node N/2 if N is even
     up, down, mid = slice(1, h + 1), slice(N - 1, N - h - 1, -1), slice(h + 1, N - h)
-    even, odd = _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1)
+    even, odd = _stripped_blocks(N)
     v = f.values
     u_e = np.linalg.solve(even, np.concatenate((0.5 * (v[up] + v[down]), v[mid])))
     u_o = np.linalg.solve(odd, 0.5 * (v[up] - v[down]))
@@ -199,16 +232,17 @@ def extension_matrix(N):
 def solve_bvp(f, method):
     """Solve y'' = f, y(-1) = y(1) = 0 on the grid of f.
 
-    method is one of "dense-green" (multiply by the assembled matrix),
-    "matrix-free" (transform pipeline), or "linear-system" (solve the
-    boundary-stripped collocation system).
+    method is one of "dense-green" (apply the Green matrix from the
+    factors ``green_matrix`` assembles it from, O(N^2) time without an
+    (N+1)^2 array), "matrix-free" (transform pipeline), or
+    "linear-system" (solve the boundary-stripped collocation system).
     """
     _require_type(f, NodeVector, "solve_bvp")
+    # both applies are looked up on green per call, where tests patch them
+    # and the benchmark tracer (perfbench/tracer.py) wraps the matrix-free one
     if method == "dense-green":
-        y = green_matrix(f.grid_degree).entries @ f.values
-        return NodeVector(y)
+        return green._apply_green_dense(f)
     if method == "matrix-free":
-        # looked up on green per call: the benchmark tracer (perfbench/tracer.py) patches it there
         return green.apply_green_matrix_free(f)
     if method == "linear-system":
         return solve_stripped(f)

@@ -137,7 +137,7 @@ def test_solve_bvp_lives_in_operators():
 
 SEAMS = {
     "matrix-free": (chebgreen.green, "apply_green_matrix_free"),
-    "dense-green": (chebgreen.operators, "green_matrix"),
+    "dense-green": (chebgreen.green, "_apply_green_dense"),
     "linear-system": (chebgreen.operators, "solve_stripped"),
 }
 

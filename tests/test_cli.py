@@ -843,9 +843,9 @@ def _out_of_memory(n):
 ])
 def test_out_of_memory_exits_cleanly(argv, monkeypatch, capsys):
     # the build fails as it would at a degree too large for memory; dense-green
-    # solves build their matrix through operators, export and the checks through cli
+    # solves apply G through green, export and the checks build it through cli
     monkeypatch.setattr("chebgreen.cli.green_matrix", _out_of_memory)
-    monkeypatch.setattr("chebgreen.operators.green_matrix", _out_of_memory)
+    monkeypatch.setattr("chebgreen.green._apply_green_dense", _out_of_memory)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

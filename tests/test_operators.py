@@ -17,7 +17,7 @@ from chebgreen import (
 )
 from chebgreen.cli import _dev_left_inverse, _dev_right_inverse, diff2_bc_matrix, green_bc_matrix
 from chebgreen.core import _cgl_weight_signs
-from chebgreen.operators import _diff2_rows
+from chebgreen.operators import _diff2_rows, _fold, _stripped_blocks
 
 
 def test_diff_matrix_degree_one():
@@ -191,6 +191,26 @@ def test_solve_stripped_keeps_parity_bitwise(N, shape, sign):
     np.testing.assert_array_equal(f[::-1], sign * f)  # the forcing is exactly even / odd
     y = solve_stripped(NodeVector(f)).values
     np.testing.assert_array_equal(y[::-1], sign * y)
+
+
+# within one panel, at the panel edges (N//2 = 63, 64, 65) and many panels
+@pytest.mark.parametrize("N", [*range(2, 10), *range(126, 132), 1024, 1025])
+def test_stripped_blocks_folded_in_panels_equal_the_one_shot_fold_bitwise(N):
+    blocks = _stripped_blocks(N)
+    ref = _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1)
+    for got, want in zip(blocks, ref):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_solve_stripped_holds_no_half_of_d2(traced_peak):
+    # the parity blocks, half an (N+1)^2 matrix, and one panel of D2 rows:
+    # measured 0.63 (N+1)^2 doubles at N = 1024, against 1.01 when the top
+    # half of D2 was built before the fold
+    N = 1024
+    f = NodeVector(np.cos(3.0 * cgl_points(N)))
+    solve_stripped(f)
+    assert traced_peak(solve_stripped, f) <= 0.7 * 8 * (N + 1) ** 2
 
 
 @pytest.mark.parametrize("N", [512, 513])
