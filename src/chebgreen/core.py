@@ -95,31 +95,18 @@ class GreenMatrix:
         _freeze(self, "entries", ndim=2)
 
 
-def _integer(value, what):
-    """value as an int; TypeError naming what and the value when it is not
-    an integer (a float such as 4.0 names no grid or basis function, even
-    when it is whole)."""
-    # the types operator.index takes, less bool (it would read True as 1)
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 def _grid_degree(N, least=1):
-    """N as an int by _integer, then ValueError naming both when it is
-    below least, the smallest degree the caller's operator exists at."""
-    N = _integer(N, "grid degree")
+    """N as an int: TypeError naming the value when it is not an integer (a
+    float such as 4.0 names no grid, even when it is whole), then ValueError
+    naming both when it is below least, the smallest degree the caller's
+    operator exists at."""
+    # the types operator.index takes, less bool (it would read True as 1)
+    if isinstance(N, bool) or not hasattr(type(N), "__index__"):
+        raise TypeError(f"grid degree must be an integer, got {N!r}")
+    N = operator.index(N)
     if N < least:
         raise ValueError(f"grid degree must be >= {least}, got {N}")
     return N
-
-
-def _basis_index(i, N):
-    """i as an int by _integer, ValueError when it is out of 0..N."""
-    i = _integer(i, "basis index")
-    if not 0 <= i <= N:
-        raise ValueError(f"basis index {i} out of range for degree {N}")
-    return i
 
 
 def cgl_points(N):

@@ -30,10 +30,11 @@ __all__ = [
 # over blocks of 32/64/128 (median over 9 interleaved rounds of the best
 # of 5 builds in one process, one BLAS thread on a 2-vCPU Xeon VM):
 # N = 256 0.69/0.64/0.64 ms, N = 1024 5.4/5.3/5.8 ms, N = 2048
-# 32.8/32.9/32.3 ms, within a few percent of each other.  Any block above
-# 32 would also need its own threshold for the one-column-per-call path
-# below, or the N = 64 build the solve workload runs would go one column
-# per call, so 32 stays.
+# 32.8/32.9/32.3 ms, within a few percent of each other.  Only the export
+# and verify workloads build G, at N = 256, 512 and 1024, blocked under each
+# (the self-check's N = 16 builds go one column per call under each); the
+# dense-green solve's apply has no one-column path but holds an (N+1) x
+# _BLOCK block, so with no build time to gain 32 stays.
 _BLOCK = 32
 
 

@@ -2,8 +2,8 @@
 
 Everything here trades speed for transparency: the continuous Green
 function in closed form, barycentric weights by the defining product,
-Lagrange bases expanded into monomials, Green-matrix entries by direct
-piecewise integration of polynomials, and the DCT as a literal cosine
+Green-matrix entries by direct piecewise integration of each Lagrange
+basis polynomial expanded into monomials, and the DCT as a literal cosine
 sum.  Monomial expansion destroys double-precision accuracy as the degree
 grows, so the oracles refuse degrees where they would stop being
 trustworthy.
@@ -11,18 +11,16 @@ trustworthy.
 
 import numpy as np
 
-from .core import GreenMatrix, cgl_points, _basis_index, _grid_degree, _require_finite
+from .core import GreenMatrix, cgl_points, _grid_degree, _require_finite
 
 __all__ = [
     "barycentric_weights_general",
-    "lagrange_monomial_coeffs",
     "green_matrix_dense_oracle",
     "dct1_naive",
     "green_function_eval",
 ]
 
 _MAX_GENERAL_POINTS = 40  # product magnitudes leave the safe range beyond this
-_MAX_MONOMIAL_DEGREE = 12
 _MAX_GREEN_DEGREE = 10
 
 
@@ -41,22 +39,6 @@ def barycentric_weights_general(points):
     return 1.0 / d.prod(axis=1)
 
 
-def lagrange_monomial_coeffs(i, N):
-    """Monomial coefficients (ascending) of the i-th Lagrange basis polynomial
-    of the degree-N grid."""
-    N = _grid_degree(N)
-    if N > _MAX_MONOMIAL_DEGREE:
-        raise ValueError(f"monomial expansion limited to degree {_MAX_MONOMIAL_DEGREE}")
-    i = _basis_index(i, N)
-    x = cgl_points(N)
-    roots = np.delete(x, i)
-    # expand the largest roots first: taken in the grid's order, np.poly
-    # loses a digit by the cap (the Kronecker test's worst miss at N = 12
-    # is 4.6e-12 that way, 2.8e-13 this way)
-    numer = np.poly(sorted(roots, key=abs, reverse=True))
-    return numer[::-1] / np.prod(x[i] - roots)
-
-
 def green_function_eval(x, xi):
     """Green function g(x, xi) of y'' with zero Dirichlet data, the kernel the
     Green matrix integrates: piecewise-bilinear, continuous, zero at x = +-1."""
@@ -70,7 +52,8 @@ def green_function_eval(x, xi):
 def green_matrix_dense_oracle(N):
     """Green matrix by direct piecewise integration in the monomial basis.
 
-    Column i integrates the kernel against l_i exactly: with B and A the
+    Column i expands l_i into monomials from its roots, the other grid
+    points, and integrates the kernel against it exactly: with B and A the
     primitives of (xi + 1) l_i and (xi - 1) l_i, entry (k, i) is
     (x_k - 1)(B(x_k) - B(-1))/2 + (x_k + 1)(A(1) - A(x_k))/2.  Boundary
     rows are zero by the kernel's boundary values and are written as exact
@@ -79,10 +62,14 @@ def green_matrix_dense_oracle(N):
     N = _grid_degree(N)
     if N > _MAX_GREEN_DEGREE:
         raise ValueError(f"dense oracle limited to degree {_MAX_GREEN_DEGREE}")
-    xk = cgl_points(N)[1:N]
+    x = cgl_points(N)
+    xk = x[1:N]
     G = np.zeros((N + 1, N + 1))
     for i in range(N + 1):
-        li = lagrange_monomial_coeffs(i, N)[::-1]  # descending, as np.poly* take
+        roots = np.delete(x, i)
+        # descending coefficients, as np.poly* take; the largest roots go
+        # first, since np.poly loses about a digit taking them in grid order
+        li = np.poly(sorted(roots, key=abs, reverse=True)) / np.prod(x[i] - roots)
         B = np.polyint(np.convolve([1.0, 1.0], li))  # (xi + 1) l_i, for xi <= x_k
         A = np.polyint(np.convolve([1.0, -1.0], li))  # (xi - 1) l_i, for xi >= x_k
         below = np.polyval(B, xk) - np.polyval(B, -1.0)

@@ -63,8 +63,8 @@ def test_the_references_are_public_only_in_their_module():
     # the slow exact references serve verification: chebgreen.oracle exports
     # them, the package namespace does not, and importing it loads none of them
     assert set(chebgreen.oracle.__all__) == {
-        "barycentric_weights_general", "lagrange_monomial_coeffs",
-        "green_matrix_dense_oracle", "dct1_naive", "green_function_eval"}
+        "barycentric_weights_general", "green_matrix_dense_oracle", "dct1_naive",
+        "green_function_eval"}
     assert not set(chebgreen.oracle.__all__) & set(dir(chebgreen))
     code = ("import sys, chebgreen; "
             "print(sorted({'chebgreen.oracle', 'numpy.polynomial'} & set(sys.modules)))")
@@ -163,7 +163,6 @@ DEGREE_BUILDERS = {
     "cgl_points": chebgreen.cgl_points,
     "green_matrix": chebgreen.green_matrix,
     "green_matrix_dense_oracle": chebgreen.oracle.green_matrix_dense_oracle,
-    "lagrange_monomial_coeffs": lambda N: chebgreen.oracle.lagrange_monomial_coeffs(0, N),
     "diff_matrix": chebgreen.diff_matrix,
     "diff2_matrix": chebgreen.diff2_matrix,
     "reinterp_matrix (from)": lambda N: chebgreen.reinterp_matrix(N, 4),
@@ -177,7 +176,7 @@ DEGREE_BUILDERS = {
 # from the matrix or node vector they are given
 LEAST_DEGREE = {
     "cgl_points": 1, "green_matrix": 1,
-    "green_matrix_dense_oracle": 1, "lagrange_monomial_coeffs": 1, "diff_matrix": 1,
+    "green_matrix_dense_oracle": 1, "diff_matrix": 1,
     "diff2_matrix": 2, "reinterp_matrix (from)": 1, "reinterp_matrix (to)": 1,
     "extension_matrix": 2,
     "cc_weights": 1, "consistent_gram_matrix": 1,
@@ -224,13 +223,6 @@ def test_degree_below_the_least_names_the_least_and_the_degree(name):
     with pytest.raises(ValueError, match=f"^grid degree must be >= {least}, got {least - 1}$"):
         build(least - 1)
     build(least)
-
-
-def test_lagrange_monomial_coeffs_names_a_negative_degree():
-    # the degree is checked before the basis index, so a bad degree is not
-    # reported as an index out of range
-    with pytest.raises(ValueError, match="grid degree must be >= 1, got -3"):
-        chebgreen.oracle.lagrange_monomial_coeffs(0, -3)
 
 
 def test_degree_range_checks_live_in_the_core_guard():

@@ -9,7 +9,6 @@ from chebgreen.oracle import (
     barycentric_weights_general,
     dct1_naive,
     green_matrix_dense_oracle,
-    lagrange_monomial_coeffs,
 )
 
 
@@ -39,38 +38,6 @@ def test_general_weights_guards():
 
 
 # ---------------------------------------------------------------------------
-# monomial expansion
-
-
-def test_lagrange_monomial_small_grid():
-    np.testing.assert_allclose(lagrange_monomial_coeffs(1, 2), [1.0, 0.0, -1.0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(lagrange_monomial_coeffs(0, 2), [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("N", [1, 4, 8, 12])  # 12: the monomial cap
-def test_lagrange_monomial_kronecker_property(N):
-    V = np.vander(cgl_points(N), N + 1, increasing=True)
-    for i in range(N + 1):
-        vals = V @ lagrange_monomial_coeffs(i, N)
-        np.testing.assert_allclose(vals, np.eye(N + 1)[i], rtol=0, atol=1e-12)
-
-
-def test_lagrange_monomial_guards():
-    with pytest.raises(ValueError):
-        lagrange_monomial_coeffs(0, 13)
-    with pytest.raises(ValueError):
-        lagrange_monomial_coeffs(3, 2)
-
-
-@pytest.mark.parametrize("i", [1.5, 2.0, np.float64(1.0), True])
-def test_lagrange_monomial_rejects_non_integer_index(i):
-    # an integral float names no basis function either, rather than being
-    # silently truncated, nor does a bool, though operator.index(True) is 1
-    with pytest.raises(TypeError):
-        lagrange_monomial_coeffs(i, 4)
-
-
-# ---------------------------------------------------------------------------
 # dense Green reference
 
 
@@ -79,6 +46,18 @@ def test_dense_reference_known_entries():
     assert abs(G[1, 1] + 0.25) < 1e-15
     np.testing.assert_array_equal(G[0], np.zeros(4))
     np.testing.assert_array_equal(G[3], np.zeros(4))
+
+
+@pytest.mark.parametrize("N", range(1, 11))
+def test_dense_reference_solves_monomial_problems(N):
+    # G maps the node values of x^m, m <= N, to those of the u with u'' = x^m
+    # and u(+-1) = 0: u = (x^(m+2) - x)/((m+1)(m+2)) for odd m, and with 1 in
+    # place of x for even m; this exercises every Lagrange expansion at once
+    G = green_matrix_dense_oracle(N).entries
+    x = cgl_points(N)
+    for m in range(N + 1):
+        u = (x ** (m + 2) - (x if m % 2 else 1.0)) / ((m + 1) * (m + 2))
+        assert np.max(np.abs(G @ x**m - u)) < 2e-14, m
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 10])
