@@ -21,7 +21,7 @@ from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree
 from .green import green_matrix
 from .operators import (METHODS, solve_bvp, _barycentric_rows, _diagonal, _diff2_rows, _fold,
                         _interior_weights)
-from .oracle import green_matrix_dense_oracle, _MAX_GREEN_DEGREE
+from .oracle import green_matrix_dense_oracle
 from .quadrature import cc_weights, _gram_rows
 
 _EPS = np.finfo(np.float64).eps
@@ -416,17 +416,15 @@ def green_bc_matrix(N, stop=None):
     """
     x = cgl_points(N)
     e_first, e_last = _barycentric_rows(x[1:-1], _interior_weights(N), x[[0, -1]])
-    G = green_matrix(N).entries
-    G.flags.writeable = True  # the entries are G's own, and nothing else holds them
-    G, x_first, x_last, x = G[:stop], x[0], x[-1], x[:stop]
+    G, x_first, x_last, x = green_matrix(N).entries[:stop], x[0], x[-1], x[:stop]
     B = np.empty((len(G), N + 1))
     B[:, 0] = 0.5 * (x_first + x)
     B[:, -1] = -0.5 * (x_last + x)
     mid = B[:, 1:-1]
     np.multiply(G[:, :1], e_first, out=mid)
     mid += G[:, 1:-1]
-    # G's interior columns are spent: the last rank-1 term goes there
-    mid += np.multiply(G[:, -1:], e_last, out=G[:, 1:-1])
+    for p in range(0, len(G), 64):  # the last rank-1 term, in row panels
+        mid[p:p + 64] += G[p:p + 64, -1:] * e_last
     return B
 
 
@@ -538,7 +536,9 @@ def _tol_bc_inverse(n):
 
 # name -> (min n, max n or None, deviation, recorded tolerance)
 _CHECKS = {
-    "oracle": (1, _MAX_GREEN_DEGREE, _dev_oracle, lambda n: 1e-12),
+    # n <= 10 is not the reference's limit: perfbench's verify workload and
+    # self-check fix the check set, and ROADMAP item 17b lifts the cap with them
+    "oracle": (1, 10, _dev_oracle, lambda n: 16.0 * _EPS),
     "centrosymmetry": (1, None, _dev_centrosymmetry, lambda n: 0.0),
     "cc-weights": (1, None, _dev_cc_weights, lambda n: 1e-13),
     "bc-inverse": (2, None, _dev_bc_inverse, _tol_bc_inverse),

@@ -1,17 +1,14 @@
 """Slow, exact reference paths used by the tests and by ``verify --check oracle``.
 
 Everything here trades speed for transparency: the continuous Green
-function in closed form, barycentric weights by the defining product,
-Green-matrix entries by direct piecewise integration of each Lagrange
-basis polynomial expanded into monomials, and the DCT as a literal cosine
-sum.  Monomial expansion destroys double-precision accuracy as the degree
-grows, so the oracles refuse degrees where they would stop being
-trustworthy.
+function in closed form, barycentric weights by the defining product, the
+Green matrix from the Chebyshev identity G.T = U in long double with no
+FFT, and the DCT as a literal cosine sum.
 """
 
 import numpy as np
 
-from .core import GreenMatrix, cgl_points, _grid_degree, _require_finite
+from .core import GreenMatrix, _grid_degree, _require_finite
 
 __all__ = [
     "barycentric_weights_general",
@@ -21,7 +18,6 @@ __all__ = [
 ]
 
 _MAX_GENERAL_POINTS = 40  # product magnitudes leave the safe range beyond this
-_MAX_GREEN_DEGREE = 10
 
 
 def barycentric_weights_general(points):
@@ -50,31 +46,29 @@ def green_function_eval(x, xi):
 
 
 def green_matrix_dense_oracle(N):
-    """Green matrix by direct piecewise integration in the monomial basis.
+    """Green matrix from the identity G.T = U, in long double, rounded once.
 
-    Column i expands l_i into monomials from its roots, the other grid
-    points, and integrates the kernel against it exactly: with B and A the
-    primitives of (xi + 1) l_i and (xi - 1) l_i, entry (k, i) is
-    (x_k - 1)(B(x_k) - B(-1))/2 + (x_k + 1)(A(1) - A(x_k))/2.  Boundary
-    rows are zero by the kernel's boundary values and are written as exact
-    zeros.
+    T[k, m] = T_m(x_k) = cos(k m pi/N) interpolates itself for m <= N, so
+    G.T = U, where U[k, m] = u_m(x_k), u_m'' = T_m and u_m(+-1) = 0.  For
+    m >= 3, u_m = T_{m+2}/(4(m+1)(m+2)) - T_m/(2(m^2-1)) + T_{m-2}/(4(m-1)(m-2))
+    less the line through its end values.  T's inverse is the DCT-I
+    (2/N) W T W, W = diag(1/2, 1, ..., 1, 1/2), so G = (2/N) (U W) T W.
     """
     N = _grid_degree(N)
-    if N > _MAX_GREEN_DEGREE:
-        raise ValueError(f"dense oracle limited to degree {_MAX_GREEN_DEGREE}")
-    x = cgl_points(N)
-    xk = x[1:N]
-    G = np.zeros((N + 1, N + 1))
-    for i in range(N + 1):
-        roots = np.delete(x, i)
-        # descending coefficients, as np.poly* take; the largest roots go
-        # first, since np.poly loses about a digit taking them in grid order
-        li = np.poly(sorted(roots, key=abs, reverse=True)) / np.prod(x[i] - roots)
-        B = np.polyint(np.convolve([1.0, 1.0], li))  # (xi + 1) l_i, for xi <= x_k
-        A = np.polyint(np.convolve([1.0, -1.0], li))  # (xi - 1) l_i, for xi >= x_k
-        below = np.polyval(B, xk) - np.polyval(B, -1.0)
-        above = np.polyval(A, 1.0) - np.polyval(A, xk)
-        G[1:N, i] = 0.5 * (xk - 1.0) * below + 0.5 * (xk + 1.0) * above
+    LD = np.longdouble
+    cosines = np.cos(np.arccos(LD(-1)) * np.arange(2 * N, dtype=LD) / N)
+    j = np.arange(3, N + 1)
+    T = cosines[np.multiply.outer(np.arange(N + 1), np.arange(N + 3)) % (2 * N)]  # T_0..T_{N+2}
+    x, m = T[:, 1], j.astype(LD)
+    # the general form divides by zero for m = 0, 1 and 2
+    U = np.column_stack([(x * x - 1) / 2, (x**3 - x) / 6, x**4 / 6 - x * x / 2 + LD(1) / 3,
+                         T[:, j + 2] / (4 * (m + 1) * (m + 2)) - T[:, j] / (2 * (m * m - 1))
+                         + T[:, j - 2] / (4 * (m - 1) * (m - 2))])[:, :N + 1]
+    U -= np.multiply.outer((1 + x) / 2, U[0]) + np.multiply.outer((1 - x) / 2, U[N])
+    w = np.ones(N + 1, dtype=LD)
+    w[[0, N]] = LD(0.5)
+    G = np.zeros((N + 1, N + 1), dtype=LD)
+    G[1:N] = (LD(2) / N) * ((U[1:N] * w) @ T[:, :N + 1]) * w
     return GreenMatrix(G)
 
 

