@@ -1,4 +1,4 @@
-"""Antiderivative and primitive kernels of the two Green-matrix paths.
+"""Antiderivatives, Lagrange primitives and the dense Green matrix's factors.
 
 Integrals of grid polynomials are exact up to round-off.  A degree-N
 integrand has a degree-(N+1) primitive, and the coefficients above N fold
@@ -18,15 +18,16 @@ needs no transform either.  By the same aliasing, at node k the values of
 T_{N+-1}, T_{N+-2} and T_N are sigma_k x_k, sigma_k (2 x_k^2 - 1) and
 sigma_k, with sigma_k = (-1)^k.  So the rank-1 terms times (x - x_i) and
 the node-polynomial primitive all lie in the span of five node rows,
-sigma x^2, sigma x, sigma, x and 1.  This module gives their
-coefficients, one row per index, and :mod:`.green` runs them as one
-rank-5 product per block.  The module is private: its unchecked kernels
-take arguments that :mod:`.green` has already checked.
+sigma x^2, sigma x, sigma, x and 1.  ``_green_factors`` builds all of G's
+factors from these kernels, the tables and the rank-5 coefficients with
+their chord, and runs no transform; :mod:`.green` only assembles and
+applies them.  The module is private: its unchecked kernels take
+arguments that :mod:`.green` has already checked.
 """
 
 import numpy as np
 
-from .core import _cgl_weight_signs
+from .core import _cgl_weight_signs, cgl_points
 
 
 def _antiderivative_raw(c):
@@ -157,3 +158,43 @@ def _primitive_tables(N):
     table = np.concatenate([-s[half:0:-1], s, -s[N - 1 : N - 1 - half : -1]])
     windows = np.lib.stride_tricks.sliding_window_view(table, N + 1)
     return cosines, sines, windows
+
+
+def _green_factors(N):
+    # the set-up of one build, shared by green_matrix and the dense apply:
+    # the sine-sum tables, the per-column scale, the rank-5 coefficients
+    # with their chord, the five node rows and the grid's points
+    x = cgl_points(N)
+    half = N // 2
+    xi = x[: half + 1, None]
+    tables = _primitive_tables(N)
+    scale, terms, nodes = _lagrange_primitive_terms(N, tables, x)
+    p_0, p_nm1, p_n, anchor = terms[:, 3:].T
+    # column i before its chord is scale_i D_i (x - x_i) + coef_i @ nodes,
+    # D_i the sine-sum row, over the five node rows sigma x^2, sigma x,
+    # sigma, x and 1: by the aliasing at the nodes, (x - x_i) times the
+    # primitive's rank-1 terms and the node-polynomial primitive P_i both
+    # lie in their span.  P_i is taken from x = -1: the chord makes any
+    # constant exact in theory, but without the anchor the rounding moves
+    # G(3)[1, 1] off -0.25
+    coef = np.empty((half + 1, 5))
+    coef[:, :4] = terms[:, :4]
+    coef[:, 4] = anchor - xi[:, 0] * p_0
+    # the chord, the line through the column's two end values, goes into
+    # the coefficients of x and 1.  At the ends the sine sums are single
+    # entries of S(0..N), S odd with period 2N: D_i = 2 S(i) at x_0 and
+    # -2 S(N-i) at x_N.  The end values go term by term, the primitive then
+    # times x - x_i: from the product's rows they move G(3)[1, 1] off -0.25
+    ends = [0, N]
+    S = tables[2][half]
+    h = 2.0 * np.stack([S[: half + 1], -S[::-1][: half + 1]], axis=1)
+    h *= scale[:, None]
+    h += p_nm1[:, None] * nodes[1, ends]
+    h += p_n[:, None] * nodes[2, ends]
+    h += p_0[:, None]
+    u = h * (x[ends] - xi)
+    if N % 2:  # P_i(1) - P_i(-1) is -2 P_i(-1) at odd N, 0 at even N
+        u[:, 0] += 2.0 * anchor
+    coef[:, 3] -= 0.5 * (u[:, 0] - u[:, 1])
+    coef[:, 4] -= 0.5 * (u[:, 0] + u[:, 1])
+    return tables, scale, coef, nodes, x

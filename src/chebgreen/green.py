@@ -4,20 +4,19 @@
 applied to node values of f it returns node values of the solution of
 y'' = p, y(-1) = y(1) = 0, where p interpolates f.  The matrix inherits the
 structure of the continuous kernel: its first and last rows vanish and it is
-centrosymmetric.  The dense-green solve applies it from the same factors
+centrosymmetric.  It is assembled from factors that :mod:`.calculus`
+builds with no transform, and the dense-green solve applies it from them
 without assembling it, in O(N^2) time and O(N _BLOCK) memory.
-``apply_green_matrix_free`` produces the same vector in
-O(N log N) without forming the matrix: two DCTs of length N+1 with the
-antidifferentiation and the boundary conditions in coefficient space
-between them.
+``apply_green_matrix_free`` produces the same vector in O(N log N) without
+forming the matrix: two DCTs of length N+1 with the antidifferentiation and
+the boundary conditions in coefficient space between them.
 """
 
 import numpy as np
 
 from . import core
-from .core import GreenMatrix, NodeVector, cgl_points, _grid_degree, _require_type, _scale_ends
-from .calculus import (_antiderivative_raw, _lagrange_primitive_terms,
-                       _lagrange_primitive_values, _primitive_tables)
+from .core import GreenMatrix, NodeVector, _grid_degree, _require_type, _scale_ends
+from .calculus import _antiderivative_raw, _green_factors, _lagrange_primitive_values
 
 __all__ = [
     "green_matrix",
@@ -36,46 +35,6 @@ __all__ = [
 # dense-green solve's apply has no one-column path but holds an (N+1) x
 # _BLOCK block, so with no build time to gain 32 stays.
 _BLOCK = 32
-
-
-def _green_factors(N):
-    # the set-up of one build, shared by green_matrix and the dense apply:
-    # the sine-sum tables, the per-column scale, the rank-5 coefficients
-    # with their chord, the five node rows and the grid's points
-    x = cgl_points(N)
-    half = N // 2
-    xi = x[: half + 1, None]
-    tables = _primitive_tables(N)
-    scale, terms, nodes = _lagrange_primitive_terms(N, tables, x)
-    p_0, p_nm1, p_n, anchor = terms[:, 3:].T
-    # column i before its chord is scale_i D_i (x - x_i) + coef_i @ nodes,
-    # D_i the sine-sum row, over the five node rows sigma x^2, sigma x,
-    # sigma, x and 1: by the aliasing at the nodes, (x - x_i) times the
-    # primitive's rank-1 terms and the node-polynomial primitive P_i both
-    # lie in their span.  P_i is taken from x = -1: the chord makes any
-    # constant exact in theory, but without the anchor the rounding moves
-    # G(3)[1, 1] off -0.25
-    coef = np.empty((half + 1, 5))
-    coef[:, :4] = terms[:, :4]
-    coef[:, 4] = anchor - xi[:, 0] * p_0
-    # the chord, the line through the column's two end values, goes into
-    # the coefficients of x and 1.  The end values take O(N), as the sine
-    # sums at k = 0 and N are single table entries.  They are formed term
-    # by term, the primitive first and then times x - x_i: taken from the
-    # product's rows instead, they move G(3)[1, 1] off -0.25
-    idx = np.arange(half + 1)
-    ends = [0, N]
-    h = tables[2][half + idx[:, None], ends] - tables[2][half - idx[:, None], ends]
-    h *= scale[:, None]
-    h += p_nm1[:, None] * nodes[1, ends]
-    h += p_n[:, None] * nodes[2, ends]
-    h += p_0[:, None]
-    u = h * (x[ends] - xi)
-    if N % 2:  # P_i(1) - P_i(-1) is -2 P_i(-1) at odd N, 0 at even N
-        u[:, 0] += 2.0 * anchor
-    coef[:, 3] -= 0.5 * (u[:, 0] - u[:, 1])
-    coef[:, 4] -= 0.5 * (u[:, 0] + u[:, 1])
-    return tables, scale, coef, nodes, x
 
 
 def green_matrix(N):

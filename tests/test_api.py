@@ -107,21 +107,37 @@ def test_only_core_defines_dataclasses():
         chebgreen.NodeVector(np.ones(3), grid_degree=2)
 
 
+def _functions(stem):
+    tree = ast.parse((Path(chebgreen.__file__).parent / f"{stem}.py").read_text())
+    return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_paths_stay_independent_of_the_references_and_the_dct():
     # the oracle is the exact reference the assembly is checked against, so
     # only the CLI's verify may import it, not even the package namespace; the
-    # dense path's primitives (calculus) use no transform, which keeps them
-    # independent of the DCT-based matrix-free path
+    # dense path's primitives and factors (calculus) use no transform, which
+    # keeps them independent of the DCT-based matrix-free path
     importers = {path.stem for path in MODULES
                  for _, mods in _imports(path) if "oracle" in mods}
     assert importers == {"cli"}
     transforms = {"dct1", "_node_to_coeff_values", "_coeff_to_node_values"}
-    tree = ast.parse((Path(chebgreen.__file__).parent / "calculus.py").read_text())
+    tree, defined = _functions("calculus")
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     from_core = {a.name for node in relative if node.module == "core" for a in node.names}
     assert from_core and not from_core & transforms
     # nor the module itself, through which any transform could be reached
     assert all(a.name != "core" for node in relative if node.module is None for a in node.names)
+    # the whole factor build of G lives there, and green's dense functions
+    # only assemble and apply it: they name no transform, no matrix-free
+    # stage and not core, through which a transform could be reached
+    _, in_green = _functions("green")
+    assert "_green_factors" in defined and "_green_factors" not in in_green
+    matrix_free = transforms | {"core", "_antiderivative_raw", "apply_green_matrix_free"}
+    for name in ("green_matrix", "_apply_green_dense"):
+        named = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(in_green[name])
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named & matrix_free, name
 
 
 def test_no_imports_inside_functions():
