@@ -1,9 +1,8 @@
 """Slow, exact reference paths used by the tests and by ``verify --check oracle``.
 
-Everything here trades speed for transparency: the continuous Green
-function in closed form, barycentric weights by the defining product, the
-Green matrix from the Chebyshev identity G.T = U in long double with no
-FFT, and the DCT as a literal cosine sum.
+Everything here trades speed for transparency: barycentric weights by the
+defining product, the Green matrix from the Chebyshev identity G.T = U in
+long double with no FFT, and the DCT as a literal cosine sum.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ __all__ = [
     "barycentric_weights_general",
     "green_matrix_dense_oracle",
     "dct1_naive",
-    "green_function_eval",
 ]
 
 _MAX_GENERAL_POINTS = 40  # product magnitudes leave the safe range beyond this
@@ -33,16 +31,6 @@ def barycentric_weights_general(points):
     if np.any(d == 0.0):
         raise ValueError("points must be pairwise distinct")
     return 1.0 / d.prod(axis=1)
-
-
-def green_function_eval(x, xi):
-    """Green function g(x, xi) of y'' with zero Dirichlet data, the kernel the
-    Green matrix integrates: piecewise-bilinear, continuous, zero at x = +-1."""
-    if not (-1.0 <= x <= 1.0 and -1.0 <= xi <= 1.0):
-        raise ValueError("both arguments must lie in [-1, 1]")
-    if x <= xi:
-        return 0.5 * (x + 1.0) * (xi - 1.0)
-    return 0.5 * (x - 1.0) * (xi + 1.0)
 
 
 def green_matrix_dense_oracle(N):

@@ -63,8 +63,7 @@ def test_the_references_are_public_only_in_their_module():
     # the slow exact references serve verification: chebgreen.oracle exports
     # them, the package namespace does not, and importing it loads none of them
     assert set(chebgreen.oracle.__all__) == {
-        "barycentric_weights_general", "green_matrix_dense_oracle", "dct1_naive",
-        "green_function_eval"}
+        "barycentric_weights_general", "green_matrix_dense_oracle", "dct1_naive"}
     assert not set(chebgreen.oracle.__all__) & set(dir(chebgreen))
     code = ("import sys, chebgreen; "
             "print(sorted({'chebgreen.oracle', 'numpy.polynomial'} & set(sys.modules)))")
@@ -298,11 +297,6 @@ def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given
         call(bad)
 
 
-# private kernels that only the tests call, as references; every other
-# module-level private function must be named somewhere in the package
-TEST_REFERENCES = {("core", "_coeff_to_node_values")}
-
-
 # functions that only the verify checks use; the parity fold lives in
 # operators, since the stripped solve uses it too
 CHECK_HELPERS = ("_pair_weights", "_identity_deviation", "_boundary_basis", "_gram_blocks",
@@ -322,18 +316,39 @@ def test_every_verify_check_lives_in_cli():
     assert homes == {("cli", name) for name in CHECK_HELPERS}
 
 
-def test_no_private_function_is_left_without_a_caller():
-    # a kernel whose last caller is retired goes with it; a recursive call
-    # does not count as a caller
+# the top-level functions and classes that no code in src/ names, each with
+# its reason; every other one must have a caller there.  perfbench/tracer.py's
+# SITES wraps the first table's by attribute, and ROADMAP item 7 retires them
+# once item 1 or 13 lands
+TRACER_PINNED = {
+    ("operators", "diff_matrix"): "SITES['operators'] wraps it",
+    ("operators", "diff2_matrix"): "SITES['operators'] and SITES['quadrature'] wrap it",
+    ("operators", "reinterp_matrix"): "SITES['operators'] and SITES['quadrature'] wrap it",
+    ("operators", "extension_matrix"): "SITES['operators'] wraps it; the README example uses it",
+    ("quadrature", "consistent_gram_matrix"): "SITES['quadrature'] wraps it",
+}
+# the tests compare the fast kernels with these, or build references from them
+REFERENCES = {
+    ("oracle", "barycentric_weights_general"): "the defining product for the CGL weight signs",
+    ("oracle", "dct1_naive"): "the literal cosine sum for dct1's FFT",
+    ("core", "_coeff_to_node_values"): "the fold-free references' fine grid; no smaller in tests/",
+}
+
+
+def test_every_uncalled_function_or_class_is_tabled_with_its_reason():
+    # a name counts as called when src/ names it outside its own definition:
+    # imports, __all__ strings and recursive calls do not count.  A tabled
+    # name that gains a caller leaves its table
     defs, named = set(), set()
     for path in MODULES:
         for top in ast.parse(path.read_text()).body:
             used = {node.id if isinstance(node, ast.Name) else node.attr
                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
-            if (isinstance(top, ast.FunctionDef) and top.name.startswith("_")
-                    and not top.name.startswith("__")):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 defs.add((path.stem, top.name))
                 used.discard(top.name)
             named |= used
-    orphans = {(module, name) for module, name in defs if name not in named}
-    assert orphans == TEST_REFERENCES
+    uncalled = {(module, name) for module, name in defs if name not in named}
+    assert not TRACER_PINNED.keys() & REFERENCES.keys()
+    assert uncalled == TRACER_PINNED.keys() | REFERENCES.keys()
+    assert all({**TRACER_PINNED, **REFERENCES}.values())

@@ -1,4 +1,4 @@
-"""The kernel, the assembled Green matrix, and the three solve paths."""
+"""The assembled Green matrix and the three solve paths."""
 
 import math
 
@@ -18,28 +18,7 @@ from chebgreen import core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
                                 _lagrange_primitive_values, _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
-from chebgreen.oracle import green_function_eval, green_matrix_dense_oracle
-
-
-def test_kernel_pointwise_values():
-    assert green_function_eval(0.0, 0.0) == -0.5
-    assert green_function_eval(1.0, 0.3) == 0.0
-    assert green_function_eval(-1.0, 0.3) == 0.0
-    # below the diagonal: x >= xi uses (x-1)(xi+1)/2
-    assert green_function_eval(0.5, -0.5) == 0.5 * (0.5 - 1.0) * (-0.5 + 1.0)
-
-
-def test_kernel_is_symmetric_in_its_arguments():
-    rng = np.random.default_rng(3)
-    for x, xi in rng.uniform(-1.0, 1.0, size=(20, 2)):
-        assert green_function_eval(x, xi) == green_function_eval(xi, x)
-
-
-def test_kernel_rejects_points_outside_domain():
-    with pytest.raises(ValueError):
-        green_function_eval(1.5, 0.0)
-    with pytest.raises(ValueError):
-        green_function_eval(0.0, -2.0)
+from chebgreen.oracle import green_matrix_dense_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +296,7 @@ def test_apply_matches_constant_rhs():
     assert y.values[0] == 0.0 and y.values[-1] == 0.0
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 17, 64, 150])
-def test_apply_matches_dense_multiply(N):
-    rng = np.random.default_rng(N)
-    f = rng.standard_normal(N + 1)
-    dense = green_matrix(N).entries @ f
-    free = apply_green_matrix_free(NodeVector(f)).values
-    assert np.max(np.abs(dense - free)) < 1e-12 * np.max(np.abs(f))
-
-
-@pytest.mark.parametrize("N", [*range(2, 13), 63, 64, 65, 256, 1024, 4096])
+@pytest.mark.parametrize("N", [*range(2, 13), 17, 63, 64, 65, 150, 256, 1024, 4096])
 def test_apply_gap_to_dense_multiply_stays_at_rounding(N):
     # per forcing, max|MF f - G f| over max(|G| |f|), the scale of the dense
     # product's summands, on 8 N(0, 1) forcings from each of five seeds:
