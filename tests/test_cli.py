@@ -553,6 +553,21 @@ def test_verify_all_checks_hold_across_degrees(n, capsys):
         assert np.isfinite(r["deviation"]) and r["deviation"] <= r["tolerance"], r
 
 
+# at n = 3 the B.A product sets the bc-inverse deviation, above it A.B does.
+# Centrosymmetry runs no product and keeps the formula's bits; bc-inverse
+# multiplies parity blocks, so it is held to the rounding of the products
+@pytest.mark.parametrize("n", [3, 64, 257, 512])
+def test_in_place_deviations_equal_direct_formulas_bitwise(n):
+    G = green_matrix(n).entries
+    assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
+    A = diff2_bc_matrix(n)
+    B = green_bc_matrix(n)
+    eye = np.eye(n + 1)
+    formula = max(float(np.max(np.abs(A @ B - eye))), float(np.max(np.abs(B @ A - eye))))
+    gap = max(_rounding_gap(n, A, B), _rounding_gap(n, B, A))
+    assert abs(cli._dev_bc_inverse(n) - formula) <= gap
+
+
 def test_green_bc_matrix_leaves_green_matrix_read_only_and_unchanged(monkeypatch):
     # G may be shared, so the bc operator reads it and never writes it
     G = green_matrix(200)
@@ -754,9 +769,8 @@ def test_gram_and_basis_blocks_are_the_parity_blocks(n):
 # Each inverse check against its formula with one-shot products, in the
 # same order.  The checks multiply parity blocks, so they are held to the
 # rounding of the products.  Centrosymmetry and green_bc_matrix run no
-# product and stay bitwise.  At n = 3 the B.A product sets the bc-inverse
-# deviation, above it A.B does; right-inverse starts at n = 4
-@pytest.mark.parametrize("n", [3, *PANEL_EDGE_DEGREES, 257, 512])
+# product and stay bitwise.
+@pytest.mark.parametrize("n", PANEL_EDGE_DEGREES)
 def test_panel_products_agree_with_direct_formulas(n):
     G = green_matrix(n).entries
     assert cli._dev_centrosymmetry(n) == float(np.max(np.abs(G - G[::-1, ::-1])))
@@ -774,11 +788,10 @@ def test_panel_products_agree_with_direct_formulas(n):
     D2, eye = operators.diff2_matrix(n), np.eye(n - 1)
     formula = float(np.max(np.abs((G @ D2)[1:-1, 1:-1] - eye)))
     assert abs(cli._dev_left_inverse(n) - formula) <= _rounding_gap(n, G, D2)
-    if n >= 4:
-        R_up, R_down = operators.reinterp_matrix(n - 2, n), operators.reinterp_matrix(n, n - 2)
-        formula = float(np.max(np.abs(R_down @ (D2 @ (G @ R_up)) - eye)))
-        assert (abs(cli._dev_right_inverse(n) - formula)
-                <= _rounding_gap(n, R_down, D2, G, R_up))
+    R_up, R_down = operators.reinterp_matrix(n - 2, n), operators.reinterp_matrix(n, n - 2)
+    formula = float(np.max(np.abs(R_down @ (D2 @ (G @ R_up)) - eye)))
+    assert (abs(cli._dev_right_inverse(n) - formula)
+            <= _rounding_gap(n, R_down, D2, G, R_up))
 
 
 # 2.3 (n+1)^2 doubles at n = 256 and 1024: the parity-block checks hold G and

@@ -296,7 +296,16 @@ def test_apply_matches_constant_rhs():
     assert y.values[0] == 0.0 and y.values[-1] == 0.0
 
 
-@pytest.mark.parametrize("N", [*range(2, 13), 17, 63, 64, 65, 150, 256, 1024, 4096])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 17, 64, 150])
+def test_apply_matches_dense_multiply(N):
+    rng = np.random.default_rng(N)
+    f = rng.standard_normal(N + 1)
+    dense = green_matrix(N).entries @ f
+    free = apply_green_matrix_free(NodeVector(f)).values
+    assert np.max(np.abs(dense - free)) < 1e-12 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("N", [*range(2, 13), 63, 64, 65, 256, 1024, 4096])
 def test_apply_gap_to_dense_multiply_stays_at_rounding(N):
     # per forcing, max|MF f - G f| over max(|G| |f|), the scale of the dense
     # product's summands, on 8 N(0, 1) forcings from each of five seeds:

@@ -381,7 +381,7 @@ def test_green_bc_matrix_middle_block_matches_dense_product(N):
     assert np.abs(B[:, 1:-1] - R).max() <= 2 * np.finfo(np.float64).eps * np.abs(R).max()
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 8, 16, 21, 64, 257])
+@pytest.mark.parametrize("N", [2, 3, 4, 16, 64, 257])
 def test_bc_matrices_equal_dense_helper_formulas_bitwise(N):
     # diff2_bc_matrix overwrites the boundary rows of D2 in place and
     # green_bc_matrix reads only the boundary rows of E; the formulas with a
@@ -398,6 +398,29 @@ def test_bc_matrices_equal_dense_helper_formulas_bitwise(N):
     B[:, -1] = -0.5 * (x[-1] + x)
     B[:, 1:-1] = G[:, 1:-1] + G[:, :1] * E[0] + G[:, -1:] * E[-1]
     assert green_bc_matrix(N).tobytes() == B.tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 21])
+def test_bc_matrices_shapes_and_boundary_rows(N):
+    A = diff2_bc_matrix(N)
+    B = green_bc_matrix(N)
+    assert A.shape == B.shape == (N + 1, N + 1)
+    eye = np.eye(N + 1)
+    np.testing.assert_array_equal(A[0], eye[0])
+    np.testing.assert_array_equal(A[N], eye[N])
+    # first/last columns of the embedded solver carry the boundary data
+    x = cgl_points(N)
+    np.testing.assert_allclose(B[:, 0], 0.5 * (1.0 + x), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(B[:, N], 0.5 * (1.0 - x), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [2, 4, 9, 24])
+def test_bc_pair_inverts_both_ways(N):
+    A = diff2_bc_matrix(N)
+    B = green_bc_matrix(N)
+    eye = np.eye(N + 1)
+    assert np.max(np.abs(A @ B - eye)) < 1e-8
+    assert np.max(np.abs(B @ A - eye)) < 1e-8
 
 
 def test_bc_solver_honors_inhomogeneous_boundary_data():
@@ -424,7 +447,8 @@ def test_bc_solver_honors_inhomogeneous_boundary_data():
 # right), so both deviations move by round-off: the left-inverse one within
 # twice the most two roundings of G.D2 can differ by, as _rounding_gap in
 # tests/test_cli.py
-# kept apart for its 10 % right-inverse bound: 7e-11 at N = 257, the panel test's gap 9.2e-8
+# kept apart for its 10 % right-inverse bound: 7e-11 at N = 257, where
+# _rounding_gap(N, R_down, D2, G, R_up) of tests/test_cli.py reads 9.2e-8
 @pytest.mark.parametrize("N", [64, 257, 512])
 def test_inverse_deviations_match_direct_products(N):
     G = green_matrix(N).entries
