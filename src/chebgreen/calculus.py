@@ -27,7 +27,7 @@ arguments that :mod:`.green` has already checked.
 
 import numpy as np
 
-from .core import _cgl_weight_signs, cgl_points
+from .core import _cgl_weight_signs, _degree_memo, cgl_points
 
 
 def _antiderivative_raw(c):
@@ -160,10 +160,12 @@ def _primitive_tables(N):
     return cosines, sines, windows
 
 
+@_degree_memo
 def _green_factors(N):
     # the set-up of one build, shared by green_matrix and the dense apply:
     # the sine-sum tables, the per-column scale, the rank-5 coefficients
-    # with their chord, the five node rows and the grid's points
+    # with their chord, the five node rows and the grid's points.
+    # Read-only, and kept in the memo for the next call at this N
     x = cgl_points(N)
     half = N // 2
     xi = x[: half + 1, None]

@@ -1,4 +1,5 @@
-"""Chebyshev-Gauss-Lobatto grids, the value carriers and the DCT-I.
+"""Chebyshev-Gauss-Lobatto grids, the value carriers, the DCT-I, and the
+memo that keeps set-up depending only on the grid degree between calls.
 
 Grids are indexed descending (``points[0] = 1``, ``points[N] = -1``) so that
 index j corresponds to the angle j*pi/N.  The node/coefficient transforms
@@ -8,7 +9,10 @@ scale factors.  See Trefethen, "Spectral Methods in MATLAB", for the grid
 and weight background.
 """
 
+import functools
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +111,78 @@ def _grid_degree(N, least=1):
     if N < least:
         raise ValueError(f"grid degree must be >= {least}, got {N}")
     return N
+
+
+# bytes of degree-only set-up the memo keeps.  The stripped solve's parity
+# blocks take 4 MiB at N = 1024 and 16 MiB at N = 2048, and 32 MiB holds
+# them up to N = 2897; G's factors are 14 (N+1) doubles.  The blocks' O(N^2)
+# build is 2.7 of a cold solve's 7.8 ms at N = 1024 and 13.5 of 44 ms at
+# N = 2048 (one BLAS thread, 2-vCPU Xeon), a share the two O(N^3) LUs
+# shrink as N grows, so larger blocks would buy less time per byte kept
+_MEMO_BUDGET = 32 << 20
+
+
+def _freeze_tree(value, owners):
+    # make every array in a tree of tuples of arrays read-only, and record
+    # in owners the bytes of each buffer they view, once per buffer: a
+    # sliding window view's nbytes counts every window, its base the table
+    if isinstance(value, tuple):
+        for v in value:
+            _freeze_tree(v, owners)
+        return
+    value.flags.writeable = False
+    while value.base is not None:
+        value = value.base
+    owners[id(value)] = value.nbytes
+
+
+class _Memo:
+    """Results of degree-only set-ups kept by (builder, N) within a byte
+    budget, the least recently used dropped first.
+
+    Used as a decorator on a builder of one argument N.  Every array of the
+    result (a tree of tuples of arrays) is made read-only, and later calls
+    at that N return the same objects, so cold and warm calls give the same
+    bits.  A result larger than the budget is returned and not kept, and a
+    build that raises keeps nothing.  Builds run outside the lock, so two
+    threads may both build one N; the first result is kept.
+    """
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries = OrderedDict()  # (builder, N) -> (result, bytes)
+        self._lock = threading.Lock()
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def __call__(self, build):
+        @functools.wraps(build)
+        def memoized(N):
+            key = (build, N)
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    return entry[0]
+            out = build(N)
+            owners = {}
+            _freeze_tree(out, owners)
+            size = sum(owners.values())
+            with self._lock:
+                if size <= self.budget and key not in self._entries:
+                    while self.nbytes + size > self.budget:
+                        self.nbytes -= self._entries.popitem(last=False)[1][1]
+                    self._entries[key] = (out, size)
+                    self.nbytes += size
+            return out
+        return memoized
+
+
+_degree_memo = _Memo(_MEMO_BUDGET)
 
 
 def cgl_points(N):

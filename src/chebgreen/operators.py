@@ -15,7 +15,8 @@ through the interior nodes evaluated at every node.
 import numpy as np
 
 from . import green
-from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree, _require_type
+from .core import (NodeVector, cgl_points, _cgl_weight_signs, _degree_memo, _grid_degree,
+                   _require_type)
 # not called here: the benchmark tracer (perfbench/tracer.py) wraps
 # operators.green_matrix when it installs, and raises if the name is missing
 from .green import green_matrix  # noqa: F401
@@ -131,11 +132,13 @@ def _fold_into(A, even, odd):
     np.subtract(A[:len(odd), :q], mirror[:len(odd)], out=odd)
 
 
+@_degree_memo
 def _stripped_blocks(N):
     # the stripped solve's [even, odd] blocks, the bits of
     # _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1): D2 rows 1..N//2
     # without their end columns, folded a panel at a time into one buffer,
-    # so no half of D2 is held and the largest array is allocated once
+    # so no half of D2 is held and the largest array is allocated once.
+    # Read-only, and kept in the memo for the next solve at this N
     h, m = (N - 1) // 2, N // 2
     blocks = np.empty(m * m + h * h)
     even, odd = blocks[:m * m].reshape(m, m), blocks[m * m:].reshape(h, h)

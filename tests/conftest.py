@@ -4,6 +4,8 @@ import tracemalloc
 
 import pytest
 
+from chebgreen import core
+
 
 @pytest.fixture
 def traced_peak():
@@ -19,3 +21,13 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return measure
+
+
+@pytest.fixture
+def cold_memo():
+    """The memo of degree-only set-ups, emptied before the test and after
+    it: a measured call then builds its set-up rather than reading it, and
+    the test leaves no large entry behind."""
+    core._degree_memo.clear()
+    yield core._degree_memo
+    core._degree_memo.clear()

@@ -1,10 +1,17 @@
-"""Grids, barycentric weights, the DCT-I kernel, and the transforms."""
+"""Grids, barycentric weights, the DCT-I kernel, the transforms, and the
+memo of degree-only set-ups."""
+
+import gc
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from chebgreen import GreenMatrix, NodeVector, cgl_points, dct1
+from chebgreen import METHODS, GreenMatrix, NodeVector, cgl_points, dct1, solve_bvp
+from chebgreen import calculus, core, operators
 from chebgreen.core import _cgl_weight_signs, _coeff_to_node_values, _node_to_coeff_values
 from chebgreen.oracle import barycentric_weights_general, dct1_naive
 
@@ -225,3 +232,135 @@ def test_complex_values_are_refused_not_truncated():
     # a complex dtype is refused even when every imaginary part is zero
     with pytest.raises(TypeError, match="must be real"):
         NodeVector(x.astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# the memo of degree-only set-ups: the stripped solve's parity blocks and
+# G's factors
+
+
+def _leaves(value):
+    # the arrays of a tree of tuples of arrays
+    if isinstance(value, tuple):
+        return [a for v in value for a in _leaves(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 65, 1024, 1025])
+@pytest.mark.parametrize("method", METHODS)
+def test_cold_and_warm_solves_give_the_same_bits(method, N, cold_memo):
+    f = NodeVector(np.exp(np.sin(3.0 * cgl_points(N))))
+    cold = solve_bvp(f, method).values
+    # matrix-free has no set-up to keep
+    assert (cold_memo.nbytes > 0) == (method != "matrix-free")
+    warm = solve_bvp(f, method).values
+    assert _same_bits(cold, warm)
+
+
+@pytest.mark.parametrize("builder", [operators._stripped_blocks, calculus._green_factors])
+def test_memoized_arrays_refuse_writes(builder, cold_memo):
+    for result in (builder(64), builder(64)):
+        for a in _leaves(result):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+
+def test_memo_counts_each_buffer_once(cold_memo):
+    # the two parity blocks are views of one buffer
+    N = 1024
+    even, odd = operators._stripped_blocks(N)
+    assert cold_memo.nbytes == even.nbytes + odd.nbytes
+    # G's factors are O(N): the sine-sum windows count their one table,
+    # not the (N+1)^2 doubles their nbytes reports
+    cold_memo.clear()
+    factors = calculus._green_factors(N)
+    assert sum(a.nbytes for a in _leaves(factors)) > 8 * (N + 1) ** 2
+    assert cold_memo.nbytes < 16 * 8 * (N + 1)
+
+
+def test_degree_sweep_keeps_at_most_the_budget(cold_memo):
+    # blocks of 4 to 32 MiB, 150 MiB together: older degrees are dropped,
+    # and what the sweep leaves alive, memo included, stays within the
+    # budget plus 1 MiB for the memo's own objects and numpy's caches
+    # (measured 0.13 MB above the memo's bytes)
+    degrees = range(1024, 2898, 128)
+    tracemalloc.start()
+    try:
+        for N in degrees:
+            operators._stripped_blocks(N)
+            calculus._green_factors(N)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert core._MEMO_BUDGET // 2 < cold_memo.nbytes <= core._MEMO_BUDGET
+    assert held <= core._MEMO_BUDGET + (1 << 20)
+    # the latest degree is kept, the first was dropped
+    build = operators._stripped_blocks.__wrapped__
+    assert (build, degrees[-1]) in cold_memo._entries
+    assert (build, degrees[0]) not in cold_memo._entries
+
+
+def test_result_larger_than_the_budget_is_not_kept(cold_memo):
+    # the parity blocks fit the 32 MiB budget up to N = 2897
+    kept = operators._stripped_blocks(2897)
+    assert cold_memo.nbytes == sum(a.nbytes for a in kept) <= core._MEMO_BUDGET
+    assert operators._stripped_blocks(2897) is kept
+    big = operators._stripped_blocks(2898)
+    assert sum(a.nbytes for a in big) > core._MEMO_BUDGET
+    # neither kept nor making room: the smaller entry stays
+    assert cold_memo.nbytes == sum(a.nbytes for a in kept)
+    assert operators._stripped_blocks(2898) is not big
+
+
+def test_failed_build_keeps_nothing(cold_memo, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    N = 64
+    f = NodeVector(np.cos(3.0 * cgl_points(N)))
+    want = solve_bvp(f, "linear-system").values
+    cold_memo.clear()
+    monkeypatch.setattr(operators, "_diff2_panel", out_of_memory)
+    with pytest.raises(MemoryError):
+        solve_bvp(f, "linear-system")
+    assert cold_memo.nbytes == 0
+    monkeypatch.undo()
+    assert _same_bits(solve_bvp(f, "linear-system").values, want)
+    assert cold_memo.nbytes > 0
+
+
+def test_memo_stays_consistent_under_threads():
+    # more threads than cores on a memo that holds a few entries, switching
+    # often: every call returns its own degree's result, and the byte count
+    # equals the sum of the kept entries and stays within the budget
+    memo = core._Memo(budget=40 * 8)
+    errors = []
+
+    @memo
+    def build(N):
+        return (np.zeros(N),)
+
+    def sweep():
+        try:
+            for _ in range(200):
+                for N in range(1, 20):
+                    if build(N)[0].shape != (N,):
+                        errors.append(N)
+        except Exception as exc:  # reported below, not lost with the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    sizes = [size for _, size in memo._entries.values()]
+    assert memo.nbytes == sum(sizes) <= memo.budget

@@ -277,12 +277,15 @@ def test_dense_solve_closed_form(N, a):
     assert np.abs(y - u).max() <= 2e-15 * np.abs(f).max()
 
 
-def test_dense_solve_holds_no_matrix(traced_peak):
+def test_dense_solve_holds_no_matrix(traced_peak, cold_memo):
     # the apply reads one block of _BLOCK sine-sum rows at a time: measured
-    # 0.067 (N+1)^2 doubles at N = 1024, where assembling G took 1.15
+    # 0.067 (N+1)^2 doubles at N = 1024, where assembling G took 1.15.  The
+    # memo is emptied after the first call, so the measured call builds G's
+    # factors
     N = 1024
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
     solve_bvp(f, "dense-green")
+    cold_memo.clear()
     assert traced_peak(solve_bvp, f, "dense-green") <= 0.1 * 8 * (N + 1) ** 2
 
 
