@@ -113,12 +113,14 @@ def _grid_degree(N, least=1):
     return N
 
 
-# bytes of degree-only set-up the memo keeps.  The stripped solve's parity
-# blocks take 4 MiB at N = 1024 and 16 MiB at N = 2048, and 32 MiB holds
-# them up to N = 2897; G's factors are 14 (N+1) doubles.  The blocks' O(N^2)
-# build is 2.7 of a cold solve's 7.8 ms at N = 1024 and 13.5 of 44 ms at
-# N = 2048 (one BLAS thread, 2-vCPU Xeon), a share the two O(N^3) LUs
-# shrink as N grows, so larger blocks would buy less time per byte kept
+# bytes of degree-only set-up the memo keeps.  The stripped solve's factored
+# parity blocks take 4 MiB at N = 1024 and 16 MiB at N = 2048, and 32 MiB
+# holds them up to N = 2897; G's factors are 14 (N+1) doubles.  A cold
+# stripped solve folds the blocks in O(N^2) and factors them in O(N^3),
+# 2.6 + 4.1 ms at N = 1024 and 11 + 22 ms at N = 2048, where a warm one
+# takes 0.22 and 0.73 ms (one BLAS thread, 2-vCPU Xeon).  The time a kept
+# byte saves grows with N, so the budget is a cap on memory, not a
+# trade-off: above N = 2897 every stripped solve pays the O(N^3) build
 _MEMO_BUDGET = 32 << 20
 
 

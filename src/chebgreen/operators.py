@@ -132,13 +132,11 @@ def _fold_into(A, even, odd):
     np.subtract(A[:len(odd), :q], mirror[:len(odd)], out=odd)
 
 
-@_degree_memo
 def _stripped_blocks(N):
     # the stripped solve's [even, odd] blocks, the bits of
     # _fold(_diff2_rows(N, N // 2 + 1)[1:, 1:-1], N - 1): D2 rows 1..N//2
     # without their end columns, folded a panel at a time into one buffer,
-    # so no half of D2 is held and the largest array is allocated once.
-    # Read-only, and kept in the memo for the next solve at this N
+    # so no half of D2 is held and the largest array is allocated once
     h, m = (N - 1) // 2, N // 2
     blocks = np.empty(m * m + h * h)
     even, odd = blocks[:m * m].reshape(m, m), blocks[m * m:].reshape(h, h)
@@ -152,6 +150,64 @@ def _stripped_blocks(N):
     return even, odd
 
 
+# rows of a block whose inverse _factor keeps whole.  A cold solve at
+# N = 1024 took 7.3, 7.1 and 8.6 ms with leaves of 32, 64 and 128 rows, and
+# a warm one 0.29, 0.22 and 0.19 ms (one BLAS thread): smaller leaves cost
+# Python calls in the apply, larger ones the inverses' 2n^3 flops
+_LEAF = 64
+
+
+def _factor(A):
+    # overwrite the square A with its factorization by recursive 2x2 block
+    # elimination, with no pivoting across the halves (the Schur-complement
+    # form of block LU; Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 13): A11 factored, A12 <- A11^-1 A12, A21 kept,
+    # A22 <- A22 - A21 A12 factored.  A leaf of at most _LEAF rows holds its
+    # inverse.  A singular leaf raises numpy.linalg.LinAlgError
+    n = len(A)
+    if n <= _LEAF:
+        A[:] = np.linalg.inv(A)
+        return
+    k = n // 2
+    _factor(A[:k, :k])
+    _apply(A[:k, :k], A[:k, k:])
+    A[k:, k:] -= A[k:, :k] @ A[:k, k:]
+    _factor(A[k:, k:])
+
+
+def _apply(F, x):
+    # overwrite x, a vector or a matrix of columns, with A^-1 x for F the
+    # _factor of A: the forward substitution through A21 and the back
+    # substitution through A11^-1 A12, all matrix-vector products for a vector
+    n = len(F)
+    if n <= _LEAF:
+        x[:] = F @ x
+        return
+    k = n // 2
+    _apply(F[:k, :k], x[:k])
+    x[k:] -= F[k:, :k] @ x[:k]
+    _apply(F[k:, k:], x[k:])
+    x[:k] -= F[:k, k:] @ x[k:]
+
+
+@_degree_memo
+def _stripped_factors(N):
+    # _stripped_blocks(N) factored in place by _factor, the set-up every
+    # stripped solve at N applies in O(N^2).  Read-only, and kept in the
+    # memo for the next solve at this N; a build that raises keeps nothing
+    blocks = _stripped_blocks(N)
+    try:
+        for A in blocks:
+            _factor(A)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(
+            f"stripped second-derivative system at degree {N}: {err}") from err
+    if not all(np.isfinite(A).all() for A in blocks):
+        raise np.linalg.LinAlgError(
+            f"stripped second-derivative system at degree {N}: non-finite factorization")
+    return blocks
+
+
 def solve_stripped(f):
     """Collocation solve of y'' = f with zero Dirichlet data.
 
@@ -163,18 +219,24 @@ def solve_stripped(f):
     columns, (B + C) u_e = f_e and (B - C) u_o = f_o give the even and odd
     parts of the solution, about N/2 unknowns each, and y = u_e + u_o on
     the top half, u_e - u_o on the bottom half.  The middle node of an even
-    N belongs to the even system.  A singular factorization propagates as
-    ``numpy.linalg.LinAlgError`` (not expected for this operator).
+    N belongs to the even system.  Each system is factored once per degree
+    by recursive block elimination, with no pivoting across its halves,
+    and the factorization is kept for later solves at that degree, which
+    then cost O(N^2).  A singular or non-finite factorization raises
+    ``numpy.linalg.LinAlgError`` naming the degree (not expected for this
+    operator).
     """
     _require_type(f, NodeVector, "solve_stripped")
     N = _grid_degree(f.grid_degree, 2)
     h = (N - 1) // 2
     # nodes 1..h, their mirrors N-1..N-h, and the middle node N/2 if N is even
     up, down, mid = slice(1, h + 1), slice(N - 1, N - h - 1, -1), slice(h + 1, N - h)
-    even, odd = _stripped_blocks(N)
+    even, odd = _stripped_factors(N)
     v = f.values
-    u_e = np.linalg.solve(even, np.concatenate((0.5 * (v[up] + v[down]), v[mid])))
-    u_o = np.linalg.solve(odd, 0.5 * (v[up] - v[down]))
+    u_e = np.concatenate((0.5 * (v[up] + v[down]), v[mid]))
+    u_o = 0.5 * (v[up] - v[down])
+    _apply(even, u_e)
+    _apply(odd, u_o)
     y = np.zeros(N + 1)
     y[up] = u_e[:h] + u_o
     y[mid] = u_e[h:]

@@ -257,7 +257,7 @@ def test_cold_and_warm_solves_give_the_same_bits(method, N, cold_memo):
     assert _same_bits(cold, warm)
 
 
-@pytest.mark.parametrize("builder", [operators._stripped_blocks, calculus._green_factors])
+@pytest.mark.parametrize("builder", [operators._stripped_factors, calculus._green_factors])
 def test_memoized_arrays_refuse_writes(builder, cold_memo):
     for result in (builder(64), builder(64)):
         for a in _leaves(result):
@@ -268,7 +268,7 @@ def test_memoized_arrays_refuse_writes(builder, cold_memo):
 def test_memo_counts_each_buffer_once(cold_memo):
     # the two parity blocks are views of one buffer
     N = 1024
-    even, odd = operators._stripped_blocks(N)
+    even, odd = operators._stripped_factors(N)
     assert cold_memo.nbytes == even.nbytes + odd.nbytes
     # G's factors are O(N): the sine-sum windows count their one table,
     # not the (N+1)^2 doubles their nbytes reports
@@ -287,7 +287,7 @@ def test_degree_sweep_keeps_at_most_the_budget(cold_memo):
     tracemalloc.start()
     try:
         for N in degrees:
-            operators._stripped_blocks(N)
+            operators._stripped_factors(N)
             calculus._green_factors(N)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
@@ -296,21 +296,21 @@ def test_degree_sweep_keeps_at_most_the_budget(cold_memo):
     assert core._MEMO_BUDGET // 2 < cold_memo.nbytes <= core._MEMO_BUDGET
     assert held <= core._MEMO_BUDGET + (1 << 20)
     # the latest degree is kept, the first was dropped
-    build = operators._stripped_blocks.__wrapped__
+    build = operators._stripped_factors.__wrapped__
     assert (build, degrees[-1]) in cold_memo._entries
     assert (build, degrees[0]) not in cold_memo._entries
 
 
 def test_result_larger_than_the_budget_is_not_kept(cold_memo):
     # the parity blocks fit the 32 MiB budget up to N = 2897
-    kept = operators._stripped_blocks(2897)
+    kept = operators._stripped_factors(2897)
     assert cold_memo.nbytes == sum(a.nbytes for a in kept) <= core._MEMO_BUDGET
-    assert operators._stripped_blocks(2897) is kept
-    big = operators._stripped_blocks(2898)
+    assert operators._stripped_factors(2897) is kept
+    big = operators._stripped_factors(2898)
     assert sum(a.nbytes for a in big) > core._MEMO_BUDGET
     # neither kept nor making room: the smaller entry stays
     assert cold_memo.nbytes == sum(a.nbytes for a in kept)
-    assert operators._stripped_blocks(2898) is not big
+    assert operators._stripped_factors(2898) is not big
 
 
 def test_failed_build_keeps_nothing(cold_memo, monkeypatch):

@@ -3,6 +3,7 @@ checks that invert them."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
 from chebgreen import (
@@ -13,11 +14,12 @@ from chebgreen import (
     extension_matrix,
     green_matrix,
     reinterp_matrix,
+    operators,
     solve_stripped,
 )
 from chebgreen.cli import _dev_left_inverse, _dev_right_inverse, diff2_bc_matrix, green_bc_matrix
 from chebgreen.core import _cgl_weight_signs
-from chebgreen.operators import _diff2_rows, _fold, _stripped_blocks
+from chebgreen.operators import _apply, _diff2_rows, _factor, _fold, _stripped_blocks
 
 
 def test_diff_matrix_degree_one():
@@ -72,13 +74,9 @@ def test_solve_stripped_matches_green_multiply_on_resolvable_data(N):
     assert np.max(np.abs(got - ref)) < 1e-10
 
 
-@pytest.mark.parametrize("N", [*range(2, 41), 64, 256, 1024])
-def test_solve_stripped_matches_green_times_extension(N):
+def _assert_within_green_times_extension(N):
     # in exact arithmetic the stripped solve is G.E on the interior values,
-    # E the extension of their degree-(N-2) interpolant to every node.
-    # Measured worst gap over these seeds, in N^2 eps max|G f|: 0.68 at
-    # N = 2, 0.55 at N = 7, 0.34 at N = 12, at most 0.16 from N = 13 to 40,
-    # 0.012-0.020 at N = 1024 depending on the BLAS thread count
+    # E the extension of their degree-(N-2) interpolant to every node
     G = green_matrix(N).entries
     E = extension_matrix(N)
     eps = np.finfo(float).eps
@@ -87,6 +85,58 @@ def test_solve_stripped_matches_green_times_extension(N):
             gap = np.max(np.abs(solve_stripped(NodeVector(f)).values - G @ (E @ f[1:-1])))
             bound = N**2 * eps * np.max(np.abs(G @ f))
             assert gap <= bound, (seed, gap / bound)
+
+
+@pytest.mark.parametrize("N", [*range(2, 41), 64, 256, 1024])
+def test_solve_stripped_matches_green_times_extension(N):
+    # measured worst gap over these seeds, in N^2 eps max|G f|, one BLAS
+    # thread: 0.68 at N = 2, 0.66 at N = 6, 0.40 at N = 3, 0.27 at N = 12,
+    # at most 0.14 from N = 13 to 40, 0.011 at N = 1024
+    _assert_within_green_times_extension(N)
+
+
+# the parity blocks have N // 2 and (N - 1) // 2 rows: one 64-row leaf of
+# _factor up to N = 129, up to four levels of block elimination at N = 2049.
+# Measured worst gap, one BLAS thread, in N^2 eps max|G f|: at most 0.094
+# from N = 41 to 300, 0.006 to 0.023 at N = 511 to 1025 and 2047 to 2049
+@example(N=511)
+@example(N=512)
+@example(N=513)
+@example(N=1023)
+@example(N=1025)
+@example(N=2047)
+@example(N=2049)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(N=st.integers(2, 300))
+def test_solve_stripped_degree_sweep_matches_green_times_extension(N):
+    _assert_within_green_times_extension(N)
+
+
+# above the memo budget (N = 2897), so each call factors its blocks afresh
+@pytest.mark.parametrize("N", [4096, 4097])
+def test_solve_stripped_closed_form_above_the_memo_budget(N):
+    # measured 4.9e-13 and 9.9e-13 max|f|, one BLAS thread, against 2.0e-13
+    # and 4.7e-13 for the LU solves the block elimination replaced
+    x = cgl_points(N)
+    a = 4.0
+    f = np.exp(a * x)
+    u = (f - (np.cosh(a) + x * np.sinh(a))) / a**2
+    y = solve_stripped(NodeVector(f)).values
+    assert np.abs(y - u).max() <= 1e-11 * np.abs(f).max()
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_singular_stripped_blocks_raise_and_keep_nothing(fill, monkeypatch, cold_memo):
+    N = 200
+
+    def filled_blocks(N):
+        h, m = (N - 1) // 2, N // 2
+        return np.full((m, m), fill), np.full((h, h), fill)
+
+    monkeypatch.setattr(operators, "_stripped_blocks", filled_blocks)
+    with pytest.raises(np.linalg.LinAlgError, match=f"degree {N}"):
+        solve_stripped(NodeVector(np.ones(N + 1)))
+    assert cold_memo.nbytes == 0
 
 
 @pytest.mark.parametrize("N", [8, 21])
@@ -164,8 +214,11 @@ def _node_sliced_solve(v):
     np.add(A[:, up], A[:, down], out=even[:, :h])
     even[:, h:] = A[:, mid]
     odd = A[:h, up] - A[:h, down]
-    u_e = np.linalg.solve(even, np.concatenate((0.5 * (v[up] + v[down]), v[mid])))
-    u_o = np.linalg.solve(odd, 0.5 * (v[up] - v[down]))
+    u_e = np.concatenate((0.5 * (v[up] + v[down]), v[mid]))
+    u_o = 0.5 * (v[up] - v[down])
+    for A, u in ((even, u_e), (odd, u_o)):
+        _factor(A)
+        _apply(A, u)
     y = np.zeros(N + 1)
     y[up] = u_e[:h] + u_o
     y[mid] = u_e[h:]
