@@ -329,7 +329,13 @@ def _cmd_solve(args, parser):
     except OSError as exc:
         print(f"error: cannot read {exc.filename}: {exc}", file=sys.stderr)
         return 1
-    y = solve_bvp(NodeVector(f), args.method)
+    try:
+        with np.errstate(all="ignore"):  # reported below in one line, not as warnings
+            y = solve_bvp(NodeVector(f), args.method)
+    except ValueError:  # NodeVector refuses a non-finite solution, as from 1e308 forcings
+        print(f"error: the degree-{args.n} {args.method} solution has non-finite values",
+              file=sys.stderr)
+        return 1
     text = "".join("%.17g\n" % v for v in y.values.tolist())
     return _write_text(text.encode(), args.out)
 

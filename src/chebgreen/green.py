@@ -5,8 +5,8 @@ applied to node values of f it returns node values of the solution of
 y'' = p, y(-1) = y(1) = 0, where p interpolates f.  The matrix inherits the
 structure of the continuous kernel: its first and last rows vanish and it is
 centrosymmetric.  It is assembled from factors that :mod:`.calculus`
-builds with no transform, and the dense-green solve applies it from them
-without assembling it, in O(N^2) time and O(N _BLOCK) memory.
+builds with no DCT, and the dense-green solve applies it from them
+without assembling it, in O(N log N) time and O(N) memory.
 ``apply_green_matrix_free`` produces the same vector in O(N log N) without
 forming the matrix: two DCTs of length N+1 with the antidifferentiation and
 the boundary conditions in coefficient space between them.
@@ -16,24 +16,23 @@ import numpy as np
 
 from . import core
 from .core import GreenMatrix, NodeVector, _grid_degree, _require_type, _scale_ends
-from .calculus import _antiderivative_raw, _green_factors, _lagrange_primitive_values
+from .calculus import (_antiderivative_raw, _dense_spectrum, _green_factors,
+                       _lagrange_primitive_values)
 
 __all__ = [
     "green_matrix",
     "apply_green_matrix_free",
 ]
 
-# half-columns per block in green_matrix and in the dense apply.  Each
-# block is one sine-sum read; green_matrix scales it and adds a rank-5
-# product, the apply multiplies it by four weighted rows.  Builds timed
+# half-columns per block in green_matrix.  Each block is one sine-sum
+# read, which green_matrix scales and adds a rank-5 product to.  Builds timed
 # over blocks of 32/64/128 (median over 9 interleaved rounds of the best
 # of 5 builds in one process, one BLAS thread on a 2-vCPU Xeon VM):
 # N = 256 0.69/0.64/0.64 ms, N = 1024 5.4/5.3/5.8 ms, N = 2048
 # 32.8/32.9/32.3 ms, within a few percent of each other.  Only the export
 # and verify workloads build G, at N = 256, 512 and 1024, blocked under each
-# (the self-check's N = 16 builds go one column per call under each); the
-# dense-green solve's apply has no one-column path but holds an (N+1) x
-# _BLOCK block, so with no build time to gain 32 stays.
+# (the self-check's N = 16 builds go one column per call under each), so
+# with no build time to gain 32 stays.
 _BLOCK = 32
 
 
@@ -105,24 +104,28 @@ def _apply_green_dense(f):
     rows halved, as green_matrix averages the middle column with its
     mirror.  Half-column i is scale_i (x - x_i) D_i + coef_i @ nodes, so
     with a = F scale, y2 = x (a @ D) - (a x_i) @ D + (F @ coef) @ nodes.
-    The two sine-sum products run as one (4 x block) @ (block x N+1)
-    product per block of _BLOCK half-columns, on the same table read that
-    green_matrix makes.  Both end values are written as exact zeros.
-    O(N^2) time and O(N _BLOCK) memory.
+    With W the rows [a; a x_i], W @ D = sum_i W_i [S(k+i) - S(k-i)] is a
+    Toeplitz-plus-Hankel product; as W_0 = 0, it is one FFT correlation of
+    the table S(-N/2 .. 3N/2) with W extended oddly about i = 0.  Both end
+    values are written as exact zeros.  O(N log N) time and O(N) memory.
     """
     N = f.grid_degree
-    tables, scale, coef, nodes, x = _green_factors(N)
+    _, scale, coef, nodes, x = _green_factors(N)
+    spec = _dense_spectrum(N)
     half = N // 2
     v = f.values
     F = np.stack([v[: half + 1], v[::-1][: half + 1]])
     if N % 2 == 0:
         F[:, half] *= 0.5
-    a = F * scale
-    W = np.concatenate([a, a * x[: half + 1]])
-    acc = np.zeros((4, N + 1))
-    for start in range(0, half + 1, _BLOCK):
-        cols = slice(start, min(start + _BLOCK, half + 1))
-        acc += W[:, cols] @ _lagrange_primitive_values(cols, N, tables)
+    L = 2 * (spec.size - 1)
+    V = np.zeros((4, L))
+    W = V[:, half : 2 * half + 1]
+    np.multiply(F, scale, out=W[:2])
+    np.multiply(W[:2], x[: half + 1], out=W[2:])
+    V[:, :half] = -V[:, 2 * half : half : -1]
+    X = np.fft.rfft(V)
+    X *= spec
+    acc = np.fft.irfft(X, L)[:, 2 * half : 2 * half + N + 1]
     y2 = x * acc[:2]
     y2 -= acc[2:]
     y2 += (F @ coef) @ nodes

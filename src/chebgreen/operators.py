@@ -298,7 +298,7 @@ def solve_bvp(f, method):
     """Solve y'' = f, y(-1) = y(1) = 0 on the grid of f.
 
     method is one of "dense-green" (apply the Green matrix from the
-    factors ``green_matrix`` assembles it from, O(N^2) time without an
+    factors ``green_matrix`` assembles it from, O(N log N) time without an
     (N+1)^2 array), "matrix-free" (transform pipeline), or
     "linear-system" (solve the boundary-stripped collocation system).
     """

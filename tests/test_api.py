@@ -128,15 +128,18 @@ def test_paths_stay_independent_of_the_references_and_the_dct():
     assert all(a.name != "core" for node in relative if node.module is None for a in node.names)
     # the whole factor build of G lives there, and green's dense functions
     # only assemble and apply it: they name no transform, no matrix-free
-    # stage and not core, through which a transform could be reached
+    # stage and not core, through which a transform could be reached.  The
+    # dense apply's spectrum takes np.fft of its own sine-sum table, never
+    # the DCT pipeline
     _, in_green = _functions("green")
     assert "_green_factors" in defined and "_green_factors" not in in_green
     matrix_free = transforms | {"core", "_antiderivative_raw", "apply_green_matrix_free"}
-    for name in ("green_matrix", "_apply_green_dense"):
+    for function in (in_green["green_matrix"], in_green["_apply_green_dense"],
+                     defined["_dense_spectrum"]):
         named = {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(in_green[name])
+                 for node in ast.walk(function)
                  if isinstance(node, (ast.Name, ast.Attribute))}
-        assert not named & matrix_free, name
+        assert not named & matrix_free, function.name
 
 
 def test_no_imports_inside_functions():

@@ -369,6 +369,22 @@ def test_solve_above_the_weight_overflow_degree(capsys):
     assert np.max(np.abs(y - exact)) < 1e-10
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_solve_overflowing_forcing_fails_cleanly(method, tmp_path):
+    # a finite forcing whose solution overflows: one error line and exit 1,
+    # with no traceback and no numpy warning on stderr
+    rhs = tmp_path / "f.txt"
+    rhs.write_text("1e308\n" * 9)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-m", "chebgreen.cli", "solve", "--n", "8", "--rhs",
+                          f"file:{rhs}", "--method", method],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    lines = out.stderr.splitlines()
+    assert lines == [f"error: the degree-8 {method} solution has non-finite values"], lines
+
+
 def test_solve_missing_file_is_runtime_error(capsys):
     rc = main(["solve", "--n", "3", "--rhs", "file:/nonexistent-dir/f.txt"])
     assert rc == 1

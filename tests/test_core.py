@@ -210,6 +210,17 @@ def test_vectors_are_read_only():
         v.values[0] = 9.0
 
 
+def test_carriers_take_a_float64_array_without_copying():
+    # a contiguous float64 array is kept as it is and becomes read-only for
+    # its caller too; anything else is converted into a fresh array
+    a = np.array([1.0, 2.0])
+    assert NodeVector(a).values is a and not a.flags.writeable
+    G = np.eye(3)
+    assert GreenMatrix(G).entries is G and not G.flags.writeable
+    c = np.arange(3)
+    assert NodeVector(c).values is not c and c.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("vector", [NodeVector])
 def test_vectors_reject_non_finite_values(vector, bad):
@@ -257,7 +268,8 @@ def test_cold_and_warm_solves_give_the_same_bits(method, N, cold_memo):
     assert _same_bits(cold, warm)
 
 
-@pytest.mark.parametrize("builder", [operators._stripped_factors, calculus._green_factors])
+@pytest.mark.parametrize("builder", [operators._stripped_factors, calculus._green_factors,
+                                     calculus._dense_spectrum])
 def test_memoized_arrays_refuse_writes(builder, cold_memo):
     for result in (builder(64), builder(64)):
         for a in _leaves(result):

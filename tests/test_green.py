@@ -265,11 +265,15 @@ def test_dense_apply_matches_assembled_product(N):
         assert y[[0, -1]].tobytes() == np.zeros(2).tobytes()
 
 
-@pytest.mark.parametrize("N", [1024, 4096])
-@pytest.mark.parametrize("a", [-4.0, -2.5, 1.0, 2.5, 4.0])
-def test_dense_solve_closed_form(N, a):
-    # measured 1.2e-16 to 5.9e-16 max|f| over these rates, against 0.4e-16
-    # to 2.7e-16 for G @ f
+@pytest.mark.parametrize("a, N", [(a, N) for N in (1024, 4096)
+                                  for a in (-4.0, -2.5, 1.0, 2.5, 4.0)]
+                         + [(4.0, 65536), (4.0, 2**20)])
+def test_dense_solve_closed_form(a, N):
+    # measured 1.2e-16 to 5.9e-16 max|f| over these rates at N = 1024 and
+    # 4096, against 0.4e-16 to 2.7e-16 for G @ f, and 5.7e-16 and 2.5e-16
+    # at N = 65536 and 2^20, degrees at which G itself would not fit in
+    # memory (the 2^20 case takes about 2 s and 450 MB resident on a
+    # 2-vCPU Xeon VM)
     x = cgl_points(N)
     f = np.exp(a * x)
     u = (f - (np.cosh(a) + x * np.sinh(a))) / a**2
@@ -278,15 +282,24 @@ def test_dense_solve_closed_form(N, a):
 
 
 def test_dense_solve_holds_no_matrix(traced_peak, cold_memo):
-    # the apply reads one block of _BLOCK sine-sum rows at a time: measured
-    # 0.067 (N+1)^2 doubles at N = 1024, where assembling G took 1.15.  The
-    # memo is emptied after the first call, so the measured call builds G's
-    # factors
+    # the apply holds O(N), its FFTs' rows and the sine-sum table's
+    # spectrum: measured 0.046 (N+1)^2 doubles at N = 1024, where
+    # assembling G took 1.15.  The memo is emptied after the first call, so
+    # the measured call builds G's factors and the spectrum
     N = 1024
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
     solve_bvp(f, "dense-green")
     cold_memo.clear()
     assert traced_peak(solve_bvp, f, "dense-green") <= 0.1 * 8 * (N + 1) ** 2
+
+
+def test_dense_solve_memory_is_linear(traced_peak, cold_memo):
+    # a cold solve at N = 65536 builds and keeps G's factors (14 doubles a
+    # node) and the spectrum, and holds the FFTs' four rows: measured 45
+    # doubles a node, 29 on a warm call
+    N = 65536
+    f = NodeVector(np.cos(3.0 * cgl_points(N)))
+    assert traced_peak(solve_bvp, f, "dense-green") <= 64 * 8 * (N + 1)
 
 
 # ---------------------------------------------------------------------------
