@@ -10,6 +10,7 @@ be written or memory runs out, 2 for usage errors.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -626,5 +627,18 @@ def main(argv=None):
         return 1
 
 
+def _entry():
+    """main() for ``python -m chebgreen.cli`` and the ``chebgreen`` script.
+
+    The imports' objects move to the permanent generation first, which the
+    collections at exit skip: the OS reclaims them rather than the
+    interpreter freeing them one by one (about 15 ms).  The streams are
+    still flushed and atexit still runs; in-process callers of main() keep
+    the normal teardown.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_entry())

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line interface."""
 
 import argparse
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -905,3 +908,70 @@ def test_out_of_memory_exits_cleanly(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: out of memory at degree {argv[2]}\n"
+
+
+# ---------------------------------------------------------------------------
+# process entry
+#
+# `python -m chebgreen.cli` and the `chebgreen` script run cli._entry, which
+# freezes the start-up heap before main(); in-process callers of main() do
+# not freeze.  A child either way writes what main() writes in process
+
+_ENTRIES = {
+    "module": ["-m", "chebgreen.cli"],
+    "script": ["-c", "import sys; from chebgreen.cli import _entry; sys.exit(_entry())"],
+}
+
+
+def _child(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def _in_process(argv, capsysbinary):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("argv", [
+    ["green", "--n", str(n), "--format", fmt, *asc]
+    for n in (16, 255) for fmt in ("csv", "json") for asc in ([], ["--ascending"])
+] + [
+    ["solve", "--n", "64", "--rhs", "exp", "--method", method] for method in METHODS
+] + [
+    ["verify", "--n", "16"],
+    ["green", "--n", "0"],
+    ["verify", "--n", "8", "--check", "unitarity"],
+], ids=" ".join)
+def test_child_writes_the_bytes_and_exit_code_of_in_process_main(argv, entry, capsysbinary):
+    out = _child(*_ENTRIES[entry], *argv)
+    assert (out.returncode, out.stdout, out.stderr) == _in_process(argv, capsysbinary)
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify", "--n", "16"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_freezes_the_start_up_heap(capsysbinary):
+    # run as __main__ the module calls _entry, which freezes before main();
+    # the atexit hook reads the count after main() has returned
+    argv = ["verify", "--n", "16"]
+    code = ("import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr)); "
+            f"sys.argv = ['chebgreen', *{argv!r}]; "
+            "runpy.run_module('chebgreen.cli', run_name='__main__')")
+    out = _child("-c", code)
+    assert (out.returncode, out.stdout) == _in_process(argv, capsysbinary)[:2]
+    assert int(out.stderr) > 0
+
+
+def test_console_script_runs_the_process_entry():
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^chebgreen = "chebgreen\.cli:_entry"$', pyproject, re.M)
