@@ -178,17 +178,20 @@ def _format_cells(x, shortest, out):
     return bad.size
 
 
-# per format: the bytes between two cells of a row, after a row, and after
-# the last row
-_FRAMES = {"csv": (",", "\n", "\n"),
-           "json": (",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]\n}\n")}
+# per format: the bytes before the first cell (a str.format of degree and
+# ordering; the json head is what json.dumps(..., indent=2) writes), between
+# two cells of a row, after a row, and after the last row
+_FRAMES = {"csv": ("", ",", "\n", "\n"),
+           "json": ('{{\n  "degree": {degree},\n  "ordering": "{ordering}",\n'
+                    '  "entries": [\n    [\n      ',
+                    ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]\n}\n")}
 # cells per panel, for the kernel's temporaries and for each written chunk
 _PANEL = 2**13
 
 
 class _MatrixText:
-    """The bytes of head and the rows of M in a format of _FRAMES, made
-    panel by panel as they are iterated.
+    """The bytes of M's rows in a format of _FRAMES after its head (degree
+    len(M) - 1, and ordering), made panel by panel as they are iterated.
 
     M must be centrosymmetric bit for bit, as green_matrix's mirrored
     half-columns make every Green matrix (-0.0 and 0.0 are written
@@ -196,24 +199,24 @@ class _MatrixText:
     and row N-i is written as row i's cells reversed.  M is not kept.
     """
 
-    def __init__(self, M, fmt, head):
-        self.head = head.encode()
-        self.sep, self.end, self.last = (np.frombuffer(t.encode(), np.uint8) for t in _FRAMES[fmt])
+    def __init__(self, M, fmt, ordering):
+        head, *frames = _FRAMES[fmt]
+        self.head = head.format(degree=len(M) - 1, ordering=ordering).encode()
+        self.sep, self.end, self.last = (np.frombuffer(t.encode(), np.uint8) for t in frames)
         self.n_rows, n_cols = M.shape
         self.step = max(1, _PANEL // n_cols)  # rows per panel
         self.cells = np.empty(((self.n_rows + 1) // 2, n_cols, _WIDTH), np.uint8)
         for i in range(0, len(self.cells), self.step):
             out = self.cells[i:i + self.step]
             _format_cells(M[i:i + len(out)], fmt == "json", out)
+        self.size = 0
 
     def __len__(self):
-        # the byte count, which perfbench/tracer.py reads as the bytes written
-        row = np.count_nonzero(self.cells, axis=(1, 2))
-        framing = (self.cells.shape[1] - 1) * len(self.sep) + len(self.end)
-        return (len(self.head) + int(row.sum() + row[:self.n_rows // 2].sum())
-                + self.n_rows * framing - len(self.end) + len(self.last))
+        """The bytes yielded so far: all of them once iterated through."""
+        return self.size
 
     def __iter__(self):
+        self.size = len(self.head)
         yield self.head
         cells, step = self.cells, self.step
         h, n_cols, width = cells.shape
@@ -230,7 +233,9 @@ class _MatrixText:
             if block is panels[-1]:
                 P[-1, -1] = 0
                 P[-1, -1, :len(self.last)] = self.last
-            yield P[P != 0]
+            self.size += len(chunk := P[P != 0])
+            yield chunk
+            del chunk  # not held while the next one is made
 
 
 # the largest n for which numpy can describe an (n+1) x (n+1) float64 array;
@@ -288,13 +293,7 @@ def _cmd_green(args, parser):
               file=sys.stderr)
         return 1
     # G is centrosymmetric bit for bit, so the ascending order is its own bytes
-    head = ""
-    if args.fmt == "json":
-        # the bytes json.dumps(payload, indent=2) writes, laid out directly
-        ordering = "ascending" if args.ascending else "descending"
-        head = json.dumps({"degree": args.n, "ordering": ordering}, indent=2)[:-2]
-        head += ',\n  "entries": [\n    [\n      '
-    text = _MatrixText(G, args.fmt, head)
+    text = _MatrixText(G, args.fmt, "ascending" if args.ascending else "descending")
     del G  # the top half's cells are all the export still needs
     return _write_text(text, args.out)
 

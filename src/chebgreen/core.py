@@ -66,7 +66,7 @@ def _require_type(v, cls, fn):
         raise TypeError(f"{fn} expects a {cls.__name__}, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeVector:
     """Values of a function at all points of a degree-N CGL grid.
 
@@ -84,7 +84,7 @@ class NodeVector:
         return self.values.size - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenMatrix:
     """Dense (N+1) x (N+1) discrete solution operator; its side states N.
 

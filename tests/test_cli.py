@@ -120,13 +120,40 @@ def test_format_rows_matches_reference_on_random_matrices(shape):
     for A in (C, Z, np.array([[-0.0, 0.0, 1.0], [1.0, 0.0, -0.0]])):
         bits = A.view(np.uint64)
         assert np.array_equal(bits, bits[::-1, ::-1])
-        assert b"".join(_MatrixText(A, "csv", "")) == _reference_csv(A).encode()
-        # the JSON layout with a head as _cmd_green writes it
-        head = json.dumps({"degree": 0, "ordering": "x"}, indent=2)[:-2]
+        assert b"".join(_MatrixText(A, "csv", "x")) == _reference_csv(A).encode()
+        # the JSON layout, its head naming degree len(A) - 1 and the ordering
+        text = _MatrixText(A, "json", "x")
+        assert b"".join(text) == _reference_json(len(A) - 1, "x", A).encode()
+        assert len(text) == len(_reference_json(len(A) - 1, "x", A))
+
+
+@pytest.mark.parametrize("ascending", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 255, 256])
+def test_export_text_counts_the_bytes_it_yields(n, fmt, ascending, tmp_path, monkeypatch):
+    # len() of the export's text is the bytes it has yielded, which
+    # perfbench's tracer reads as the bytes written once _write_text returns
+    texts = []
+    write = cli._write_text
+    monkeypatch.setattr(cli, "_write_text", lambda data, path: texts.append(data) or write(data, path))
+    target = tmp_path / f"g.{fmt}"
+    argv = ["green", "--n", str(n), "--format", fmt, "--out", str(target)]
+    assert main(argv + (["--ascending"] if ascending else [])) == 0
+    [text] = texts
+    size = target.stat().st_size
+    assert len(text) == size
+    # a second pass yields the same bytes and resets the count before it
+    chunks = iter(text)
+    assert bytes(next(chunks)) == text.head and len(text) == len(text.head)
+    assert text.head + b"".join(bytes(c) for c in chunks) == target.read_bytes()
+    assert len(text) == size
+    # the JSON head is the prefix json.dumps writes for the payload
+    ordering = "ascending" if ascending else "descending"
+    head = ""
+    if fmt == "json":
+        head = json.dumps({"degree": n, "ordering": ordering}, indent=2)[:-2]
         head += ',\n  "entries": [\n    [\n      '
-        text = _MatrixText(A, "json", head)
-        assert b"".join(text) == _reference_json(0, "x", A).encode()
-        assert len(text) == len(_reference_json(0, "x", A))
+    assert text.head == head.encode()
 
 
 def _assert_cells_match_python(values):

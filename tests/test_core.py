@@ -221,6 +221,22 @@ def test_carriers_take_a_float64_array_without_copying():
     assert NodeVector(c).values is not c and c.flags.writeable
 
 
+@pytest.mark.parametrize("make", [lambda: NodeVector(np.ones(5)), lambda: GreenMatrix(np.eye(5))],
+                         ids=["NodeVector", "GreenMatrix"])
+def test_carriers_compare_by_identity_and_hash(make):
+    # two carriers of equal values are distinct objects; the values compare
+    # with np.array_equal.  Field-wise equality would compare arrays, which
+    # raises, and would leave the frozen carriers unhashable
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+    field = "values" if isinstance(a, NodeVector) else "entries"
+    assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("vector", [NodeVector])
 def test_vectors_reject_non_finite_values(vector, bad):
