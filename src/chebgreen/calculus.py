@@ -21,7 +21,7 @@ the node-polynomial primitive all lie in the span of five node rows,
 sigma x^2, sigma x, sigma, x and 1.  ``_green_factors`` builds all of G's
 factors from these kernels, the tables and the rank-5 coefficients with
 their chord, and runs no transform; :mod:`.green` only assembles and
-applies them, the sine-sum part by ``_dense_spectrum``'s FFT of the table.
+applies them, the sine-sum part by ``_dense_setup``'s FFT of the table.
 The module is private: its unchecked kernels take arguments that
 :mod:`.green` has already checked.
 """
@@ -204,13 +204,13 @@ def _green_factors(N):
 
 
 @_degree_memo
-def _dense_spectrum(N):
-    # minus the sine-sum table S(-N/2 .. 3N/2)'s rfft at L, the least even
-    # 5-smooth length >= 2 (N/2) + N + 1 (2 (size - 1) of the result), at
-    # which the dense apply's correlation wraps nothing onto what it keeps
-    windows = _green_factors(N)[0][2]
-    table = np.concatenate([windows[:, 0], windows[-1, 1:]])
+def _dense_setup(N):
+    # the dense apply's set-up, from one read of G's factors (one build above
+    # the memo budget), and minus S(-N/2 .. 3N/2)'s rfft at L, the least even
+    # 5-smooth L >= 2 (N/2) + N + 1, where the correlation wraps nothing kept
+    tables, scale, coef, nodes, x = _green_factors(N)
+    table = np.concatenate([tables[2][:, 0], tables[2][-1, 1:]])
     n = table.size
     odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
     L = min(2 * q << (-(-n // (2 * q)) - 1).bit_length() for q in odd)
-    return -np.fft.rfft(table, L)
+    return scale, coef, nodes, x, -np.fft.rfft(table, L)

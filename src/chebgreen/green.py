@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core
 from .core import GreenMatrix, NodeVector, _grid_degree, _require_type, _scale_ends
-from .calculus import (_antiderivative_raw, _dense_spectrum, _green_factors,
+from .calculus import (_antiderivative_raw, _dense_setup, _green_factors,
                        _lagrange_primitive_values)
 
 __all__ = [
@@ -110,8 +110,7 @@ def _apply_green_dense(f):
     values are written as exact zeros.  O(N log N) time and O(N) memory.
     """
     N = f.grid_degree
-    _, scale, coef, nodes, x = _green_factors(N)
-    spec = _dense_spectrum(N)
+    scale, coef, nodes, x, spec = _dense_setup(N)
     half = N // 2
     v = f.values
     F = np.stack([v[: half + 1], v[::-1][: half + 1]])

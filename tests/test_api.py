@@ -135,7 +135,7 @@ def test_paths_stay_independent_of_the_references_and_the_dct():
     assert "_green_factors" in defined and "_green_factors" not in in_green
     matrix_free = transforms | {"core", "_antiderivative_raw", "apply_green_matrix_free"}
     for function in (in_green["green_matrix"], in_green["_apply_green_dense"],
-                     defined["_dense_spectrum"]):
+                     defined["_dense_setup"]):
         named = {node.id if isinstance(node, ast.Name) else node.attr
                  for node in ast.walk(function)
                  if isinstance(node, (ast.Name, ast.Attribute))}

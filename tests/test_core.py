@@ -285,7 +285,7 @@ def test_cold_and_warm_solves_give_the_same_bits(method, N, cold_memo):
 
 
 @pytest.mark.parametrize("builder", [operators._stripped_factors, calculus._green_factors,
-                                     calculus._dense_spectrum])
+                                     calculus._dense_setup])
 def test_memoized_arrays_refuse_writes(builder, cold_memo):
     for result in (builder(64), builder(64)):
         for a in _leaves(result):

@@ -1,6 +1,7 @@
 """The assembled Green matrix and the three solve paths."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from chebgreen import (
     green_matrix,
     solve_bvp,
 )
-from chebgreen import core, green
+from chebgreen import calculus, core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
                                 _lagrange_primitive_values, _primitive_tables)
 from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
@@ -241,8 +242,15 @@ def test_green_matrix_rejects_degree_zero():
 
 
 def test_green_matrix_container_checks_shape():
-    with pytest.raises(ValueError):
+    message = "GreenMatrix.entries needs 2-d, all axes of one length, got shape (2, 3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         GreenMatrix(np.zeros((2, 3)))
+
+
+def test_node_vector_container_checks_shape():
+    message = "NodeVector.values needs 1-d, all axes of one length, got shape (2, 3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NodeVector(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,25 @@ def test_dense_solve_memory_is_linear(traced_peak, cold_memo):
     N = 65536
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
     assert traced_peak(solve_bvp, f, "dense-green") <= 64 * 8 * (N + 1)
+
+
+def test_dense_solve_above_the_budget_builds_the_table_once(cold_memo, monkeypatch):
+    # at N = 300000 G's factors (14 doubles a node) exceed the memo budget
+    # and are not kept, but the dense set-up (about 11) is.  A cold solve
+    # reads the factors once, so it builds the long-double table once
+    N = 300000
+    calls, build = [], calculus._primitive_tables
+    monkeypatch.setattr(calculus, "_primitive_tables", lambda n: calls.append(n) or build(n))
+    f = NodeVector(np.exp(np.sin(3.0 * cgl_points(N))))
+    cold = solve_bvp(f, "dense-green").values
+    assert calls == [N]
+    assert (calculus._green_factors.__wrapped__, N) not in cold_memo._entries
+    assert (calculus._dense_setup.__wrapped__, N) in cold_memo._entries
+    # a warm call reads the kept set-up alone, not G's factors
+    monkeypatch.setattr(calculus, "_green_factors", None)
+    warm = solve_bvp(f, "dense-green").values
+    assert calls == [N]
+    assert cold.tobytes() == warm.tobytes()
 
 
 # ---------------------------------------------------------------------------
