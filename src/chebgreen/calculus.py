@@ -20,8 +20,8 @@ sigma_k, with sigma_k = (-1)^k.  So the rank-1 terms times (x - x_i) and
 the node-polynomial primitive all lie in the span of five node rows,
 sigma x^2, sigma x, sigma, x and 1.  ``_green_factors`` builds all of G's
 factors from these kernels, the tables and the rank-5 coefficients with
-their chord, and runs no transform; :mod:`.green` only assembles and
-applies them, the sine-sum part by ``_dense_setup``'s FFT of the table.
+their chord, and runs no transform; with them it keeps the table's FFT,
+and :mod:`.green` only assembles G and applies it from that one set-up.
 The module is private: its unchecked kernels take arguments that
 :mod:`.green` has already checked.
 """
@@ -50,7 +50,7 @@ def _antiderivative_raw(c):
     return out
 
 
-def _lagrange_primitive_values(cols, N, tables):
+def _lagrange_primitive_values(cols, N, windows):
     """The sine-sum part of the node values (coarse grid) of the primitives
     of the Lagrange basis polynomials l_i, for the half-column indices
     0 <= i <= N/2 in the slice cols: a (k, N+1) block, row r for index
@@ -70,11 +70,10 @@ def _lagrange_primitive_values(cols, N, tables):
     gives all of it.  As i <= N/2, the table only spans m = -N/2 .. 3N/2;
     :func:`.green.green_matrix` mirrors the other half-columns.
 
-    ``tables`` is ``_primitive_tables(N)``, which several calls at one
+    ``windows`` is ``_primitive_tables(N)[2]``, which several calls at one
     degree share.
     """
     half = N // 2
-    windows = tables[2]
     # rows half + i and, reversed, half - i: two strided views, no gather
     return (windows[half + cols.start : half + cols.stop]
             - windows[half - cols.stop + 1 : half - cols.start + 1][::-1])
@@ -135,7 +134,8 @@ def _lagrange_primitive_terms(N, tables, x):
 
 
 def _primitive_tables(N):
-    """``(cosines, sines, windows)``, the tables of ``_lagrange_primitive_values``.
+    """``(cosines, sines, windows)``: the roots of unity of
+    ``_lagrange_primitive_terms`` and the windows of ``_lagrange_primitive_values``.
 
     Two real FFTs of length 2N fill them.  Of a unit impulse one gives the
     FFT's own roots of unity, cos and sin of k theta for k = 0..N, with
@@ -163,14 +163,15 @@ def _primitive_tables(N):
 
 @_degree_memo
 def _green_factors(N):
-    # the set-up of one build, shared by green_matrix and the dense apply:
-    # the sine-sum tables, the per-column scale, the rank-5 coefficients
-    # with their chord, the five node rows and the grid's points.
-    # Read-only, and kept in the memo for the next call at this N
+    # the one set-up of green_matrix and the dense apply: the sine-sum
+    # windows, the per-column scale, the rank-5 coefficients with their
+    # chord, the five node rows, the grid's points and minus the table's
+    # rfft.  Read-only, and kept in the memo for the next call at this N
     x = cgl_points(N)
     half = N // 2
     xi = x[: half + 1, None]
     tables = _primitive_tables(N)
+    windows = tables[2]
     scale, terms, nodes = _lagrange_primitive_terms(N, tables, x)
     p_0, p_nm1, p_n, anchor = terms[:, 3:].T
     # column i before its chord is scale_i D_i (x - x_i) + coef_i @ nodes,
@@ -189,7 +190,7 @@ def _green_factors(N):
     # -2 S(N-i) at x_N.  The end values go term by term, the primitive then
     # times x - x_i: from the product's rows they move G(3)[1, 1] off -0.25
     ends = [0, N]
-    S = tables[2][half]
+    S = windows[half]
     h = 2.0 * np.stack([S[: half + 1], -S[::-1][: half + 1]], axis=1)
     h *= scale[:, None]
     h += p_nm1[:, None] * nodes[1, ends]
@@ -200,17 +201,10 @@ def _green_factors(N):
         u[:, 0] += 2.0 * anchor
     coef[:, 3] -= 0.5 * (u[:, 0] - u[:, 1])
     coef[:, 4] -= 0.5 * (u[:, 0] + u[:, 1])
-    return tables, scale, coef, nodes, x
-
-
-@_degree_memo
-def _dense_setup(N):
-    # the dense apply's set-up, from one read of G's factors (one build above
-    # the memo budget), and minus S(-N/2 .. 3N/2)'s rfft at L, the least even
-    # 5-smooth L >= 2 (N/2) + N + 1, where the correlation wraps nothing kept
-    tables, scale, coef, nodes, x = _green_factors(N)
-    table = np.concatenate([tables[2][:, 0], tables[2][-1, 1:]])
+    # minus S(-N/2 .. 3N/2)'s rfft at L, the least even 5-smooth L >= 2 (N/2)
+    # + N + 1, where the dense apply's correlation wraps nothing it keeps
+    table = np.concatenate([windows[:, 0], windows[-1, 1:]])
     n = table.size
     odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
     L = min(2 * q << (-(-n // (2 * q)) - 1).bit_length() for q in odd)
-    return scale, coef, nodes, x, -np.fft.rfft(table, L)
+    return windows, scale, coef, nodes, x, -np.fft.rfft(table, L)

@@ -2,8 +2,8 @@
 memo that keeps set-up depending only on the grid degree between calls.
 
 Grids are indexed descending (``points[0] = 1``, ``points[N] = -1``) so that
-index j corresponds to the angle j*pi/N.  The node/coefficient transforms
-(``_node_to_coeff_values`` and its inverse) are built on an orthonormal,
+index j corresponds to the angle j*pi/N.  The node-to-coefficient
+transform (``_node_to_coeff_values``) is built on an orthonormal,
 self-inverse DCT-I; that normalization keeps round trips free of stray
 scale factors.  See Trefethen, "Spectral Methods in MATLAB", for the grid
 and weight background.
@@ -115,12 +115,13 @@ def _grid_degree(N, least=1):
 
 # bytes of degree-only set-up the memo keeps.  The stripped solve's factored
 # parity blocks take 4 MiB at N = 1024 and 16 MiB at N = 2048, and 32 MiB
-# holds them up to N = 2897; G's factors are 14 (N+1) doubles.  A cold
-# stripped solve folds the blocks in O(N^2) and factors them in O(N^3),
-# 2.6 + 4.1 ms at N = 1024 and 11 + 22 ms at N = 2048, where a warm one
-# takes 0.22 and 0.73 ms (one BLAS thread, 2-vCPU Xeon).  The time a kept
-# byte saves grows with N, so the budget is a cap on memory, not a
-# trade-off: above N = 2897 every stripped solve pays the O(N^3) build
+# holds them up to N = 2897; the one set-up of G and the dense solve, 13
+# (N+1) doubles, up to N = 322389.  A cold stripped solve folds the blocks in
+# O(N^2) and factors them in O(N^3), 2.6 + 4.1 ms at N = 1024 and 11 + 22 ms
+# at N = 2048, where a warm one takes 0.22 and 0.73 ms (one BLAS thread,
+# 2-vCPU Xeon).  The time a kept byte saves grows with N, so the budget is a
+# cap on memory, not a trade-off: above N = 2897 every stripped solve pays
+# the O(N^3) build
 _MEMO_BUDGET = 32 << 20
 
 
@@ -231,9 +232,9 @@ def dct1(v):
     Notes
     -----
     Runs as a real FFT of the even extension of v (length 2(n-1)) at every
-    size; ``oracle.dct1_naive`` is the direct cosine sum it is checked
-    against.  Each row of a 2-d input transforms to the same bits as that
-    row passed alone.
+    size; ``dct1_naive`` in the tests' ``references`` module is the direct
+    cosine sum it is checked against.  Each row of a 2-d input transforms
+    to the same bits as that row passed alone.
 
     NaN and infinity are not checked and pass through: the matrix-free
     apply calls this on the values of an already checked ``NodeVector``.
@@ -267,14 +268,4 @@ def _node_to_coeff_values(u):
     a = dct1(u) * np.sqrt(2.0 / N)
     _scale_ends(a, 0.5)
     return a
-
-
-def _coeff_to_node_values(c):
-    """Raw transform along the last axis: Chebyshev coefficients (length
-    M+1) -> node values."""
-    M = c.shape[-1] - 1
-    w = np.array(c, dtype=np.float64)
-    _scale_ends(w, 2.0)
-    w *= np.sqrt(M / 2.0)
-    return dct1(w)
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import core
 from .core import GreenMatrix, NodeVector, _grid_degree, _require_type, _scale_ends
-from .calculus import (_antiderivative_raw, _dense_setup, _green_factors,
-                       _lagrange_primitive_values)
+from .calculus import _antiderivative_raw, _green_factors, _lagrange_primitive_values
 
 __all__ = [
     "green_matrix",
@@ -52,7 +51,7 @@ def green_matrix(N):
     same assembly.
     """
     N = _grid_degree(N)
-    tables, scale, coef, nodes, x = _green_factors(N)
+    windows, scale, coef, nodes, x, _ = _green_factors(N)
     half = N // 2
     xi = x[: half + 1, None]
     ends = [0, N]
@@ -72,7 +71,7 @@ def green_matrix(N):
     low = coef @ nodes if step == 1 else None
     for start in range(0, half + 1, step):
         cols = slice(start, min(start + step, half + 1))
-        v = _lagrange_primitive_values(cols, N, tables)
+        v = _lagrange_primitive_values(cols, N, windows)
         v *= scale[cols, None] * (x - xi[cols])
         v += low[cols] if step == 1 else coef[cols] @ nodes
         G[:, cols] = v.T
@@ -110,7 +109,7 @@ def _apply_green_dense(f):
     values are written as exact zeros.  O(N log N) time and O(N) memory.
     """
     N = f.grid_degree
-    scale, coef, nodes, x, spec = _dense_setup(N)
+    _, scale, coef, nodes, x, spec = _green_factors(N)
     half = N // 2
     v = f.values
     F = np.stack([v[: half + 1], v[::-1][: half + 1]])

@@ -1,36 +1,14 @@
-"""Slow, exact reference paths used by the tests and by ``verify --check oracle``.
+"""The slow, exact Green matrix used by the tests and by ``verify --check oracle``.
 
-Everything here trades speed for transparency: barycentric weights by the
-defining product, the Green matrix from the Chebyshev identity G.T = U in
-long double with no FFT, and the DCT as a literal cosine sum.
+It trades speed for transparency: the Chebyshev identity G.T = U in long
+double, with no FFT.
 """
 
 import numpy as np
 
-from .core import GreenMatrix, _grid_degree, _require_finite
+from .core import GreenMatrix, _grid_degree
 
-__all__ = [
-    "barycentric_weights_general",
-    "green_matrix_dense_oracle",
-    "dct1_naive",
-]
-
-_MAX_GENERAL_POINTS = 40  # product magnitudes leave the safe range beyond this
-
-
-def barycentric_weights_general(points):
-    """Barycentric weights of distinct finite points by the defining product."""
-    x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least two points")
-    _require_finite(x, "points")
-    if x.size > _MAX_GENERAL_POINTS:
-        raise ValueError(f"product formula limited to {_MAX_GENERAL_POINTS} points")
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, 1.0)
-    if np.any(d == 0.0):
-        raise ValueError("points must be pairwise distinct")
-    return 1.0 / d.prod(axis=1)
+__all__ = ["green_matrix_dense_oracle"]
 
 
 def green_matrix_dense_oracle(N):
@@ -59,16 +37,3 @@ def green_matrix_dense_oracle(N):
     G[1:N] = (LD(2) / N) * ((U[1:N] * w) @ T[:, :N + 1]) * w
     return GreenMatrix(G)
 
-
-def dct1_naive(v):
-    """Direct O(n^2) cosine-sum DCT-I of a finite vector; the cross-check for the FFT path."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("need a 1-d vector with at least two entries")
-    _require_finite(v, "the vector to transform")
-    n = v.size
-    w = v.copy()
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.sqrt(2.0 / (n - 1)) * (np.cos(np.pi * jk / (n - 1)) @ w)

@@ -23,7 +23,8 @@ from chebgreen import (
 )
 from chebgreen.cli import (_dev_left_inverse, _dev_right_inverse, _dev_symmetry,
                            diff2_bc_matrix, green_bc_matrix)
-from chebgreen.oracle import dct1_naive, green_matrix_dense_oracle
+from chebgreen.oracle import green_matrix_dense_oracle
+from references import dct1_naive
 
 _EPS = np.finfo(np.float64).eps
 

@@ -60,10 +60,9 @@ def _imports(path):
 
 
 def test_the_references_are_public_only_in_their_module():
-    # the slow exact references serve verification: chebgreen.oracle exports
-    # them, the package namespace does not, and importing it loads none of them
-    assert set(chebgreen.oracle.__all__) == {
-        "barycentric_weights_general", "green_matrix_dense_oracle", "dct1_naive"}
+    # the slow exact reference serves verification: chebgreen.oracle exports
+    # it, the package namespace does not, and importing it loads none of it
+    assert chebgreen.oracle.__all__ == ["green_matrix_dense_oracle"]
     assert not set(chebgreen.oracle.__all__) & set(dir(chebgreen))
     code = ("import sys, chebgreen; "
             "print(sorted({'chebgreen.oracle', 'numpy.polynomial'} & set(sys.modules)))")
@@ -119,7 +118,7 @@ def test_paths_stay_independent_of_the_references_and_the_dct():
     importers = {path.stem for path in MODULES
                  for _, mods in _imports(path) if "oracle" in mods}
     assert importers == {"cli"}
-    transforms = {"dct1", "_node_to_coeff_values", "_coeff_to_node_values"}
+    transforms = {"dct1", "_node_to_coeff_values"}
     tree, defined = _functions("calculus")
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     from_core = {a.name for node in relative if node.module == "core" for a in node.names}
@@ -135,7 +134,7 @@ def test_paths_stay_independent_of_the_references_and_the_dct():
     assert "_green_factors" in defined and "_green_factors" not in in_green
     matrix_free = transforms | {"core", "_antiderivative_raw", "apply_green_matrix_free"}
     for function in (in_green["green_matrix"], in_green["_apply_green_dense"],
-                     defined["_dense_setup"]):
+                     defined["_green_factors"]):
         named = {node.id if isinstance(node, ast.Name) else node.attr
                  for node in ast.walk(function)
                  if isinstance(node, (ast.Name, ast.Attribute))}
@@ -253,10 +252,10 @@ def test_degree_range_checks_live_in_the_core_guard():
                 assert phrase not in text, f"{path.name} checks a degree range: {phrase!r}"
 
 
-# the public functions and the GreenMatrix carrier that take raw arrays, each
-# with a valid input and a way to put a bad value into it; dct1 is left
-# unchecked on purpose (it runs on the matrix-free hot path, whose input is an
-# already checked NodeVector)
+# the public functions and carriers that take raw arrays, each with a valid
+# input and a way to put a bad value into it: the GreenMatrix carrier alone.
+# dct1 is left unchecked on purpose (it runs on the matrix-free hot path,
+# whose input is an already checked NodeVector)
 def _poison(a, bad):
     a = np.array(a, dtype=np.float64)
     a.flat[a.size // 2] = bad
@@ -264,10 +263,6 @@ def _poison(a, bad):
 
 
 RAW_ARRAY_INPUTS = {
-    "barycentric_weights_general":
-        lambda bad: chebgreen.oracle.barycentric_weights_general(
-            _poison(chebgreen.cgl_points(4), bad)),
-    "dct1_naive": lambda bad: chebgreen.oracle.dct1_naive(_poison(np.ones(5), bad)),
     "GreenMatrix": lambda bad: chebgreen.GreenMatrix(_poison(np.zeros((5, 5)), bad)),
 }
 
@@ -331,11 +326,7 @@ TRACER_PINNED = {
     ("quadrature", "consistent_gram_matrix"): "SITES['quadrature'] wraps it",
 }
 # the tests compare the fast kernels with these, or build references from them
-REFERENCES = {
-    ("oracle", "barycentric_weights_general"): "the defining product for the CGL weight signs",
-    ("oracle", "dct1_naive"): "the literal cosine sum for dct1's FFT",
-    ("core", "_coeff_to_node_values"): "the fold-free references' fine grid; no smaller in tests/",
-}
+REFERENCES = {}
 
 
 def test_every_uncalled_function_or_class_is_tabled_with_its_reason():

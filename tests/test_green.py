@@ -18,8 +18,9 @@ from chebgreen import (
 from chebgreen import calculus, core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
                                 _lagrange_primitive_values, _primitive_tables)
-from chebgreen.core import _coeff_to_node_values, _node_to_coeff_values, cgl_points
+from chebgreen.core import _node_to_coeff_values, cgl_points
 from chebgreen.oracle import green_matrix_dense_oracle
+from references import coeff_to_node_values
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def _green_matrix_per_column(N):
     for i in range(half + 1):
         alpha, beta, gamma, p_0, p_nm1, p_n, p_end = terms[i]
         # the column's end values, formed as the whole column would be
-        d = _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        d = _lagrange_primitive_values(slice(i, i + 1), N, tables[2])[0]
         h = d[[0, N]] * scale[i] + p_nm1 * nodes[1, [0, N]] + p_n * nodes[2, [0, N]] + p_0
         u0, un = h * (x[[0, N]] - x[i])
         if N % 2:  # P_i(1) - P_i(-1)
@@ -92,7 +93,7 @@ def _green_matrix_per_column(N):
                           for s in range(0, half + 1, green._BLOCK)])
     G = np.empty((N + 1, N + 1))
     for i in range(half + 1):
-        col = _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        col = _lagrange_primitive_values(slice(i, i + 1), N, tables[2])[0]
         col *= scale[i] * (x - x[i])
         col += low[i]
         G[:, i] = col
@@ -131,10 +132,10 @@ def test_green_matrix_columns_match_public_primitives(N):
     base[N - 2] = 1.0 / (N - 2)
     base[N] = -2.0 / N
     base[N + 2] = 1.0 / (N + 2)
-    q = _coeff_to_node_values(base)[::2]
+    q = coeff_to_node_values(base)[::2]
     scale, coef, rows = _lagrange_primitive_terms(N, tables, x)
     for i in range(N // 2 + 1):
-        h = scale[i] * _lagrange_primitive_values(slice(i, i + 1), N, tables)[0]
+        h = scale[i] * _lagrange_primitive_values(slice(i, i + 1), N, tables[2])[0]
         h += coef[i, 4] * rows[1] + coef[i, 5] * rows[2] + coef[i, 3]
         p = (-1.0) ** i * (0.5 if i == 0 else 1.0) / (4.0 * N) * q
         col = 0.5 * (x + 1.0) * (p[0] - p + (x[i] - 1.0) * (h[0] - h))
@@ -291,9 +292,9 @@ def test_dense_solve_closed_form(a, N):
 
 def test_dense_solve_holds_no_matrix(traced_peak, cold_memo):
     # the apply holds O(N), its FFTs' rows and the sine-sum table's
-    # spectrum: measured 0.046 (N+1)^2 doubles at N = 1024, where
+    # spectrum: measured 0.043 (N+1)^2 doubles at N = 1024, where
     # assembling G took 1.15.  The memo is emptied after the first call, so
-    # the measured call builds G's factors and the spectrum
+    # the measured call builds the one set-up, G's factors and the spectrum
     N = 1024
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
     solve_bvp(f, "dense-green")
@@ -302,30 +303,64 @@ def test_dense_solve_holds_no_matrix(traced_peak, cold_memo):
 
 
 def test_dense_solve_memory_is_linear(traced_peak, cold_memo):
-    # a cold solve at N = 65536 builds and keeps G's factors (14 doubles a
-    # node) and the spectrum, and holds the FFTs' four rows: measured 45
-    # doubles a node, 29 on a warm call
+    # a cold solve at N = 65536 builds and keeps the one set-up, G's factors
+    # and the spectrum (13 doubles a node), and holds the FFTs' four rows:
+    # measured 42 doubles a node, 29 on a warm call
     N = 65536
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
     assert traced_peak(solve_bvp, f, "dense-green") <= 64 * 8 * (N + 1)
 
 
-def test_dense_solve_above_the_budget_builds_the_table_once(cold_memo, monkeypatch):
-    # at N = 300000 G's factors (14 doubles a node) exceed the memo budget
-    # and are not kept, but the dense set-up (about 11) is.  A cold solve
-    # reads the factors once, so it builds the long-double table once
-    N = 300000
+def test_dense_solve_keeps_one_entry_that_green_matrix_reads(cold_memo, monkeypatch):
+    # green_matrix and the dense apply share one set-up per degree, G's
+    # factors with the sine-sum table's spectrum: about 13 doubles a node
+    N = 1024
+    solve_bvp(NodeVector(np.cos(3.0 * cgl_points(N))), "dense-green")
+    assert list(cold_memo._entries) == [(calculus._green_factors.__wrapped__, N)]
+    kept = cold_memo.nbytes
+    assert kept < 14 * 8 * (N + 1)
+    calls = []
+    monkeypatch.setattr(calculus, "_primitive_tables", calls.append)
+    green_matrix(N)
+    assert calls == [] and cold_memo.nbytes == kept
+
+
+def _count_table_builds(monkeypatch):
     calls, build = [], calculus._primitive_tables
     monkeypatch.setattr(calculus, "_primitive_tables", lambda n: calls.append(n) or build(n))
+    return calls
+
+
+def test_dense_solve_below_the_budget_reads_the_kept_set_up(cold_memo, monkeypatch):
+    # the memo budget keeps the set-up up to N = 322389: a cold solve at
+    # N = 300000 builds the long-double table once, and a warm one reads the
+    # kept set-up and builds nothing
+    N = 300000
+    calls = _count_table_builds(monkeypatch)
+    f = NodeVector(np.exp(np.sin(3.0 * cgl_points(N))))
+    cold = solve_bvp(f, "dense-green").values
+    assert calls == [N]
+    assert (calculus._green_factors.__wrapped__, N) in cold_memo._entries
+
+    def refuse(n):
+        raise AssertionError("a warm call built the table")
+
+    monkeypatch.setattr(calculus, "_primitive_tables", refuse)
+    warm = solve_bvp(f, "dense-green").values
+    assert cold.tobytes() == warm.tobytes()
+
+
+def test_dense_solve_above_the_budget_builds_the_table_once(cold_memo, monkeypatch):
+    # at N = 322390 the set-up exceeds the memo budget and is not kept:
+    # every call, cold or warm, builds the long-double table once
+    N = 322390
+    calls = _count_table_builds(monkeypatch)
     f = NodeVector(np.exp(np.sin(3.0 * cgl_points(N))))
     cold = solve_bvp(f, "dense-green").values
     assert calls == [N]
     assert (calculus._green_factors.__wrapped__, N) not in cold_memo._entries
-    assert (calculus._dense_setup.__wrapped__, N) in cold_memo._entries
-    # a warm call reads the kept set-up alone, not G's factors
-    monkeypatch.setattr(calculus, "_green_factors", None)
     warm = solve_bvp(f, "dense-green").values
-    assert calls == [N]
+    assert calls == [N, N]
     assert cold.tobytes() == warm.tobytes()
 
 
@@ -374,7 +409,7 @@ def _fine_grid_apply(f):
     N = f.size - 1
     c = np.concatenate([_node_to_coeff_values(f), np.zeros(N + 1)])
     prim2 = _antiderivative_raw(_antiderivative_raw(c))[: 2 * N + 1]
-    h = _coeff_to_node_values(prim2)[::2]
+    h = coeff_to_node_values(prim2)[::2]
     x = cgl_points(N)
     y = h - h[0] * (0.5 * (1.0 + x)) - h[-1] * (0.5 * (1.0 - x))
     y[0] = 0.0
