@@ -7,16 +7,17 @@ fold-free references use to evaluate on the degree-2N grid.
 
 import numpy as np
 
-from chebgreen.core import _scale_ends, dct1
+from chebgreen.core import _require_finite, _scale_ends, dct1
 
 _MAX_GENERAL_POINTS = 40  # product magnitudes leave the safe range beyond this
 
 
 def barycentric_weights_general(points):
-    """Barycentric weights of distinct points by the defining product."""
+    """Barycentric weights of distinct finite points by the defining product."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need at least two points")
+    _require_finite(x, "points")
     if x.size > _MAX_GENERAL_POINTS:
         raise ValueError(f"product formula limited to {_MAX_GENERAL_POINTS} points")
     d = x[:, None] - x[None, :]
@@ -27,10 +28,11 @@ def barycentric_weights_general(points):
 
 
 def dct1_naive(v):
-    """Direct O(n^2) cosine-sum DCT-I of a vector; the cross-check for the FFT path."""
+    """Direct O(n^2) cosine-sum DCT-I of a finite vector; the cross-check for the FFT path."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a 1-d vector with at least two entries")
+    _require_finite(v, "the vector to transform")
     n = v.size
     w = v.copy()
     w[0] *= 0.5

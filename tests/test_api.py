@@ -14,6 +14,7 @@ import pytest
 
 import chebgreen
 import chebgreen.oracle
+from references import barycentric_weights_general, dct1_naive
 
 PUBLIC = {
     "GreenMatrix", "METHODS", "NodeVector", "__version__",
@@ -252,10 +253,10 @@ def test_degree_range_checks_live_in_the_core_guard():
                 assert phrase not in text, f"{path.name} checks a degree range: {phrase!r}"
 
 
-# the public functions and carriers that take raw arrays, each with a valid
-# input and a way to put a bad value into it: the GreenMatrix carrier alone.
-# dct1 is left unchecked on purpose (it runs on the matrix-free hot path,
-# whose input is an already checked NodeVector)
+# the functions and carriers that take raw arrays, each with a valid input
+# and a way to put a bad value into it: the GreenMatrix carrier and the two
+# test references. dct1 is left unchecked on purpose (it runs on the
+# matrix-free hot path, whose input is an already checked NodeVector)
 def _poison(a, bad):
     a = np.array(a, dtype=np.float64)
     a.flat[a.size // 2] = bad
@@ -263,6 +264,9 @@ def _poison(a, bad):
 
 
 RAW_ARRAY_INPUTS = {
+    "barycentric_weights_general":
+        lambda bad: barycentric_weights_general(_poison(chebgreen.cgl_points(4), bad)),
+    "dct1_naive": lambda bad: dct1_naive(_poison(np.ones(5), bad)),
     "GreenMatrix": lambda bad: chebgreen.GreenMatrix(_poison(np.zeros((5, 5)), bad)),
 }
 
