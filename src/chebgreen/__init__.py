@@ -3,8 +3,8 @@
 Solves u'' = f on [-1, 1] with zero Dirichlet data on Chebyshev-Gauss-
 Lobatto grids, three interchangeable ways: an explicitly assembled Green
 matrix, a matrix-free transform pipeline, and a stripped collocation
-system.  Grids are stored in the conventional descending order.  The slow
-exact references are in ``chebgreen.oracle``, which is not re-exported.
+system.  Grids are stored in the conventional descending order.  The
+``verify`` checks live in ``chebgreen.cli``, which is not re-exported.
 """
 
 from . import core, green, operators, quadrature

@@ -165,8 +165,8 @@ def _primitive_tables(N):
 def _green_factors(N):
     # the one set-up of green_matrix and the dense apply: the sine-sum
     # windows, the per-column scale, the rank-5 coefficients with their
-    # chord, the five node rows, the grid's points and minus the table's
-    # rfft.  Read-only, and kept in the memo for the next call at this N
+    # chord, the five node rows, the grid's points (the node row x) and
+    # minus the table's rfft.  Read-only, kept in the memo for the next call
     x = cgl_points(N)
     half = N // 2
     xi = x[: half + 1, None]
@@ -207,4 +207,4 @@ def _green_factors(N):
     n = table.size
     odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
     L = min(2 * q << (-(-n // (2 * q)) - 1).bit_length() for q in odd)
-    return windows, scale, coef, nodes, x, -np.fft.rfft(table, L)
+    return windows, scale, coef, nodes, nodes[3], -np.fft.rfft(table, L)

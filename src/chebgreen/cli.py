@@ -22,7 +22,6 @@ from .core import NodeVector, cgl_points, _cgl_weight_signs, _grid_degree
 from .green import green_matrix
 from .operators import (METHODS, solve_bvp, _barycentric_rows, _diagonal, _diff2_rows, _fold,
                         _interior_weights)
-from .oracle import green_matrix_dense_oracle
 from .quadrature import cc_weights, _gram_rows
 
 _EPS = np.finfo(np.float64).eps
@@ -381,9 +380,48 @@ def _identity_deviation(even, odd):
     return float(even.max())
 
 
+def _identity_gap(G):
+    """max |G T - U| for G of degree N, with T[j, m] = T_m(x_j) and U[k, m]
+    = u_m(x_k), u_m'' = T_m, u_m(+-1) = 0.  T_m interpolates itself for
+    m <= N, so G T = U holds exactly, and T is invertible, so it pins all of
+    G.  Only np.fft and closed forms, in 32-row panels: row k of G T is the
+    DCT-I of row k of G, half the rfft of its even extension plus the two
+    end terms that the extension counts once."""
+    N = G.shape[0] - 1
+    m = np.arange(N + 1)
+    sign = (-1.0) ** m
+    cosines = np.cos(np.pi * np.arange(2 * N) / N)  # T_j(x_k) = cosines[k j mod 2N]
+    # for m >= 3, u_m = a T_{m+2} + b T_m + d T_{m-2} less the line through
+    # its end values, s = a + b + d at x = 1 and (-1)^m s at x = -1
+    q = m[3:].astype(float)
+    a = 1.0 / (4.0 * (q + 1.0) * (q + 2.0))
+    b = -1.0 / (2.0 * (q * q - 1.0))
+    d = 1.0 / (4.0 * (q - 1.0) * (q - 2.0))
+    s = a + b + d
+    gap = 0.0
+    for start in range(0, N + 1, 32):
+        rows = G[start : start + 32]
+        k = np.arange(start, start + len(rows))
+        GT = np.fft.rfft(np.concatenate([rows, rows[:, -2:0:-1]], axis=1)).real + rows[:, :1]
+        GT += sign * rows[:, -1:]
+        GT *= 0.5
+        T = cosines[np.outer(k, np.arange(N + 3)) % (2 * N)]
+        x = T[:, 1:2]
+        # u_0, u_1 and u_2, where the general form divides by zero
+        low = np.hstack([(x * x - 1.0) / 2.0, (x ** 3 - x) / 6.0,
+                         x ** 4 / 6.0 - x * x / 2.0 + 1.0 / 3.0])
+        U = np.empty_like(GT)
+        U[:, :3] = low[:, : N + 1]
+        U[:, 3:] = a * T[:, 5:] + b * T[:, 3 : N + 1] + d * T[:, 1 : N - 1]
+        U[:, 3:] -= s * T[:, m[3:] % 2]
+        GT -= U
+        gap = max(gap, float(np.abs(GT, out=GT).max()))
+        del GT, T, U, x  # not held while the next panel is made
+    return gap
+
+
 def _dev_oracle(n):
-    return float(np.max(np.abs(green_matrix(n).entries
-                               - green_matrix_dense_oracle(n).entries)))
+    return _identity_gap(green_matrix(n).entries)
 
 
 def _dev_centrosymmetry(n):
@@ -542,7 +580,7 @@ def _tol_bc_inverse(n):
 
 # name -> (min n, max n or None, deviation, recorded tolerance)
 _CHECKS = {
-    # n <= 10 is not the reference's limit: perfbench's verify workload and
+    # n <= 10 is not the identity's limit: perfbench's verify workload and
     # self-check fix the check set, and ROADMAP item 17b lifts the cap with them
     "oracle": (1, 10, _dev_oracle, lambda n: 16.0 * _EPS),
     "centrosymmetry": (1, None, _dev_centrosymmetry, lambda n: 0.0),

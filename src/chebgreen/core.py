@@ -115,8 +115,8 @@ def _grid_degree(N, least=1):
 
 # bytes of degree-only set-up the memo keeps.  The stripped solve's factored
 # parity blocks take 4 MiB at N = 1024 and 16 MiB at N = 2048, and 32 MiB
-# holds them up to N = 2897; the one set-up of G and the dense solve, 13
-# (N+1) doubles, up to N = 322389.  A cold stripped solve folds the blocks in
+# holds them up to N = 2897; the one set-up of G and the dense solve, 12
+# (N+1) doubles, up to N = 349445.  A cold stripped solve folds the blocks in
 # O(N^2) and factors them in O(N^3), 2.6 + 4.1 ms at N = 1024 and 11 + 22 ms
 # at N = 2048, where a warm one takes 0.22 and 0.73 ms (one BLAS thread,
 # 2-vCPU Xeon).  The time a kept byte saves grows with N, so the budget is a

@@ -23,8 +23,7 @@ from chebgreen import (
 )
 from chebgreen.cli import (_dev_left_inverse, _dev_right_inverse, _dev_symmetry,
                            diff2_bc_matrix, green_bc_matrix)
-from chebgreen.oracle import green_matrix_dense_oracle
-from references import dct1_naive
+from references import dct1_naive, green_matrix_dense_oracle
 
 _EPS = np.finfo(np.float64).eps
 

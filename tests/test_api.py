@@ -3,7 +3,7 @@
 import ast
 import dataclasses
 import graphlib
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import chebgreen
-import chebgreen.oracle
-from references import barycentric_weights_general, dct1_naive
+from references import barycentric_weights_general, dct1_naive, green_matrix_dense_oracle
 
 PUBLIC = {
     "GreenMatrix", "METHODS", "NodeVector", "__version__",
@@ -61,12 +60,10 @@ def _imports(path):
 
 
 def test_the_references_are_public_only_in_their_module():
-    # the slow exact reference serves verification: chebgreen.oracle exports
-    # it, the package namespace does not, and importing it loads none of it
-    assert chebgreen.oracle.__all__ == ["green_matrix_dense_oracle"]
-    assert not set(chebgreen.oracle.__all__) & set(dir(chebgreen))
-    code = ("import sys, chebgreen; "
-            "print(sorted({'chebgreen.oracle', 'numpy.polynomial'} & set(sys.modules)))")
+    # the slow exact references live in the tests' own module: the package
+    # has no oracle module, and importing it loads no numpy.polynomial
+    assert importlib.util.find_spec("chebgreen.oracle") is None
+    code = "import sys, chebgreen; print(sorted({'numpy.polynomial'} & set(sys.modules)))"
     # the child sees the test process's path, src/ included when pytest put it there
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -112,13 +109,13 @@ def _functions(stem):
 
 
 def test_paths_stay_independent_of_the_references_and_the_dct():
-    # the oracle is the exact reference the assembly is checked against, so
-    # only the CLI's verify may import it, not even the package namespace; the
-    # dense path's primitives and factors (calculus) use no transform, which
-    # keeps them independent of the DCT-based matrix-free path
+    # the exact references the assembly is checked against live in the
+    # tests, so no module of src/ imports one; the dense path's primitives
+    # and factors (calculus) use no transform, which keeps them independent
+    # of the DCT-based matrix-free path
     importers = {path.stem for path in MODULES
-                 for _, mods in _imports(path) if "oracle" in mods}
-    assert importers == {"cli"}
+                 for _, mods in _imports(path) if "references" in mods}
+    assert importers == set()
     transforms = {"dct1", "_node_to_coeff_values"}
     tree, defined = _functions("calculus")
     relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
@@ -176,11 +173,12 @@ def test_solve_bvp_calls_each_method_through_its_patchable_attribute(method, mon
     assert calls == {name: int(name == method) for name in SEAMS}
 
 
-# every public builder that takes a grid degree, with its other arguments
+# every public builder that takes a grid degree, and the tests' dense
+# reference, with their other arguments
 DEGREE_BUILDERS = {
     "cgl_points": chebgreen.cgl_points,
     "green_matrix": chebgreen.green_matrix,
-    "green_matrix_dense_oracle": chebgreen.oracle.green_matrix_dense_oracle,
+    "green_matrix_dense_oracle": green_matrix_dense_oracle,
     "diff_matrix": chebgreen.diff_matrix,
     "diff2_matrix": chebgreen.diff2_matrix,
     "reinterp_matrix (from)": lambda N: chebgreen.reinterp_matrix(N, 4),
@@ -301,8 +299,8 @@ def test_vector_inputs_refuse_a_wrong_type_naming_the_expected_class(name, given
 
 # functions that only the verify checks use; the parity fold lives in
 # operators, since the stripped solve uses it too
-CHECK_HELPERS = ("_pair_weights", "_identity_deviation", "_boundary_basis", "_gram_blocks",
-                 "diff2_bc_matrix", "green_bc_matrix")
+CHECK_HELPERS = ("_identity_gap", "_pair_weights", "_identity_deviation", "_boundary_basis",
+                 "_gram_blocks", "diff2_bc_matrix", "green_bc_matrix")
 
 
 def test_every_verify_check_lives_in_cli():
@@ -329,8 +327,6 @@ TRACER_PINNED = {
     ("operators", "extension_matrix"): "SITES['operators'] wraps it; the README example uses it",
     ("quadrature", "consistent_gram_matrix"): "SITES['quadrature'] wraps it",
 }
-# the tests compare the fast kernels with these, or build references from them
-REFERENCES = {}
 
 
 def test_every_uncalled_function_or_class_is_tabled_with_its_reason():
@@ -347,6 +343,5 @@ def test_every_uncalled_function_or_class_is_tabled_with_its_reason():
                 used.discard(top.name)
             named |= used
     uncalled = {(module, name) for module, name in defs if name not in named}
-    assert not TRACER_PINNED.keys() & REFERENCES.keys()
-    assert uncalled == TRACER_PINNED.keys() | REFERENCES.keys()
-    assert all({**TRACER_PINNED, **REFERENCES}.values())
+    assert uncalled == TRACER_PINNED.keys()
+    assert all(TRACER_PINNED.values())

@@ -275,7 +275,7 @@ def test_unwritable_stdout_fails_cleanly(argv):
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
-    # verify's oracle is a long-double product of cosine tables, and the
+    # verify's oracle check reads G.T = U by np.fft and closed forms, and the
     # cell kernel takes its powers of ten from Python's integers,
     # so no CLI start pays for importing numpy.polynomial, fractions or decimal
     code = ("import sys, chebgreen.cli; "
@@ -842,9 +842,9 @@ def test_panel_products_agree_with_direct_formulas(n):
 
 # 2.3 (n+1)^2 doubles at n = 256 and 1024: the parity-block checks hold G and
 # half-size blocks, about 1.5 (n+1)^2 at n = 1024, and at n = 256 up to 1.9,
-# where green_matrix's own build peaks
-@pytest.mark.parametrize("name", [name for name, (lo, hi, _, _) in cli._CHECKS.items()
-                                  if hi is None or hi >= 1024])
+# where green_matrix's own build peaks.  The oracle runs past its cap here,
+# as in the degree-limit test below: it holds G and 32-row panels
+@pytest.mark.parametrize("name", cli._CHECKS)
 def test_verify_check_working_set_stays_within_two_matrices_and_a_panel(name, traced_peak):
     deviation = cli._CHECKS[name][2]
     for n in (256, 1024):
@@ -879,7 +879,7 @@ def test_verify_oracle_check_above_its_cap_names_the_cap(capsys):
 @pytest.mark.parametrize("name", cli._CHECKS)
 def test_check_degree_limits_agree_with_their_deviations(name):
     # each deviation runs at the least n in _CHECKS and at its cap, and past
-    # it: the oracle's cap fixes verify's check set, not the reference's range
+    # it: the oracle's cap fixes verify's check set, not the identity's range
     lo, hi, deviation, _ = cli._CHECKS[name]
     assert np.isfinite(deviation(lo))
     if hi is not None:
@@ -887,7 +887,7 @@ def test_check_degree_limits_agree_with_their_deviations(name):
 
 
 def test_verify_oracle_check_starts_at_degree_one(capsys):
-    # every degree runs the assembly, so the exact reference checks it from n = 1
+    # every degree runs the assembly, so the identity G.T = U checks it from n = 1
     for n in ("1", "2"):
         assert main(["verify", "--n", n, "--check", "oracle"]) == 0
         (row,) = json.loads(capsys.readouterr().out)

@@ -15,12 +15,11 @@ from chebgreen import (
     green_matrix,
     solve_bvp,
 )
-from chebgreen import calculus, core, green
+from chebgreen import calculus, cli, core, green
 from chebgreen.calculus import (_antiderivative_raw, _lagrange_primitive_terms,
                                 _lagrange_primitive_values, _primitive_tables)
 from chebgreen.core import _node_to_coeff_values, cgl_points
-from chebgreen.oracle import green_matrix_dense_oracle
-from references import coeff_to_node_values
+from references import coeff_to_node_values, green_matrix_dense_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -157,45 +156,8 @@ def test_green_matrix_matches_extended_precision_reference(N):
     assert np.max(np.abs(G - ref)) <= 8 * eps * np.max(np.abs(G))
 
 
-def _chebyshev_identity_gap(G):
-    """max |G T - U| for G of degree N, with T[j, m] = T_m(x_j) and U[k, m]
-    = u_m(x_k), u_m'' = T_m, u_m(+-1) = 0.  T_m interpolates itself for
-    m <= N, so G T = U holds exactly, and T is invertible, so it pins all of
-    G.  Only np.fft and closed forms, in 64-row panels: row k of G T is the
-    DCT-I of row k of G, half the rfft of its even extension plus the two
-    end terms that the extension counts once."""
-    N = G.shape[0] - 1
-    m = np.arange(N + 1)
-    sign = (-1.0) ** m
-    cosines = np.cos(np.pi * np.arange(2 * N) / N)  # T_j(x_k) = cosines[k j mod 2N]
-    # for m >= 3, u_m = a T_{m+2} + b T_m + d T_{m-2} less the line through
-    # its end values, s = a + b + d at x = 1 and (-1)^m s at x = -1
-    q = m[3:].astype(float)
-    a = 1.0 / (4.0 * (q + 1.0) * (q + 2.0))
-    b = -1.0 / (2.0 * (q * q - 1.0))
-    d = 1.0 / (4.0 * (q - 1.0) * (q - 2.0))
-    s = a + b + d
-    gap = 0.0
-    for start in range(0, N + 1, 64):
-        rows = G[start : start + 64]
-        k = np.arange(start, start + len(rows))
-        ext = np.concatenate([rows, rows[:, -2:0:-1]], axis=1)
-        GT = 0.5 * (np.fft.rfft(ext).real + rows[:, :1] + sign * rows[:, -1:])
-        T = cosines[np.outer(k, np.arange(N + 3)) % (2 * N)]
-        x = T[:, 1:2]
-        # u_0, u_1 and u_2, where the general form divides by zero
-        low = np.hstack([(x * x - 1.0) / 2.0, (x ** 3 - x) / 6.0,
-                         x ** 4 / 6.0 - x * x / 2.0 + 1.0 / 3.0])
-        U = np.empty_like(GT)
-        U[:, :3] = low[:, : N + 1]
-        U[:, 3:] = a * T[:, 5:] + b * T[:, 3 : N + 1] + d * T[:, 1 : N - 1]
-        U[:, 3:] -= s * T[:, m[3:] % 2]
-        gap = max(gap, np.max(np.abs(GT - U)))
-    return gap
-
-
-# G.T = U checked by FFT at degrees the long-double oracle does not reach
-# here.  Measured at most 2.0 eps over N = 1..300, 511..513 and the examples,
+# G.T = U checked by FFT, as verify's oracle check reads it, at degrees the
+# long-double reference does not reach here.  Measured at most 2.0 eps over N = 1..300, 511..513 and the examples,
 # the worst at N = 283, on the default and the Prescott BLAS kernels; the
 # scale fault below reads 2.25e6 eps
 @example(N=1023)
@@ -208,13 +170,13 @@ def _chebyshev_identity_gap(G):
 @given(N=st.integers(1, 300))
 def test_green_matrix_satisfies_chebyshev_identity(N):
     eps = np.finfo(np.float64).eps
-    assert _chebyshev_identity_gap(green_matrix(N).entries) <= 16 * eps
+    assert cli._identity_gap(green_matrix(N).entries) <= 16 * eps
 
 
 def test_chebyshev_identity_sees_a_scale_fault():
     eps = np.finfo(np.float64).eps
     G = (1 + 1e-9) * green_matrix(1024).entries
-    assert _chebyshev_identity_gap(G) > 16 * eps
+    assert cli._identity_gap(G) > 16 * eps
 
 
 def test_green_matrix_mirror_needs_no_half_matrix_temporary(traced_peak):
@@ -304,7 +266,7 @@ def test_dense_solve_holds_no_matrix(traced_peak, cold_memo):
 
 def test_dense_solve_memory_is_linear(traced_peak, cold_memo):
     # a cold solve at N = 65536 builds and keeps the one set-up, G's factors
-    # and the spectrum (13 doubles a node), and holds the FFTs' four rows:
+    # and the spectrum (12 doubles a node), and holds the FFTs' four rows:
     # measured 42 doubles a node, 29 on a warm call
     N = 65536
     f = NodeVector(np.cos(3.0 * cgl_points(N)))
@@ -313,12 +275,13 @@ def test_dense_solve_memory_is_linear(traced_peak, cold_memo):
 
 def test_dense_solve_keeps_one_entry_that_green_matrix_reads(cold_memo, monkeypatch):
     # green_matrix and the dense apply share one set-up per degree, G's
-    # factors with the sine-sum table's spectrum: about 13 doubles a node
+    # factors with the sine-sum table's spectrum: about 12 doubles a node,
+    # the grid's points read from the node rows
     N = 1024
     solve_bvp(NodeVector(np.cos(3.0 * cgl_points(N))), "dense-green")
     assert list(cold_memo._entries) == [(calculus._green_factors.__wrapped__, N)]
     kept = cold_memo.nbytes
-    assert kept < 14 * 8 * (N + 1)
+    assert kept < 13 * 8 * (N + 1)
     calls = []
     monkeypatch.setattr(calculus, "_primitive_tables", calls.append)
     green_matrix(N)
@@ -332,7 +295,7 @@ def _count_table_builds(monkeypatch):
 
 
 def test_dense_solve_below_the_budget_reads_the_kept_set_up(cold_memo, monkeypatch):
-    # the memo budget keeps the set-up up to N = 322389: a cold solve at
+    # the memo budget keeps the set-up up to N = 349445: a cold solve at
     # N = 300000 builds the long-double table once, and a warm one reads the
     # kept set-up and builds nothing
     N = 300000
@@ -351,9 +314,9 @@ def test_dense_solve_below_the_budget_reads_the_kept_set_up(cold_memo, monkeypat
 
 
 def test_dense_solve_above_the_budget_builds_the_table_once(cold_memo, monkeypatch):
-    # at N = 322390 the set-up exceeds the memo budget and is not kept:
+    # at N = 349446 the set-up exceeds the memo budget and is not kept:
     # every call, cold or warm, builds the long-double table once
-    N = 322390
+    N = 349446
     calls = _count_table_builds(monkeypatch)
     f = NodeVector(np.exp(np.sin(3.0 * cgl_points(N))))
     cold = solve_bvp(f, "dense-green").values

@@ -5,8 +5,7 @@ import pytest
 
 from chebgreen import cgl_points
 from chebgreen.core import dct1
-from chebgreen.oracle import green_matrix_dense_oracle
-from references import barycentric_weights_general, dct1_naive
+from references import barycentric_weights_general, dct1_naive, green_matrix_dense_oracle
 
 
 def test_general_weights_two_and_three_points():
