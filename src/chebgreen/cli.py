@@ -331,6 +331,9 @@ def _cmd_solve(args, parser):
     try:
         with np.errstate(all="ignore"):  # reported below in one line, not as warnings
             y = solve_bvp(NodeVector(f), args.method)
+    except np.linalg.LinAlgError as exc:  # a ValueError too, but a failed factorization
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError:  # NodeVector refuses a non-finite solution, as from 1e308 forcings
         print(f"error: the degree-{args.n} {args.method} solution has non-finite values",
               file=sys.stderr)
@@ -350,9 +353,9 @@ def _cmd_solve(args, parser):
 # A.Q = Q.A_b, so a product splits into an even and an odd block product of
 # about half the size (Solomonoff, J. Comput. Phys. 1992): a quarter of the
 # multiply-adds.  Only the top rows of each factor but G are built and
-# folded (operators._fold, which the stripped solve shares), each factor's
-# blocks are dropped once multiplied, and the deviation is read off the
-# product's two blocks.
+# folded (operators._fold, which the stripped solve shares), and
+# _identity_deviation multiplies the last two factors' blocks and reads
+# the deviation off the two block products.
 
 
 def _pair_weights(rows):
@@ -363,13 +366,15 @@ def _pair_weights(rows):
     return [w, w[:rows // 2]]
 
 
-def _identity_deviation(even, odd):
-    # max |P - I| over the centrosymmetric P with square [even, odd] blocks,
-    # in place on them.  I's blocks are identities; on a column pair P - I
-    # holds (a + b) / 2 and (a - b) / 2, a and b the blocks' entries minus I,
-    # the larger in magnitude (|a| + |b|) / 2, with P's own bits off the
+def _identity_deviation(L, R):
+    # max |P - I| over the centrosymmetric P = L.R, from the [even, odd]
+    # blocks of L and R, whose products are P's square blocks, reduced in
+    # place.  I's blocks are identities; on a column pair P - I holds
+    # (a + b) / 2 and (a - b) / 2, a and b the blocks' entries minus I, the
+    # larger in magnitude (|a| + |b|) / 2, with P's own bits off the
     # diagonal as rounding is monotone.  odd lacks a middle row (a / 2 there)
     # and a middle column (a)
+    even, odd = (l @ r for l, r in zip(L, R))
     for B in (even, odd):
         k = np.arange(len(B))
         B[k, k] -= 1.0
@@ -474,18 +479,11 @@ def green_bc_matrix(N, stop=None):
 
 def _dev_bc_inverse(n):
     # max |A.B - I| and |B.A - I| from the parity blocks.  B before A:
-    # green_bc_matrix holds G and B's top rows at its peak.  Each block pair
-    # is multiplied both ways, then dropped
+    # green_bc_matrix holds G and B's top rows at its peak
     h = n // 2 + 1
     B = _fold(green_bc_matrix(n, h), n + 1)
     A = _fold(diff2_bc_matrix(n, h), n + 1)
-    AB, BA = [], []
-    while A:  # the even blocks, then the odd ones
-        a, b = A.pop(0), B.pop(0)
-        AB.append(a @ b)
-        BA.append(b @ a)
-        del a, b
-    return max(_identity_deviation(*AB), _identity_deviation(*BA))
+    return max(_identity_deviation(A, B), _identity_deviation(B, A))
 
 
 def _dev_cc_weights(n):
@@ -494,13 +492,12 @@ def _dev_cc_weights(n):
 
 
 def _dev_left_inverse(n):
-    # max |G.D2 - I| over the interior rows and columns: the blocks without
-    # row 0 and the boundary column pair
+    # max |G.D2 - I| over the interior rows and columns: G's blocks without
+    # row 0, D2's without the boundary column pair
     h = n // 2 + 1
     G = _fold(green_matrix(n).entries[:h], n + 1)
-    P = [g @ d for g, d in zip(G, _fold(_diff2_rows(n, h), n + 1))]
-    del G
-    return _identity_deviation(*(p[1:, 1:] for p in P))
+    D2 = _fold(_diff2_rows(n, h), n + 1)
+    return _identity_deviation([g[1:] for g in G], [d[:, 1:] for d in D2])
 
 
 def _dev_right_inverse(n):
@@ -515,8 +512,7 @@ def _dev_right_inverse(n):
     del G, R_up
     P = [d @ p for d, p in zip(_fold(_diff2_rows(n, h), n + 1), P)]
     R_down = _fold(_barycentric_rows(x, _cgl_weight_signs(n), x_low[:h - 1]), n - 1)
-    P = [r @ p for r, p in zip(R_down, P)]
-    return _identity_deviation(*P)
+    return _identity_deviation(R_down, P)
 
 
 def _boundary_basis(n, parity):

@@ -415,6 +415,21 @@ def test_solve_overflowing_forcing_fails_cleanly(method, tmp_path):
     assert lines == [f"error: the degree-8 {method} solution has non-finite values"], lines
 
 
+def test_solve_failed_factorization_is_named_as_such(monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, which the solve also catches for
+    # a non-finite solution: the factorization's own message is printed
+    def singular(N):
+        raise np.linalg.LinAlgError(
+            f"stripped second-derivative system at degree {N}: Singular matrix")
+
+    monkeypatch.setattr(operators, "_stripped_factors", singular)
+    assert main(["solve", "--n", "8", "--rhs", "exp", "--method", "linear-system"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "degree 8" in lines[0], lines
+
+
 def test_solve_missing_file_is_runtime_error(capsys):
     rc = main(["solve", "--n", "3", "--rhs", "file:/nonexistent-dir/f.txt"])
     assert rc == 1
@@ -578,12 +593,66 @@ def test_verify_fails_exactly_the_tabulated_checks_on_a_faulty_green_matrix(
 
     # every check, green_bc_matrix behind bc-inverse too, builds G through cli
     monkeypatch.setattr(cli, "green_matrix", faulty)
+    assert _failed_checks(n, capsys) == FAULT_TABLE[fault, n]
+
+
+def _failed_checks(n, capsys):
+    # the checks verify --n n fails, with its exit code checked against them
     code = main(["verify", "--n", str(n)])
     rows = _strict_json(capsys.readouterr().out)
     failed = {r["check"] for r in rows
               if r["deviation"] is None or r["deviation"] > r["tolerance"]}
-    assert failed == FAULT_TABLE[fault, n]
     assert code == (1 if failed else 0)
+    return failed
+
+
+def _diff2_fault(monkeypatch):
+    # every D2 row the checks and the stripped solve build, scaled
+    panel = operators._diff2_panel
+
+    def faulty(x, lam, start, out):
+        panel(x, lam, start, out)
+        out *= 1.0 + 1e-9
+
+    monkeypatch.setattr(operators, "_diff2_panel", faulty)
+
+
+def _bc_column_fault(monkeypatch):
+    # column 0 of the bc-inverse check's Green operator, (x + 1) / 2, scaled
+    build = cli.green_bc_matrix
+
+    def faulty(N, stop=None):
+        B = build(N, stop)
+        B[:, 0] *= 1.0 + 1e-9
+        return B
+
+    monkeypatch.setattr(cli, "green_bc_matrix", faulty)
+
+
+# faults in the other factors of the inverse checks, G left alone.  The
+# symmetry check is blind to a uniform scale of D2, and only bc-inverse
+# reads the bc pair: at n = 256 the column fault reads 1.1 times its
+# tolerance, and at n = 1024 0.07 of it
+OPERATOR_FAULT_TABLE = {
+    (_diff2_fault, 8): {"bc-inverse", "left-inverse", "right-inverse"},
+    (_diff2_fault, 64): set(),
+    (_diff2_fault, 256): set(),
+    (_diff2_fault, 1024): set(),
+    (_bc_column_fault, 8): {"bc-inverse"},
+    (_bc_column_fault, 64): {"bc-inverse"},
+    (_bc_column_fault, 256): {"bc-inverse"},
+    (_bc_column_fault, 1024): set(),
+}
+
+
+# on a cold memo: verify keeps only G's set-up, which reads no D2 row, but
+# no set-up from an earlier test is read and none made under a fault is kept
+@pytest.mark.parametrize("fault, n", OPERATOR_FAULT_TABLE,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_verify_fails_exactly_the_tabulated_checks_on_a_faulty_operator(
+        fault, n, monkeypatch, capsys, cold_memo):
+    fault(monkeypatch)
+    assert _failed_checks(n, capsys) == OPERATOR_FAULT_TABLE[fault, n]
 
 
 VERIFY_SWEEP = (list(range(1, 41)) + [63, 64, 65, 127, 128, 129, 255, 256, 257]
@@ -750,7 +819,9 @@ def test_identity_deviation_equals_the_unfolded_product_minus_identity(shape):
     # on near-identity blocks, as the inverse checks give them: within eps / 2
     # of the unfolded formula, which subtracts 1 after the pair sum rather
     # than before it, and bitwise where its largest entry is off the
-    # diagonal by more than that over every diagonal one
+    # diagonal by more than that over every diagonal one.  The blocks are
+    # the left factor's, against identity blocks on the right: they hold no
+    # signed zero, so each product is its block bit for bit
     size, half_eps = shape[0], np.finfo(float).eps / 2
     rng = np.random.default_rng(size)
     for scale in (1e-15, 1e-9, 1e-3, 0.1):
@@ -759,7 +830,7 @@ def test_identity_deviation_equals_the_unfolded_product_minus_identity(shape):
                          for k in ((size + 1) // 2, size // 2))
             P = np.abs(_unfold_reference(even, odd, size) - np.eye(size)[:(size + 1) // 2])
             ref = float(P.max())
-            got = cli._identity_deviation(even, odd)
+            got = cli._identity_deviation([even, odd], [np.eye(len(even)), np.eye(len(odd))])
             assert abs(got - ref) <= half_eps
             diagonal = np.diagonal(P).copy()
             np.fill_diagonal(P, 0.0)
